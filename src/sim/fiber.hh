@@ -3,10 +3,15 @@
  * Stackful coroutines (fibers) used to run one SPMD program instance per
  * simulated processor.
  *
- * Built on ucontext so that application code can block in the middle of
- * arbitrarily nested calls (reads, locks, barriers) exactly like a real
- * Split-C program would, while the event-driven kernel advances virtual
- * time underneath.
+ * Each fiber has its own stack so that application code can block in
+ * the middle of arbitrarily nested calls (reads, locks, barriers)
+ * exactly like a real Split-C program would, while the event-driven
+ * kernel advances virtual time underneath.
+ *
+ * On x86-64 a switch is one hand-written routine (sim/fiber.cc) that
+ * saves the SysV callee-saved registers, MXCSR and the x87 control
+ * word on the outgoing stack and swaps the stack pointer: no system
+ * call, no signal-mask swap. Other targets fall back to ucontext.
  *
  * Stacks come from a thread-local pool (FiberStackPool): a sweep creates
  * and destroys one fiber per node per simulation point, and recycling
@@ -19,7 +24,13 @@
 #ifndef NOWCLUSTER_SIM_FIBER_HH_
 #define NOWCLUSTER_SIM_FIBER_HH_
 
+// The register-swap switch is written for the x86-64 SysV ABI (LP64,
+// ELF); every other target builds the ucontext fallback.
+#if defined(__x86_64__) && defined(__LP64__) && defined(__ELF__)
+#define NOWCLUSTER_FIBER_ASM 1
+#else
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -115,25 +126,34 @@ class Fiber
 
   private:
     static void trampoline();
+    /** Save the scheduler's context and continue the fiber's. */
+    void switchIn();
+    /** Save the fiber's context and continue the scheduler's. */
+    void switchOut();
 
     std::function<void()> body_;
     char *stack_; ///< Owned; returned to FiberStackPool::local().
     std::size_t stackSize_;
+#ifdef NOWCLUSTER_FIBER_ASM
+    void *sp_ = nullptr;       ///< Fiber's saved stack pointer.
+    void *returnSp_ = nullptr; ///< Scheduler's, while the fiber runs.
+#else
     ucontext_t context_;
     ucontext_t returnContext_;
+#endif
     bool started_ = false;
     bool finished_ = false;
     /**
      * AddressSanitizer fiber-switch bookkeeping (unused otherwise):
      * ASan tracks a shadow stack per thread and must be told about every
-     * swapcontext, or it reports wild stack-use-after-return errors.
+     * stack switch, or it reports wild stack-use-after-return errors.
      */
     void *asanMainFake_ = nullptr;
     void *asanFiberFake_ = nullptr;
     const void *asanReturnStack_ = nullptr;
     std::size_t asanReturnSize_ = 0;
     /**
-     * ThreadSanitizer equivalent: TSan models each ucontext as a
+     * ThreadSanitizer equivalent: TSan models each fiber stack as a
      * "fiber" and must be told about every switch, or it reports
      * false races between frames that merely share the OS thread.
      */

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -166,6 +171,88 @@ TEST(Fiber, NestedCallsSurviveYield)
     EXPECT_EQ(depth_seen, 0);
     f.resume();
     EXPECT_EQ(depth_seen, 5);
+}
+
+// 1/3 through SSE division; volatile keeps the compiler from folding or
+// hoisting it out of the rounding mode it is meant to observe.
+double
+oneThird()
+{
+    volatile double one = 1.0, three = 3.0;
+    volatile double q = one / three;
+    return q;
+}
+
+TEST(Fiber, FpControlStateIsPerFiber)
+{
+    // The rounding mode lives in the x87 control word (fegetround) and
+    // in MXCSR (SSE arithmetic); both are callee-saved state that a
+    // switch must carry with each side.
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    const double nearest = oneThird();
+    double upward = 0, upward_after_yield = 0;
+    int mode_after_yield = -1;
+    Fiber f([&] {
+        std::fesetround(FE_UPWARD);
+        upward = oneThird();
+        Fiber::yield();
+        mode_after_yield = std::fegetround();
+        upward_after_yield = oneThird();
+    });
+    f.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(oneThird(), nearest);
+    EXPECT_GT(upward, nearest);
+    f.resume();
+    EXPECT_EQ(mode_after_yield, FE_UPWARD);
+    EXPECT_EQ(upward_after_yield, upward);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(oneThird(), nearest);
+}
+
+TEST(Fiber, StackIsAbiAligned)
+{
+    // A misaligned fiber entry shows up as a misaligned alignas(16)
+    // local, or as a crash in libc code that spills SSE registers with
+    // aligned stores (printf's %f path).
+    std::vector<std::uintptr_t> misalign;
+    std::vector<std::string> printed;
+    auto probe = [&] {
+        alignas(16) char slot[16] = {};
+        volatile std::uintptr_t addr =
+            reinterpret_cast<std::uintptr_t>(slot);
+        misalign.push_back(addr % 16);
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%f", oneThird());
+        printed.emplace_back(buf);
+    };
+    Fiber f([&] {
+        probe();
+        Fiber::yield();
+        probe();
+    });
+    f.resume();
+    f.resume();
+    EXPECT_EQ(misalign, (std::vector<std::uintptr_t>{0, 0}));
+    EXPECT_EQ(printed, (std::vector<std::string>{"0.333333", "0.333333"}));
+}
+
+TEST(Fiber, ExceptionCaughtInsideFiberAcrossYield)
+{
+    std::string caught;
+    Fiber f([&] {
+        try {
+            Fiber::yield();
+            throw std::runtime_error("thrown after resume");
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+    });
+    f.resume();
+    EXPECT_TRUE(caught.empty());
+    f.resume();
+    EXPECT_EQ(caught, "thrown after resume");
+    EXPECT_TRUE(f.finished());
 }
 
 TEST(Proc, ComputeAdvancesVirtualTime)

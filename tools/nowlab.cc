@@ -10,7 +10,7 @@
  *   nowlab sweep <app> --knob K --values a,b,c [--procs N] [--scale S]
  *                [--jobs J]
  *   nowlab perf [--app A] [--points K] [--jobs J] [--events N]
- *               [--out FILE]
+ *               [--sim-procs N] [--sim-scale S] [--out FILE]
  *   nowlab trace <app> [--out F.json] [--bin F] [knobs]
  *   nowlab wavefront <app> [--node N] [--at US] [--delays a,b,c]
  *                    [--threshold F] [--out F.json] [knobs]
@@ -1147,7 +1147,8 @@ cmdStorm(const Args &a)
  *
  * Measures (1) raw event-loop throughput through the new pooled
  * explicit-heap queue vs the frozen legacy std::function queue
- * (bench/legacy_event_queue.hh), (2) pooled fiber stand-up cost, and
+ * (bench/legacy_event_queue.hh), (2) pooled fiber stand-up cost and
+ * the resume+yield round trip, and
  * (3) wall-clock for a canonical knob sweep run serially vs fanned out
  * with the parallel runner -- verifying on the way that both produce
  * byte-identical per-point results.
@@ -1206,7 +1207,7 @@ cmdPerf(const Args &a)
                 "(%.2fx)\n",
                 new_eps / 1e6, legacy_eps / 1e6, new_eps / legacy_eps);
 
-    // --- (2) pooled fiber stand-up ------------------------------------
+    // --- (2) pooled fiber stand-up and switch --------------------------
     const int kFibers = 2000;
     double fiber_us = 0;
     {
@@ -1217,11 +1218,28 @@ cmdPerf(const Args &a)
         }
         fiber_us = seconds_since(t0) / kFibers * 1e6;
     }
+    // Snapshot now: the sweeps below stand up fibers on this thread too.
     const FiberStackPool &pool = FiberStackPool::local();
+    const unsigned long long pool_hits = pool.hits();
+    const unsigned long long pool_misses = pool.misses();
     std::printf("fiber pool : %.2f us per create+run+destroy "
                 "(%llu hits / %llu misses)\n",
-                fiber_us, static_cast<unsigned long long>(pool.hits()),
-                static_cast<unsigned long long>(pool.misses()));
+                fiber_us, pool_hits, pool_misses);
+
+    const int kSwitches = 200000;
+    double switch_ns = 0;
+    {
+        Fiber f([] {
+            for (int i = 0; i < kSwitches; ++i)
+                Fiber::yield();
+        });
+        auto t0 = Clock::now();
+        for (int i = 0; i < kSwitches; ++i)
+            f.resume();
+        switch_ns = seconds_since(t0) / kSwitches * 1e9;
+        f.resume(); // Let the body return.
+    }
+    std::printf("fiber swap : %.1f ns per resume+yield\n", switch_ns);
 
     // --- (3) canonical sweep, serial vs parallel ----------------------
     RunConfig base = configOf(a);
@@ -1342,6 +1360,7 @@ cmdPerf(const Args &a)
             "  },\n"
             "  \"fiber\": {\n"
             "    \"create_run_destroy_us\": %.3f,\n"
+            "    \"switch_round_trip_ns\": %.1f,\n"
             "    \"stack_pool_hits\": %llu,\n"
             "    \"stack_pool_misses\": %llu\n"
             "  },\n"
@@ -1367,9 +1386,8 @@ cmdPerf(const Args &a)
             "  }\n"
             "}\n",
             hardwareJobs(), jobs, events, new_eps, legacy_eps,
-            new_eps / legacy_eps, fiber_us,
-            static_cast<unsigned long long>(pool.hits()),
-            static_cast<unsigned long long>(pool.misses()), app.c_str(),
+            new_eps / legacy_eps, fiber_us, switch_ns, pool_hits,
+            pool_misses, app.c_str(),
             npoints, base.nprocs, base.scale, serial_s, jobs, parallel_s,
             serial_s / parallel_s, identical ? "true" : "false",
             sim_procs, sim_scale, sim_shards, sim_runs_json.c_str(),
@@ -1884,7 +1902,8 @@ main(int argc, char **argv)
             "  nowlab sweep <app> --knob K --values a,b,c [--jobs J]\n"
             "             [--backend sim|analytic|cache] [...]\n"
             "  nowlab perf [--app A] [--points K] [--jobs J]\n"
-            "             [--events N] [--out FILE]\n"
+            "             [--events N] [--sim-procs N] [--sim-scale S]\n"
+            "             [--out FILE]\n"
             "  nowlab trace <app> [--out F.json] [--bin F] [--procs N]\n"
             "             [--scale S] [knobs]\n"
             "  nowlab wavefront <app> [--node N] [--at US]\n"
