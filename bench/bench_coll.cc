@@ -62,7 +62,6 @@ timedRun(const std::string &app, int nprocs, double scale,
     c.nprocs = nprocs;
     c.scale = scale;
     c.validate = false;
-    c.knobs.simThreads = 4;
     c.knobs.topo = 1;
     c.knobs.topoOversub = 4;
     c.knobs.collAlg = policy;

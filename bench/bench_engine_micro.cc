@@ -11,7 +11,6 @@
 #include <cstring>
 
 #include "am/cluster.hh"
-#include "legacy_event_queue.hh"
 #include "obs/export.hh"
 #include "obs/tracer.hh"
 #include "sim/event_queue.hh"
@@ -37,12 +36,9 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-// The fast-path A/B pair: identical workload (schedule a batch with a
-// realistic 24-byte capture, drain in order) through the new pooled
-// explicit heap vs the frozen std::priority_queue + std::function
-// implementation this PR replaced. The capture exceeds std::function's
-// 16-byte small-object buffer, as almost every real event closure does,
-// so the legacy side pays one heap allocation per event.
+// The raw queue fast path: schedule a batch with a realistic 24-byte
+// capture (more than std::function's 16-byte small-object buffer, as
+// almost every real event closure is) and drain it in order.
 struct EventCapture // 24 bytes: the shape of a delivery closure.
 {
     void *a;
@@ -66,23 +62,6 @@ BM_EventQueueFastPath(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueFastPath);
-
-void
-BM_EventQueueLegacy(benchmark::State &state)
-{
-    std::uint64_t sink = 0;
-    EventCapture cap{&sink, &sink, 1};
-    bench::LegacyEventQueue q;
-    for (auto _ : state) {
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(i, [cap, &sink] { sink += cap.c; });
-        while (!q.empty())
-            q.pop().second();
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueLegacy);
 
 void
 BM_FiberCreateDestroyPooled(benchmark::State &state)

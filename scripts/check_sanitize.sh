@@ -16,9 +16,8 @@
 # (src/sim/fiber.cc: the register-swap routine on x86-64, ucontext
 # elsewhere); ASan is told about each switch via the
 # start/finish_switch_fiber annotations and TSan via
-# __tsan_switch_to_fiber. LeakSanitizer is left off (detect_leaks=0);
-# parked fiber stacks are heap blocks it scans like any other, and the
-# suite also passes with it on.
+# __tsan_switch_to_fiber. LeakSanitizer is on (detect_leaks=1); parked
+# fiber stacks are heap blocks it scans like any other.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -49,13 +48,13 @@ if [ "$SAN" = thread ]; then
     TSAN_OPTIONS=halt_on_error=1:history_size=7 \
         ctest --test-dir "$DIR" --output-on-failure "$@"
 else
-    ASAN_OPTIONS=detect_leaks=0 \
+    ASAN_OPTIONS=detect_leaks=1 \
     UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
         ctest --test-dir "$DIR" --output-on-failure "$@"
     # The delay-injection fuzzer gets an explicit pass: random stall
     # specs stress the preemption sweep in Proc::compute(), exactly
     # where ASan would catch a stall-window bookkeeping overrun.
-    ASAN_OPTIONS=detect_leaks=0 \
+    ASAN_OPTIONS=detect_leaks=1 \
     UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
         "$DIR"/tests/test_fuzz --gtest_filter='*DelayFuzz*'
 fi

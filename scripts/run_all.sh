@@ -17,12 +17,12 @@ for b in "$BUILD"/bench/*; do
     "$b" 2>&1 | tee "results/$name.txt"
 done
 
-# 1024-node smoke: the sharded parallel engine on an oversubscribed
-# two-level fat-tree, using every core. Completing with valid output
-# here is the gate for the scaled-up paper sweeps.
-echo "== 1024-node parallel smoke =="
+# 1024-node smoke: one run on an oversubscribed two-level fat-tree.
+# Completing with valid output here is the gate for the scaled-up
+# paper sweeps.
+echo "== 1024-node smoke =="
 "$BUILD"/tools/nowlab run radix --procs 1024 --scale 0.02 \
-    --sim-threads "$(nproc)" --topo --topo-hosts 32 --topo-oversub 4 \
+    --topo --topo-hosts 32 --topo-oversub 4 \
     2>&1 | tee results/nowlab_1024_smoke.txt
 
 # Traced smoke run: capture a span trace of one baseline run and make

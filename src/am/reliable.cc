@@ -42,7 +42,7 @@ ReliableEndpoint::onSend(Packet &pkt, bool credit_on_ack)
     // First timeout counts from the packet's expected arrival, not from
     // now: a bulk fragment queued behind a busy tx context can take
     // arbitrarily long to even reach the wire.
-    Tick due = std::max<Tick>(pkt.readyAt - cluster_.simOf(node_.id()).now(), 0) +
+    Tick due = std::max<Tick>(pkt.readyAt - cluster_.sim().now(), 0) +
                rtoBase_;
     armTimer(pkt.dst, pkt.seq, gen, due);
 }
@@ -51,7 +51,7 @@ void
 ReliableEndpoint::armTimer(NodeId dst, std::uint64_t seq,
                            std::uint64_t gen, Tick delay)
 {
-    cluster_.simOf(node_.id()).scheduleIn(delay, [this, dst, seq, gen] {
+    cluster_.sim().scheduleIn(delay, [this, dst, seq, gen] {
         onTimeout(dst, seq, gen);
     });
 }
@@ -91,12 +91,12 @@ ReliableEndpoint::onTimeout(NodeId dst, std::uint64_t seq,
     Packet copy = e.pkt;
     copy.retx = true;
     // Firmware retransmission: straight from NIC SRAM onto the wire.
-    copy.readyAt = cluster_.simOf(node_.id()).now() + p.totalLatency();
+    copy.readyAt = cluster_.sim().now() + p.totalLatency();
 
     if (node_.obs()) {
         // Instant marker on the tx track; the copy keeps the original
         // send's message id, so its new wire leg joins that flight.
-        Tick t = cluster_.simOf(node_.id()).now();
+        Tick t = cluster_.sim().now();
         node_.obs()->span(node_.id(), TrackKind::NicTx,
                           SpanCat::Retransmit, t, t, copy.obsMsg);
     }
@@ -107,7 +107,7 @@ ReliableEndpoint::onTimeout(NodeId dst, std::uint64_t seq,
 
     if (cluster_.traceHook()) {
         cluster_.traceHook()(
-            cluster_.simOf(node_.id()).now(), copy.readyAt, node_.id(), dst,
+            cluster_.sim().now(), copy.readyAt, node_.id(), dst,
             copy.kind,
             static_cast<std::uint32_t>(copy.isBulk() ? copy.bulk.size()
                                                      : 0));

@@ -63,7 +63,7 @@ NowSortApp::run(SplitC &sc)
     const int me = sc.myProc();
     const int p = sc.procs();
     NodeState &self = nodes_[me];
-    Simulator &sim = sc.am().cluster().simOf(me);
+    Simulator &sim = sc.am().cluster().sim();
 
     // The paper's configuration: one disk for reading and one for
     // writing, 5.5 MB/s each.

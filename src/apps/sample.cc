@@ -73,9 +73,8 @@ SampleApp::run(SplitC &sc)
     }
     sc.sync();
     sc.barrier();
-    // Each proc keeps its own splitter copy: under the sharded engine
-    // procs run on different threads, so a shared array everyone
-    // writes the broadcast result into would be a data race.
+    // Each proc keeps its own splitter copy, as each node of the real
+    // machine holds the broadcast result in its own memory.
     std::vector<std::uint32_t> splitters(std::max(p - 1, 1), 0);
     if (me == 0) {
         auto &s = nodes_[0].sample;

@@ -56,7 +56,6 @@ modelKeyOf(const RunPoint &pt)
     putD(out, k.topoLinkMBps);
     putD(out, k.topoOversub);
     putD(out, k.topoHopUs);
-    putI(out, k.simShards);
     out += (!k.collAlg.empty() ? k.collAlg : envConfig().collAlg) + "|";
     return out;
 }

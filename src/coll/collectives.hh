@@ -174,8 +174,7 @@ class Collectives
     LogGPPoint costPoint_; ///< Invalid until setCostPoint().
 
     /** (Re)build the LogP-optimal schedule; eager so the collectives
-     *  never mutate shared state lazily mid-run (the sharded engine
-     *  would race on it). */
+     *  never mutate shared state lazily mid-run. */
     void buildSchedule();
 };
 

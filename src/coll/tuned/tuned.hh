@@ -10,8 +10,8 @@
  *
  *  - Bulk-synchronous entry: publish my receive buffer, run a cheap
  *    dissemination barrier, bump the shared epoch. The barrier's
- *    message chain is the cross-shard happens-before edge that makes
- *    the published pointers safe to read under --sim-threads.
+ *    message chain orders every publish before any peer reads the
+ *    published pointers.
  *  - Zero staging wherever possible: payloads are stored directly
  *    into their final position in the destination's output buffer
  *    (per-source or per-round regions are disjoint, so early arrivals

@@ -70,10 +70,6 @@ Knobs::applyTo(LogGPParams &params) const
         if (topoHopUs >= 0)
             params.topoHopLatency = usec(topoHopUs);
     }
-    if (simThreads >= 0)
-        params.simThreads = simThreads;
-    if (simShards >= 0)
-        params.simShards = simShards;
     if (!collAlg.empty())
         params.collAlg = collAlg;
 }
@@ -86,17 +82,10 @@ runApp(const std::string &app_key, const RunConfig &config)
 
     LogGPParams params = config.machine.params;
     config.knobs.applyTo(params);
-    // NOW_SIM_THREADS is a fallback only: an explicit per-run knob
-    // (including an explicit 0 = classic engine) always wins.
-    if (config.knobs.simThreads < 0 && envConfig().simThreads >= 0)
-        params.simThreads = envConfig().simThreads;
-    // NOW_COLL_ALG likewise: explicit per-run policy wins.
+    // NOW_COLL_ALG is a fallback only: an explicit per-run policy
+    // always wins.
     if (config.knobs.collAlg.empty() && !envConfig().collAlg.empty())
         params.collAlg = envConfig().collAlg;
-
-    fatal_if(config.trace && params.simThreads > 0,
-             "message tracing records in global send order and needs "
-             "--sim-threads 0 (span tracing via --obs works sharded)");
 
     SplitCRuntime rt(config.nprocs, params, config.seed);
     app->prepare(rt);
@@ -119,7 +108,6 @@ runApp(const std::string &app_key, const RunConfig &config)
     r.maxMsgsPerProc = r.summary.maxMsgsPerProc;
     r.lockFailures = r.summary.lockFailures;
     r.simEvents = rt.cluster().eventsExecuted();
-    r.simShards = rt.cluster().nshards();
     r.metrics = rt.cluster().metrics().snapshot();
     r.validated = r.ok && (!config.validate || app->validate());
     return r;
@@ -144,13 +132,6 @@ parseEnvConfig()
             c.jobs = static_cast<int>(v);
         else
             warn("ignoring invalid NOW_JOBS='%s'", s);
-    }
-    if (const char *s = std::getenv("NOW_SIM_THREADS")) {
-        long v = std::atol(s);
-        if (v >= 0)
-            c.simThreads = static_cast<int>(v);
-        else
-            warn("ignoring invalid NOW_SIM_THREADS='%s'", s);
     }
     if (const char *s = std::getenv("NOW_COLL_ALG"))
         c.collAlg = s;

@@ -69,14 +69,6 @@ struct Knobs
      *  "bcast=chain,allreduce=rdouble", ...). */
     std::string collAlg;
 
-    /** Sharded parallel engine: worker thread count. -1 = unset (the
-     *  NOW_SIM_THREADS environment fallback applies), 0 = classic
-     *  single-heap engine, >= 1 = sharded. */
-    int simThreads = -1;
-    /** Shard count override (0/-1 = automatic). Results depend on the
-     *  shard layout, never on simThreads. */
-    int simShards = -1;
-
     /** Apply to a parameter set. */
     void applyTo(LogGPParams &params) const;
 };
@@ -117,11 +109,9 @@ struct RunResult
     CommMatrix matrix;
     std::uint64_t maxMsgsPerProc = 0;
     std::uint64_t lockFailures = 0;
-    /** Simulator events executed, summed over shards (perf metric;
-     *  deliberately excluded from the result fingerprint). */
+    /** Simulator events executed (perf metric; deliberately excluded
+     *  from the result fingerprint). */
     std::uint64_t simEvents = 0;
-    /** Shards the run used (1 = classic engine). */
-    int simShards = 1;
     /** Snapshot of the cluster's metrics registry at run end. */
     MetricsSnapshot metrics;
 };
@@ -141,10 +131,6 @@ struct EnvConfig
     bool scaleSet = false; ///< NOW_SCALE was present and valid.
     double scale = 1.0;    ///< NOW_SCALE value (1.0 if unset).
     int jobs = 0;          ///< NOW_JOBS value (0 = auto-detect).
-    /** NOW_SIM_THREADS: sharded-engine thread count (-1 = unset; 0 =
-     *  classic engine; >= 1 = sharded). A per-run Knobs.simThreads
-     *  setting wins over this. */
-    int simThreads = -1;
     /** NOW_COLL_ALG: collective policy fallback ("" = unset). A
      *  per-run Knobs.collAlg setting wins over this. */
     std::string collAlg;

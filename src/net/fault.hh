@@ -143,10 +143,9 @@ class FaultModel
     /**
      * Script: stall processor `node` at virtual time `at` for
      * `duration` ticks (a one-off delay, exact and deterministic like
-     * dropNth). The entry is collected by Cluster::run() -- from every
-     * shard's model, so scripting through Cluster::faultModel() stays
-     * correct under the sharded engine -- and installed as a stall
-     * window on the owning Proc. Zero-duration entries are ignored.
+     * dropNth). The entry is collected by Cluster::run() and installed
+     * as a stall window on the owning Proc. Zero-duration entries are
+     * ignored.
      */
     void
     delayNode(NodeId node, Tick at, Tick duration)

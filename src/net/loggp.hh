@@ -92,20 +92,6 @@ struct LogGPParams
     Tick topoHopLatency = 0;
 
     /**
-     * Extension: shard the simulation across worker threads with a
-     * conservative parallel DES (sim/parallel.hh). 0 = the classic
-     * single-heap engine, bit-identical to the original simulator.
-     * >= 1 = the sharded engine with that many worker threads. The
-     * shard layout is a pure function of the scenario (simShards, or
-     * an automatic choice), never of simThreads, so results are
-     * byte-identical at any thread count.
-     */
-    int simThreads = 0;
-    /** Shard count for the sharded engine; 0 picks automatically
-     *  (min(16, nprocs or leaf count)). */
-    int simShards = 0;
-
-    /**
      * Extension: lossy-fabric fault injection (net/fault.hh). When
      * fault.enabled is false no FaultModel is constructed and the wire
      * is perfect, exactly as before.

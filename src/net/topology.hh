@@ -9,17 +9,14 @@
  * traffic pays, in order:
  *
  *   - `hopLatency` extra wire latency (the additional switch hops),
- *   - queueing on the source leaf's uplink (modelled at send time, so
- *     the state is owned by the sender's shard), and
+ *   - queueing on the source leaf's uplink (modelled at send time), and
  *   - queueing on the destination leaf's downlink (modelled when the
- *     packet reaches the leaf, so the state is owned by the receiving
- *     shard).
+ *     packet reaches the leaf).
  *
  * Like SwitchFabric, only *queueing* is extra: the uncontended
  * traversal cost is already inside the baseline LogGP latency L, so an
  * idle fat-tree with hopLatency 0 is exactly the constant-latency
- * network. That split of link ownership between sender and receiver
- * shards is what lets the sharded engine run the model without locks.
+ * network.
  */
 
 #ifndef NOWCLUSTER_NET_TOPOLOGY_HH_

@@ -103,9 +103,7 @@ const char *trackKindName(TrackKind track);
 /**
  * The trace sink. One per traced run; single-threaded like the
  * simulation heap that feeds it (the parallel runner gives each point
- * its own tracer, and the sharded cluster engine gives each *shard* a
- * private tracer with a disjoint id range, absorb()ed into the user's
- * tracer in shard order once the run completes).
+ * its own tracer).
  */
 class SpanTracer
 {
@@ -134,13 +132,6 @@ class SpanTracer
     /** Allocate a message id (> 0). */
     std::uint64_t newMsgId() { return ++lastMsgId_; }
 
-    /**
-     * Start the id allocator at `base` so several tracers can allocate
-     * disjoint ids. The sharded cluster engine gives each shard tracer
-     * base = shard << 40 and absorb()s them after the run.
-     */
-    void seedMsgIds(std::uint64_t base) { lastMsgId_ = base; }
-
     /** Record one message's flight decomposition. */
     void
     message(const ObsMessage &m)
@@ -155,30 +146,12 @@ class SpanTracer
     updateMessageReady(std::uint64_t id, Tick ready)
     {
         auto it = msgIndex_.find(id);
-        if (it != msgIndex_.end()) {
+        if (it != msgIndex_.end())
             msgs_[it->second].ready = ready;
-            return;
-        }
-        // Shard tracers see updates for messages another shard
-        // recorded; park them for the post-run merge.
-        if (collectPending_)
-            pending_.push_back({id, ready});
     }
 
-    /**
-     * Collect unknown-id updateMessageReady() calls in pendingReady()
-     * instead of dropping them (on for per-shard tracers, whose
-     * messages live in the sender's tracer).
-     */
-    void collectPendingReady(bool on) { collectPending_ = on; }
-    const std::vector<std::pair<std::uint64_t, Tick>> &
-    pendingReady() const
-    {
-        return pending_;
-    }
-
-    /** Append another tracer's spans and messages (post-run shard
-     *  merge; call in a fixed shard order for determinism). */
+    /** Append another tracer's spans and messages (e.g. a perturbed
+     *  run stacked onto its baseline for the wavefront view). */
     void absorb(const SpanTracer &other);
 
     const std::vector<Span> &spans() const { return spans_; }
@@ -200,7 +173,6 @@ class SpanTracer
         spans_.clear();
         msgs_.clear();
         msgIndex_.clear();
-        pending_.clear();
         lastMsgId_ = 0;
     }
 
@@ -210,9 +182,7 @@ class SpanTracer
     std::vector<Span> spans_;
     std::vector<ObsMessage> msgs_;
     std::unordered_map<std::uint64_t, std::size_t> msgIndex_;
-    std::vector<std::pair<std::uint64_t, Tick>> pending_;
     std::uint64_t lastMsgId_ = 0;
-    bool collectPending_ = false;
 };
 
 } // namespace nowcluster

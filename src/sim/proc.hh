@@ -86,8 +86,8 @@ class Proc
      * activations (wake/start) landing inside one are deferred to its
      * end. The stall models OS-jitter style CPU interference only --
      * NIC contexts keep running -- and is pure scenario state, so runs
-     * stay deterministic at any thread count. Windows must be installed
-     * before virtual time reaches `from`; overlaps are merged.
+     * stay deterministic. Windows must be installed before virtual time
+     * reaches `from`; overlaps are merged.
      */
     void injectStall(Tick from, Tick duration);
 

@@ -87,29 +87,6 @@ class Simulator
         return executed;
     }
 
-    /**
-     * Run events with time strictly < limit, without advancing now()
-     * to the limit afterwards. This is the per-window workhorse of the
-     * sharded engine: the window end is the earliest tick a remote
-     * shard could still inject, so events at exactly that tick must
-     * wait for the next merge, and the clock must stay on the last
-     * executed event so merged arrivals at the window boundary are
-     * never "in the past".
-     */
-    std::uint64_t
-    runBefore(Tick limit)
-    {
-        std::uint64_t executed = 0;
-        while (!events_.empty() && events_.nextTime() < limit) {
-            auto [when, fn] = events_.pop();
-            now_ = when;
-            fn();
-            ++executed;
-        }
-        executed_ += executed;
-        return executed;
-    }
-
     /** Time of the earliest pending event (kTickNever if idle). */
     Tick nextTime() const { return events_.nextTime(); }
 

@@ -109,8 +109,6 @@ pointOfRequest(const JsonValue &req)
         kn.topoLinkMBps = k->numberOr("topo-mbps", -1);
         kn.topoOversub = k->numberOr("topo-oversub", -1);
         kn.topoHopUs = k->numberOr("topo-hop", -1);
-        kn.simThreads = static_cast<int>(k->numberOr("sim-threads", -1));
-        kn.simShards = static_cast<int>(k->numberOr("sim-shards", -1));
     }
     // The result's provenance (0 = simulated, 1 = analytic). Round-
     // tripped so a coordinator re-forwarding a dead worker's job
@@ -168,8 +166,6 @@ submitRequest(const RunPoint &pt)
         .field("topo-mbps", k.topoLinkMBps)
         .field("topo-oversub", k.topoOversub)
         .field("topo-hop", k.topoHopUs)
-        .field("sim-threads", k.simThreads)
-        .field("sim-shards", k.simShards)
         .endObject();
     w.endObject();
     return w.str();

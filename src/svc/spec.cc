@@ -14,7 +14,7 @@ namespace {
  * measured results (event ordering, model stages, parameter defaults).
  * Stale keys then simply never hit and age out of the store via LRU.
  */
-constexpr const char *kCodeFingerprint = "nowcluster-sim-v5";
+constexpr const char *kCodeFingerprint = "nowcluster-sim-v6";
 
 void
 putU64(std::string &out, std::uint64_t v)
@@ -91,11 +91,6 @@ putParams(std::string &out, const LogGPParams &p)
     putDouble(out, p.topoLinkMBps);
     putDouble(out, p.topoOversub);
     putI64(out, p.topoHopLatency);
-    // simThreads is deliberately absent: results are thread-count
-    // independent by construction. The shard count does shape results
-    // (engine + layout), so it participates.
-    putU32(out, p.simThreads > 0 ? 1 : 0);
-    putU32(out, static_cast<std::uint32_t>(p.simShards));
     putStr(out, p.collAlg);
 }
 
@@ -126,14 +121,6 @@ putKnobs(std::string &out, const Knobs &k)
     putDouble(out, k.topoLinkMBps);
     putDouble(out, k.topoOversub);
     putDouble(out, k.topoHopUs);
-    // Same reasoning as putParams: sharded-vs-classic and the shard
-    // layout matter; the thread count does not. An unset knob resolves
-    // through the NOW_SIM_THREADS fallback exactly as runApp() will,
-    // so the key names the engine that actually runs.
-    const int threads =
-        k.simThreads >= 0 ? k.simThreads : envConfig().simThreads;
-    putU32(out, threads > 0 ? 1 : 0);
-    putU32(out, static_cast<std::uint32_t>(k.simShards));
     // Resolve the collective policy through the NOW_COLL_ALG fallback
     // the same way runApp() does, so the key names the algorithms the
     // run will actually use.

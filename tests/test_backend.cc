@@ -365,13 +365,13 @@ TEST(Analytic, AgreesWithSimAcrossTheGridForRadixAndEm3dRead)
 }
 
 // ----------------------------------------------------------------------
-// v5 cache keys: analytic and simulated results never alias, and
-// delay-injected points never alias clean ones.
+// Cache keys (v5 onwards): analytic and simulated results never alias,
+// and delay-injected points never alias clean ones.
 // ----------------------------------------------------------------------
 
 TEST(Spec, V5KeysSeparateBackendOrigins)
 {
-    EXPECT_EQ(svc::codeFingerprint(), "nowcluster-sim-v5");
+    EXPECT_EQ(svc::codeFingerprint(), "nowcluster-sim-v6");
     RunPoint sim_pt = smallPoint("radix");
     RunPoint ana_pt = sim_pt;
     ana_pt.config.origin = 1;

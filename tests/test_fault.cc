@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -449,22 +450,26 @@ TEST(DelayInjection, OverlappingWindowsMerge)
 }
 
 // ----------------------------------------------------------------------
-// Scripted-fault routing under the sharded engine (regression: scripts
-// installed through Cluster::scriptDrop must fire on the same packet at
-// any thread count, even when the link's events are offered on a shard
-// other than shard 0's model)
+// Scripted faults on a multi-node run
 // ----------------------------------------------------------------------
 
 namespace {
 
-/** One-way stream src -> dst with a scripted drop, at `threads`. */
-std::pair<Tick, FaultCounters>
-shardedDropRun(int threads, NodeId src, NodeId dst, std::uint64_t nth)
+struct DropRun
+{
+    Tick runtime;
+    FaultCounters faults;
+    std::uint64_t retransmits;
+};
+
+/** One-way stream of 24 messages src -> dst with the nth data packet
+ *  on that link dropped, on an 8-node reliable cluster. */
+DropRun
+scriptedDropRun(NodeId src, NodeId dst, std::uint64_t nth)
 {
     LogGPParams p = reliableParams();
-    p.simThreads = threads;
     Cluster c(8, p);
-    c.scriptDrop(src, dst, PacketClass::Data, nth);
+    c.faultModel()->dropNth(src, dst, PacketClass::Data, nth);
     int counted = 0;
     int count = c.registerHandler(
         [&](AmNode &, Packet &) { ++counted; });
@@ -478,43 +483,41 @@ shardedDropRun(int threads, NodeId src, NodeId dst, std::uint64_t nth)
         }
     }, 60 * kSec));
     EXPECT_EQ(counted, kMsgs);
-    return {c.runtime(), c.faultCounters()};
+    return {c.runtime(), c.faultModel()->counters(),
+            c.node(src).counters().retransmits};
 }
 
 } // namespace
 
-TEST(ShardedFaults, ScriptDropFiresOnNonZeroShardLinks)
+TEST(Reliable, ScriptedDataDropFiresOnceAndRunCompletes)
 {
-    // Node 5's transmit events live on node 5's shard model under the
-    // sharded engine; a drop script for 5 -> 6 installed through the
-    // legacy faultModel() (shard 0's model) would never fire. The
-    // routed scriptDrop must drop exactly one packet at every thread
-    // count and recover identically.
-    auto [t1, f1] = shardedDropRun(1, 5, 6, 2);
-    auto [t4, f4] = shardedDropRun(4, 5, 6, 2);
-    EXPECT_EQ(f1.dropped[0], 1u);
-    EXPECT_EQ(f4.dropped[0], 1u);
-    EXPECT_EQ(t1, t4);
-    EXPECT_EQ(f1.offered[0], f4.offered[0]);
-    EXPECT_EQ(f1.offered[1], f4.offered[1]);
+    // A drop scripted on a link between two nodes other than 0 must
+    // fire on exactly one packet, and retransmission must still get
+    // every message through.
+    const DropRun r = scriptedDropRun(5, 6, 2);
+    EXPECT_EQ(r.faults.dropped[0], 1u);
+    EXPECT_GT(r.retransmits, 0u);
 }
 
-TEST(ShardedFaults, ClassicEngineAgreesWithScriptDrop)
+TEST(Reliable, ScriptedDataDropIsReproducible)
 {
-    // scriptDrop on the classic single-heap engine routes to the one
-    // and only model; it must behave exactly like dropNth always has.
-    auto [t0, f0] = shardedDropRun(0, 5, 6, 2);
-    auto [t1, f1] = shardedDropRun(1, 5, 6, 2);
-    EXPECT_EQ(f0.dropped[0], 1u);
-    EXPECT_EQ(f0.offered[0], f1.offered[0]);
-    (void)t0;
-    (void)t1;
+    // Two independent runs of the same drop script agree exactly: same
+    // runtime, same offered and dropped counts, same retransmissions.
+    const DropRun a = scriptedDropRun(5, 6, 2);
+    const DropRun b = scriptedDropRun(5, 6, 2);
+    EXPECT_EQ(a.faults.dropped[0], 1u);
+    EXPECT_EQ(a.runtime, b.runtime);
+    EXPECT_EQ(a.faults.offered[0], b.faults.offered[0]);
+    EXPECT_EQ(a.faults.offered[1], b.faults.offered[1]);
+    EXPECT_EQ(a.faults.dropped[0], b.faults.dropped[0]);
+    EXPECT_EQ(a.retransmits, b.retransmits);
 }
 
-TEST(ShardedFaults, OfferedCountsSumAcrossShardModels)
+TEST(FaultModel, OfferedCountsFollowTheDirectedLink)
 {
+    // Every data packet 3 -> 7 is offered to the fault model on that
+    // directed link, and none on the reverse one.
     LogGPParams p = reliableParams();
-    p.simThreads = 4;
     Cluster c(8, p);
     int counted = 0;
     int count = c.registerHandler(
@@ -527,12 +530,10 @@ TEST(ShardedFaults, OfferedCountsSumAcrossShardModels)
             n.pollUntil([&] { return counted == 10; }, "count wait");
         }
     }, 60 * kSec));
-    // Every data packet 3 -> 7 was offered exactly once globally, on
-    // whichever shard model owns the link.
-    EXPECT_GE(c.faultOfferedOn(3, 7, PacketClass::Data), 10u);
-    EXPECT_EQ(c.faultOfferedOn(7, 3, PacketClass::Data), 0u);
-    FaultCounters sum = c.faultCounters();
-    EXPECT_GE(sum.offered[0] + sum.offered[1], 10u);
+    const FaultModel *fm = c.faultModel();
+    EXPECT_GE(fm->offeredOn(3, 7, PacketClass::Data), 10u);
+    EXPECT_EQ(fm->offeredOn(7, 3, PacketClass::Data), 0u);
+    EXPECT_GE(fm->counters().offered[0], 10u);
 }
 
 // ----------------------------------------------------------------------

@@ -57,7 +57,6 @@
 #include "coll/tuned/harness.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
-#include "legacy_event_queue.hh"
 #include "model/models.hh"
 #include "obs/critpath.hh"
 #include "obs/export.hh"
@@ -186,8 +185,6 @@ knobsOf(const Args &a)
     k.topoLinkMBps = optDouble(a, "topo-mbps", -1);
     k.topoOversub = optDouble(a, "topo-oversub", -1);
     k.topoHopUs = optDouble(a, "topo-hop", -1);
-    k.simThreads = static_cast<int>(optLong(a, "sim-threads", -1));
-    k.simShards = static_cast<int>(optLong(a, "sim-shards", -1));
     if (auto it = a.options.find("coll-alg"); it != a.options.end())
         k.collAlg = it->second;
     return k;
@@ -697,7 +694,7 @@ submitRequestOf(const Args &a)
         "reorder-delay", "fault-seed", "reliable", "rto",
         "delay-node", "delay-at", "delay-us",
         "topo",      "topo-hosts", "topo-mbps", "topo-oversub",
-        "topo-hop",  "sim-threads", "sim-shards",
+        "topo-hop",
     };
     bool any = a.flags.count("topo") != 0;
     for (const char *k : kKnobKeys)
@@ -1145,13 +1142,13 @@ cmdStorm(const Args &a)
  * `nowlab perf`: the perf-trajectory benchmark behind
  * scripts/bench_perf.sh and BENCH_engine.json.
  *
- * Measures (1) raw event-loop throughput through the new pooled
- * explicit-heap queue vs the frozen legacy std::function queue
- * (bench/legacy_event_queue.hh), (2) pooled fiber stand-up cost and
- * the resume+yield round trip, and
- * (3) wall-clock for a canonical knob sweep run serially vs fanned out
- * with the parallel runner -- verifying on the way that both produce
- * byte-identical per-point results.
+ * Measures (1) raw event-loop throughput through the pooled
+ * explicit-heap queue, (2) pooled fiber stand-up cost and the
+ * resume+yield round trip, (3) wall-clock for a canonical knob sweep
+ * run serially vs fanned out with the parallel runner -- verifying on
+ * the way that both produce byte-identical per-point results -- and
+ * (4) one large run (radix on an oversubscribed fat-tree, 1024 procs
+ * by default) on the single-heap engine.
  */
 int
 cmdPerf(const Args &a)
@@ -1168,10 +1165,10 @@ cmdPerf(const Args &a)
     const int jobs = resolveJobs(static_cast<int>(optLong(a, "jobs", 0)));
     const int npoints = static_cast<int>(optLong(a, "points", 8));
 
-    // --- (1) event-loop throughput, new vs legacy ---------------------
-    // Identical workloads: batches of 1000 events with a 24-byte
-    // capture (bigger than std::function's 16-byte SBO, like nearly
-    // every real event closure), drained in order.
+    // --- (1) event-loop throughput ----------------------------------
+    // Batches of 1000 events with a 24-byte capture (bigger than
+    // std::function's 16-byte SBO, like nearly every real event
+    // closure), drained in order.
     struct Cap
     {
         std::uint64_t *sink;
@@ -1180,7 +1177,7 @@ cmdPerf(const Args &a)
     std::uint64_t sink = 0;
     Cap cap{&sink, 1, 2};
 
-    double new_eps = 0, legacy_eps = 0;
+    double eps = 0;
     {
         EventQueue q;
         auto t0 = Clock::now();
@@ -1190,22 +1187,9 @@ cmdPerf(const Args &a)
             while (!q.empty())
                 q.pop().second();
         }
-        new_eps = static_cast<double>(events) / seconds_since(t0);
+        eps = static_cast<double>(events) / seconds_since(t0);
     }
-    {
-        bench::LegacyEventQueue q;
-        auto t0 = Clock::now();
-        for (long done = 0; done < events; done += 1000) {
-            for (int i = 0; i < 1000; ++i)
-                q.schedule(i, [cap] { *cap.sink += cap.a; });
-            while (!q.empty())
-                q.pop().second();
-        }
-        legacy_eps = static_cast<double>(events) / seconds_since(t0);
-    }
-    std::printf("event loop : %.2f Mev/s new, %.2f Mev/s legacy "
-                "(%.2fx)\n",
-                new_eps / 1e6, legacy_eps / 1e6, new_eps / legacy_eps);
+    std::printf("event loop : %.2f Mev/s\n", eps / 1e6);
 
     // --- (2) pooled fiber stand-up and switch --------------------------
     const int kFibers = 2000;
@@ -1271,10 +1255,7 @@ cmdPerf(const Args &a)
                 serial_s / parallel_s,
                 identical ? "byte-identical" : "DIVERGENT");
 
-    // --- (4) parallel DES: one 1024-node fat-tree run -----------------
-    // Aggregate event throughput of the sharded engine at 1, 2 and
-    // hardware-concurrency threads, plus the determinism check the
-    // whole design hangs on: the fingerprint must not move.
+    // --- (4) one large run on the single-heap engine -----------------
     const int sim_procs =
         static_cast<int>(optLong(a, "sim-procs", 1024));
     const double sim_scale = optDouble(a, "sim-scale", 0.02);
@@ -1286,48 +1267,14 @@ cmdPerf(const Args &a)
     pcfg.validate = false;
     pcfg.knobs.topo = 1;
     pcfg.knobs.topoOversub = 4;
-
-    std::vector<int> thread_counts{1, 2, hardwareJobs()};
-    std::sort(thread_counts.begin(), thread_counts.end());
-    thread_counts.erase(
-        std::unique(thread_counts.begin(), thread_counts.end()),
-        thread_counts.end());
-
-    struct SimRun
-    {
-        int threads;
-        double seconds;
-        double eps;
-    };
-    std::vector<SimRun> sim_runs;
-    int sim_shards = 0;
-    std::string sim_fp;
-    bool sim_identical = true;
-    for (int t : thread_counts) {
-        pcfg.knobs.simThreads = t;
-        auto ts = Clock::now();
-        RunResult r = runApp("radix", pcfg);
-        double secs = seconds_since(ts);
-        sim_runs.push_back(
-            {t, secs, static_cast<double>(r.simEvents) / secs});
-        sim_shards = r.simShards;
-        std::string fp = fingerprint(r);
-        if (sim_fp.empty())
-            sim_fp = fp;
-        else if (fp != sim_fp)
-            sim_identical = false;
-        std::printf("par sim    : %d procs, %d shards, %d thread%s: "
-                    "%.2fs, %.2f Mev/s\n",
-                    sim_procs, sim_shards, t, t == 1 ? "" : "s", secs,
-                    sim_runs.back().eps / 1e6);
-    }
-    const double sim_speedup =
-        sim_runs.back().eps / sim_runs.front().eps;
-    std::printf("par sim    : %.2fx at %d threads vs 1, fingerprints "
-                "%s\n",
-                sim_speedup, sim_runs.back().threads,
-                sim_identical ? "byte-identical" : "DIVERGENT");
-    identical = identical && sim_identical;
+    auto ts = Clock::now();
+    const RunResult large = runApp("radix", pcfg);
+    const double large_s = seconds_since(ts);
+    const double large_eps = static_cast<double>(large.simEvents) / large_s;
+    std::printf("large sim  : radix, %d procs on a 4:1 fat-tree: %.2fs, "
+                "%.2f Mev/s%s\n",
+                sim_procs, large_s, large_eps / 1e6,
+                large.ok ? "" : " (FAILED)");
 
     if (a.options.count("out")) {
         const std::string &path = a.options.at("out");
@@ -1335,16 +1282,6 @@ cmdPerf(const Args &a)
         if (!f) {
             warn("cannot write %s", path.c_str());
             return 1;
-        }
-        std::string sim_runs_json;
-        for (std::size_t i = 0; i < sim_runs.size(); ++i) {
-            char buf[160];
-            std::snprintf(buf, sizeof buf,
-                          "%s      {\"threads\": %d, \"seconds\": %.3f, "
-                          "\"events_per_sec\": %.0f}",
-                          i ? ",\n" : "", sim_runs[i].threads,
-                          sim_runs[i].seconds, sim_runs[i].eps);
-            sim_runs_json += buf;
         }
         std::fprintf(
             f,
@@ -1354,9 +1291,7 @@ cmdPerf(const Args &a)
             "  \"jobs_used\": %d,\n"
             "  \"event_loop\": {\n"
             "    \"events\": %ld,\n"
-            "    \"new_events_per_sec\": %.0f,\n"
-            "    \"legacy_events_per_sec\": %.0f,\n"
-            "    \"fast_path_speedup\": %.3f\n"
+            "    \"events_per_sec\": %.0f\n"
             "  },\n"
             "  \"fiber\": {\n"
             "    \"create_run_destroy_us\": %.3f,\n"
@@ -1375,27 +1310,28 @@ cmdPerf(const Args &a)
             "    \"parallel_speedup\": %.3f,\n"
             "    \"results_byte_identical\": %s\n"
             "  },\n"
-            "  \"parallel_sim\": {\n"
+            "  \"large_sim\": {\n"
             "    \"app\": \"radix\",\n"
             "    \"nprocs\": %d,\n"
             "    \"scale\": %g,\n"
-            "    \"shards\": %d,\n"
-            "    \"runs\": [\n%s\n    ],\n"
-            "    \"speedup_vs_1_thread\": %.3f,\n"
-            "    \"fingerprints_byte_identical\": %s\n"
+            "    \"topo_oversub\": 4,\n"
+            "    \"seconds\": %.3f,\n"
+            "    \"events\": %llu,\n"
+            "    \"events_per_sec\": %.0f,\n"
+            "    \"ok\": %s\n"
             "  }\n"
             "}\n",
-            hardwareJobs(), jobs, events, new_eps, legacy_eps,
-            new_eps / legacy_eps, fiber_us, switch_ns, pool_hits,
-            pool_misses, app.c_str(),
+            hardwareJobs(), jobs, events, eps, fiber_us, switch_ns,
+            pool_hits, pool_misses, app.c_str(),
             npoints, base.nprocs, base.scale, serial_s, jobs, parallel_s,
             serial_s / parallel_s, identical ? "true" : "false",
-            sim_procs, sim_scale, sim_shards, sim_runs_json.c_str(),
-            sim_speedup, sim_identical ? "true" : "false");
+            sim_procs, sim_scale, large_s,
+            static_cast<unsigned long long>(large.simEvents), large_eps,
+            large.ok ? "true" : "false");
         std::fclose(f);
         std::printf("wrote %s\n", path.c_str());
     }
-    return identical ? 0 : 1;
+    return identical && large.ok ? 0 : 1;
 }
 
 /**
@@ -1943,10 +1879,9 @@ main(int argc, char **argv)
             "topo:  --topo [--topo-hosts N] [--topo-mbps B]\n"
             "       --topo-oversub R --topo-hop US  (two-level\n"
             "       fat-tree; scales to --procs 1024 and beyond)\n"
-            "engine: --sim-threads T (0 = classic single heap;\n"
-            "       >= 1 = sharded parallel engine, results identical\n"
-            "       at any T; NOW_SIM_THREADS is the fallback)\n"
-            "       --sim-shards S (override the shard layout)\n"
+            "jobs:  one event heap per run; sweep, perf and serve\n"
+            "       fan independent points out with --jobs J\n"
+            "       (NOW_JOBS is the fallback)\n"
             "coll:  --coll-alg naive|tuned|\"bcast=chain,...\"\n"
             "       (NOW_COLL_ALG is the fallback)\n"
             "backend: --backend sim|analytic|cache (NOW_BACKEND is the\n"
