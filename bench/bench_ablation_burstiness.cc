@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "stats/trace.hh"
 
 using namespace nowcluster;
 using namespace nowcluster::bench;
@@ -38,16 +37,16 @@ main(int argc, char **argv)
         .cell("mean flight (us)");
 
     for (const auto &key : appKeys()) {
-        MessageTrace trace;
+        SpanTracer trace;
         RunConfig c = baseConfig(32, scale);
-        c.trace = &trace;
+        c.obs = &trace;
         RunResult r = runApp(key, c);
         t.row()
             .cell(r.summary.app)
             .cell(r.summary.msgIntervalUs, 1)
-            .cell(trace.burstFraction(usec(11.6)), 2)
-            .cell(trace.burstFraction(usec(29.0)), 2)
-            .cell(trace.meanFlightUs(), 1);
+            .cell(burstFraction(trace, usec(11.6)), 2)
+            .cell(burstFraction(trace, usec(29.0)), 2)
+            .cell(meanFlightUs(trace), 1);
     }
     t.print();
     std::printf("\nEven the apps with 100+ us mean intervals send most "

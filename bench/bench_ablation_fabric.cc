@@ -2,11 +2,12 @@
  * @file
  * Ablation: is the paper's contention-free network assumption safe?
  * The paper models its ten-switch Myrinet as constant latency. Here
- * every application runs three ways: no fabric, the realistic fabric
- * (4 hosts/switch at 160 MB/s links), and a crippled fabric (10 MB/s
- * links). At Myrinet speeds the applications should be essentially
- * unchanged -- validating the paper's simplification -- while slow
- * links expose which applications would notice switch contention.
+ * every application runs on the constant-latency network and on a
+ * fully provisioned fat-tree of 4-host leaf switches (oversubscription
+ * 1, no hop latency) at 160, 40 and 10 MB/s links. At Myrinet speeds
+ * the applications should be essentially unchanged -- validating the
+ * paper's simplification -- while slow links expose which
+ * applications would notice switch contention.
  */
 
 #include <cstdio>
@@ -47,8 +48,9 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < base_pts.size(); ++i) {
         for (double mbps : link_mbps) {
             RunPoint p = base_pts[i];
-            p.config.knobs.fabricLinkMBps = mbps;
-            p.config.knobs.fabricHosts = 4;
+            p.config.knobs.topo = 1;
+            p.config.knobs.topoHosts = 4;
+            p.config.knobs.topoLinkMBps = mbps;
             p.config.validate = false;
             p.config.maxTime = bases[i].runtime * 100 + kSec;
             pts.push_back(std::move(p));

@@ -123,13 +123,6 @@ AmNode::sendPacket(Packet &&pkt, bool pay_overhead)
         cluster_.scheduleCreditAck(id_, pkt.dst, physical);
     }
 
-    if (cluster_.traceHook()) {
-        cluster_.traceHook()(
-            now(), pkt.readyAt, id_, pkt.dst, pkt.kind,
-            static_cast<std::uint32_t>(pkt.isBulk() ? pkt.bulk.size()
-                                                    : 0));
-    }
-
     if (obs_) {
         ObsMessage m;
         m.id = pkt.obsMsg;
@@ -138,7 +131,7 @@ AmNode::sendPacket(Packet &&pkt, bool pay_overhead)
         m.issued = h;
         m.inject = a.injectStart;
         m.wire = a.wireAt;
-        m.ready = pkt.readyAt; // Refined by the network (fabric/fault).
+        m.ready = pkt.readyAt; // Refined by the network (topo/fault).
         m.wireLatency = p.totalLatency();
         m.kind = static_cast<std::uint8_t>(pkt.kind);
         m.retx = pkt.retx;
@@ -335,6 +328,13 @@ AmNode::noteStoreAcked(std::uint64_t op)
 int
 AmNode::poll()
 {
+    if (draining()) {
+        // Drained blocking ops have already returned, so a late reply's
+        // handler would write into a stack frame that is gone. A
+        // draining run only unwinds: discard what arrives.
+        rxQueue_.clear();
+        return 0;
+    }
     const LogGPParams &p = cluster_.params();
     int n = 0;
     while (!rxQueue_.empty()) {

@@ -171,7 +171,8 @@ class AmNode
 
     /**
      * Drain the receive queue, charging receive overhead and running
-     * handlers. @return number of messages processed.
+     * handlers. Once the cluster is draining, arrivals are discarded
+     * unhandled. @return number of messages processed.
      */
     int poll();
 

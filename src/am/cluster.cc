@@ -15,9 +15,6 @@ Cluster::Cluster(int nprocs, const LogGPParams &params, std::uint64_t seed)
     fatal_if(nprocs < 1, "cluster needs at least one processor");
     fatal_if(params.window < 1, "flow-control window must be positive");
     fatal_if(params.txQueueDepth < 1, "tx queue depth must be positive");
-    fatal_if(params.fabric && params.topo,
-             "the flat fabric and the fat-tree topology are mutually "
-             "exclusive; pick one");
 
     // Built-in handler 0: StoreAck (completes the sender's storeSync
     // and fires any per-store callback).
@@ -32,11 +29,6 @@ Cluster::Cluster(int nprocs, const LogGPParams &params, std::uint64_t seed)
         tc.oversub = params.topoOversub;
         tc.hopLatency = params.topoHopLatency;
         topo_ = std::make_unique<FatTreeTopology>(nprocs, tc);
-    } else if (params.fabric) {
-        SwitchFabric::Config fc;
-        fc.hostsPerSwitch = params.fabricHostsPerSwitch;
-        fc.linkMBps = params.fabricLinkMBps;
-        fabric_ = std::make_unique<SwitchFabric>(nprocs, fc);
     }
 
     if (params.fault.enabled) {
@@ -218,9 +210,6 @@ Cluster::transmit(Packet &&pkt)
                                          pkt.readyAt);
             pkt.spineHop = true;
         }
-    } else if (fabric_) {
-        pkt.readyAt += fabric_->contentionDelay(pkt.src, pkt.dst, bytes,
-                                                pkt.readyAt);
     }
     if (fault_) {
         FaultDecision d = fault_->apply(pkt.src, pkt.dst,
@@ -253,8 +242,8 @@ Cluster::scheduleDelivery(Packet &&pkt)
 {
     if (tracer_ && pkt.obsMsg) {
         // The wire leg: everything between leaving the tx context and
-        // the presence bit, on the destination's rx track. Fabric
-        // contention, fault delays, and retransmissions all land here,
+        // the presence bit, on the destination's rx track. Uplink
+        // queueing, fault delays, and retransmissions all land here,
         // which is why the span is emitted at this final hand-off and
         // the message's ready time is refined to match.
         tracer_->span(pkt.dst, TrackKind::NicRx, SpanCat::LWire,

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "am/am_node.hh"
-#include "net/fabric.hh"
 #include "net/fault.hh"
 #include "net/loggp.hh"
 #include "net/topology.hh"
@@ -132,9 +131,6 @@ class Cluster
     void setTracer(SpanTracer *tracer);
     SpanTracer *tracer() const { return tracer_; }
 
-    /** The flat fabric model, if enabled (diagnostics). */
-    const SwitchFabric *fabric() const { return fabric_.get(); }
-
     /** The fat-tree topology model, if enabled (diagnostics). */
     const FatTreeTopology *topology() const { return topo_.get(); }
 
@@ -145,15 +141,6 @@ class Cluster
 
     /** Script a one-off processor stall (see FaultModel::delayNode). */
     void scriptDelay(NodeId node, Tick at, Tick duration);
-
-    /** Per-packet trace callback: (issued, ready, src, dst, kind,
-     *  payload bytes). Kept as a plain hook so the AM layer does not
-     *  depend on the stats library. */
-    using TraceHook = std::function<void(Tick, Tick, NodeId, NodeId,
-                                         PacketKind, std::uint32_t)>;
-
-    void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
-    const TraceHook &traceHook() const { return trace_; }
 
   private:
     /** Common delivery tail: rx occupancy + presence-bit event. */
@@ -186,8 +173,6 @@ class Cluster
     bool draining_ = false;
     bool timedOut_ = false;
     bool started_ = false;
-    TraceHook trace_;
-    std::unique_ptr<SwitchFabric> fabric_;
     std::unique_ptr<FatTreeTopology> topo_;
     std::string stallReport_;
 };

@@ -104,14 +104,6 @@ ReliableEndpoint::onTimeout(NodeId dst, std::uint64_t seq,
     e.gen = ++genCounter_;
     Tick backoff = rtoBase_ << std::min(e.retries, 6);
     armTimer(dst, seq, e.gen, p.totalLatency() + backoff);
-
-    if (cluster_.traceHook()) {
-        cluster_.traceHook()(
-            cluster_.sim().now(), copy.readyAt, node_.id(), dst,
-            copy.kind,
-            static_cast<std::uint32_t>(copy.isBulk() ? copy.bulk.size()
-                                                     : 0));
-    }
     cluster_.transmit(std::move(copy));
 }
 

@@ -105,6 +105,10 @@ RadbApp::run(SplitC &sc)
             sc.put(gptr(fwd_proc, &next.ringFlag), gen2);
             sc.sync();
         }
+        // A drained scan returns before its counts arrive; garbage
+        // offsets would index past the staging vectors below.
+        if (sc.draining())
+            return;
         std::int64_t acc = 0;
         for (int b = 0; b < kRadix; ++b) {
             offset[b] = acc + prefix_below[b];

@@ -49,8 +49,6 @@ modelKeyOf(const RunPoint &pt)
     putI(out, static_cast<long long>(c.seed));
     putD(out, k.occupancyUs);
     putI(out, k.window);
-    putI(out, k.fabricHosts);
-    putD(out, k.fabricLinkMBps);
     putI(out, k.topo);
     putI(out, k.topoHosts);
     putD(out, k.topoLinkMBps);
@@ -72,7 +70,6 @@ basePointOf(const RunPoint &pt)
     base.config.knobs.latencyUs = -1;
     base.config.knobs.bulkMBps = -1;
     base.config.validate = false;
-    base.config.trace = nullptr;
     base.config.obs = nullptr;
     return base;
 }
@@ -193,7 +190,7 @@ AnalyticBackend::canServe(const RunPoint &pt)
 {
     const RunConfig &c = pt.config;
     const Knobs &k = c.knobs;
-    if (c.trace || c.obs)
+    if (c.obs)
         return "trace sinks need a real simulation";
     if (k.dropRate >= 0 || k.dupRate >= 0 || k.corruptRate >= 0 ||
         k.reorderRate >= 0 || c.machine.params.fault.enabled)

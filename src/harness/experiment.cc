@@ -23,13 +23,6 @@ Knobs::applyTo(LogGPParams &params) const
         params.setOccupancyUsec(occupancyUs);
     if (window > 0)
         params.window = window;
-    if (fabricHosts > 0 || fabricLinkMBps > 0) {
-        params.fabric = true;
-        if (fabricHosts > 0)
-            params.fabricHostsPerSwitch = fabricHosts;
-        if (fabricLinkMBps > 0)
-            params.fabricLinkMBps = fabricLinkMBps;
-    }
     if (dropRate >= 0 || dupRate >= 0 || corruptRate >= 0 ||
         reorderRate >= 0) {
         params.fault.enabled = true;
@@ -91,14 +84,6 @@ runApp(const std::string &app_key, const RunConfig &config)
     app->prepare(rt);
     if (config.obs)
         rt.cluster().setTracer(config.obs);
-    if (config.trace) {
-        rt.cluster().setTraceHook(
-            [trace = config.trace](Tick issued, Tick ready, NodeId src,
-                                   NodeId dst, PacketKind kind,
-                                   std::uint32_t bytes) {
-                trace->record(issued, ready, src, dst, kind, bytes);
-            });
-    }
 
     RunResult r;
     r.ok = rt.run([&](SplitC &sc) { app->run(sc); }, config.maxTime);

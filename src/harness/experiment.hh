@@ -15,7 +15,6 @@
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "stats/comm_stats.hh"
-#include "stats/trace.hh"
 
 namespace nowcluster {
 
@@ -28,10 +27,6 @@ struct Knobs
     double bulkMBps = -1;    ///< Available bulk bandwidth (Figure 8).
     double occupancyUs = -1; ///< Extension: rx-controller occupancy.
     int window = -1;         ///< Extension: flow-control window.
-    /** Extension: switch-fabric contention model (enables when either
-     *  field is set). */
-    int fabricHosts = -1;
-    double fabricLinkMBps = -1;
 
     // Lossy-fabric laboratory (net/fault.hh). Setting any rate >= 0
     // enables the fault model; `reliable` arms the retransmission
@@ -55,8 +50,8 @@ struct Knobs
     double delayAtUs = -1; ///< Stall start, microseconds (-1 = t 0).
     double delayUs = -1;   ///< Stall duration, microseconds.
 
-    /** Fat-tree topology model (net/topology.hh); `topo = 1` or any
-     *  topo* field enables it. */
+    /** Fat-tree topology model (net/topology.hh), the one switch-
+     *  contention model; `topo = 1` or any topo* field enables it. */
     int topo = -1;           ///< 1 = enable with defaults, 0 = off.
     int topoHosts = -1;      ///< Hosts per leaf switch.
     double topoLinkMBps = -1; ///< Edge link bandwidth.
@@ -92,10 +87,9 @@ struct RunConfig
      * simulated results never alias in the content-addressed store.
      */
     int origin = 0;
-    /** Optional message trace sink (not owned). */
-    MessageTrace *trace = nullptr;
     /** Optional span tracer (not owned): records per-track timelines
-     *  for the Perfetto exporter and the critical-path analyzer. */
+     *  and per-message flights for the Perfetto exporter, the
+     *  critical-path analyzer, replay and the burstiness stats. */
     SpanTracer *obs = nullptr;
 };
 

@@ -165,11 +165,10 @@ runCache()
 RunResult
 runPointCached(const RunPoint &pt)
 {
-    // A point with a sink attached has side effects (the recorded
-    // trace) that a cached result cannot replay: always simulate.
+    // A point with a tracer attached has side effects (the recorded
+    // spans) that a cached result cannot replay: always simulate.
     RunCache *cache = g_runCache;
-    bool cacheable =
-        cache && !pt.config.trace && !pt.config.obs;
+    bool cacheable = cache && !pt.config.obs;
 
     RunResult r;
     if (cacheable && cache->lookup(pt, r))

@@ -142,7 +142,7 @@ RunCache *runCache();
 
 /**
  * Run one point through the cache (when installed and the point has no
- * trace/obs sink attached -- sinks have side effects a cached result
+ * span tracer attached -- a tracer has side effects a cached result
  * cannot replay) or the simulator, containing any failure to the
  * returned result. Freshly computed results are inserted into the
  * cache; results from an exception path are not.
@@ -157,8 +157,8 @@ RunResult runPointCached(const RunPoint &pt);
  * still runs. Points are served from the installed RunCache when they
  * hit.
  *
- * @note Points must not share a RunConfig::trace sink: the trace hook
- *       would be written from multiple workers at once.
+ * @note Points must not share a RunConfig::obs tracer: it would be
+ *       written from multiple workers at once.
  */
 std::vector<RunResult> runPoints(const std::vector<RunPoint> &points,
                                  int jobs = 0);

@@ -68,21 +68,12 @@ struct LogGPParams
     std::size_t maxFragment = 4096;
 
     /**
-     * Extension: enable the switch-fabric contention model (see
-     * net/fabric.hh). Off by default -- the paper's constant-latency
-     * network. When on, cross-switch packets queue on shared uplinks
-     * and downlinks; an idle fabric adds nothing.
-     */
-    bool fabric = false;
-    int fabricHostsPerSwitch = 4;
-    double fabricLinkMBps = 160.0;
-
-    /**
-     * Extension: two-level fat-tree topology model (net/topology.hh).
-     * Supersedes the flat `fabric` model for large clusters: hosts
-     * attach to leaf switches, cross-leaf traffic queues on the source
-     * leaf's uplink and the destination leaf's downlink, and the spine
-     * can be oversubscribed. Mutually exclusive with `fabric`.
+     * Extension: two-level fat-tree topology model (net/topology.hh),
+     * the switch-contention model. Off by default -- the paper's
+     * constant-latency network. When on, hosts attach to leaf
+     * switches, cross-leaf traffic queues on the source leaf's uplink
+     * and the destination leaf's downlink, and the spine can be
+     * oversubscribed; an idle tree with no hop latency adds nothing.
      */
     bool topo = false;
     int topoHostsPerLeaf = 32;

@@ -1,6 +1,7 @@
 /**
  * @file
- * A two-level fat-tree topology model for large (1024-node) clusters.
+ * A two-level fat-tree topology model: the simulator's one switch-
+ * contention model, from a handful of leaves to 1024-node clusters.
  *
  * Hosts attach to leaf switches (`hostsPerLeaf` each); leaves connect
  * to a spine through uplinks whose effective bandwidth is the edge
@@ -13,7 +14,7 @@
  *   - queueing on the destination leaf's downlink (modelled when the
  *     packet reaches the leaf).
  *
- * Like SwitchFabric, only *queueing* is extra: the uncontended
+ * Only *queueing* and the hop latency are extra: the uncontended
  * traversal cost is already inside the baseline LogGP latency L, so an
  * idle fat-tree with hopLatency 0 is exactly the constant-latency
  * network.

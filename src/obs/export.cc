@@ -250,7 +250,8 @@ readBinaryTrace(SpanTracer &tracer, const std::string &path)
             !get(in, pos, cat) || !get(in, pos, container) ||
             !get(in, pos, s.msg))
             return false;
-        if (track >= kNumTrackKinds || cat >= kNumSpanCats) {
+        if (track >= kNumTrackKinds || cat >= kNumSpanCats ||
+            s.node < 0) {
             tracer.clear();
             return false;
         }
@@ -270,7 +271,9 @@ readBinaryTrace(SpanTracer &tracer, const std::string &path)
             !get(in, pos, m.kind) || !get(in, pos, retx) ||
             !get(in, pos, m.bytes))
             return false;
-        if (m.kind > 3) { // Largest PacketKind value (BulkFrag).
+        // Largest PacketKind value is BulkFrag (3); node ids index
+        // per-node state in every consumer.
+        if (m.kind > 3 || m.src < 0 || m.dst < 0) {
             tracer.clear();
             return false;
         }

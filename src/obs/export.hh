@@ -31,7 +31,9 @@ bool writePerfettoJson(const SpanTracer &tracer, const std::string &path);
 bool writeBinaryTrace(const SpanTracer &tracer, const std::string &path);
 
 /** Load a writeBinaryTrace() file, replacing `tracer`'s contents.
- *  Returns false (tracer cleared) on missing/corrupt input. */
+ *  Returns false (tracer cleared) on missing/corrupt input: bad
+ *  magic, a size that disagrees with the counts, an unknown track,
+ *  category or packet kind, or a negative node id. */
 bool readBinaryTrace(SpanTracer &tracer, const std::string &path);
 
 } // namespace nowcluster

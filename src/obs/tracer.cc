@@ -1,5 +1,8 @@
 #include "obs/tracer.hh"
 
+#include <algorithm>
+#include <map>
+
 namespace nowcluster {
 
 void
@@ -51,6 +54,44 @@ trackKindName(TrackKind track)
         return "nic-rx";
     }
     return "?";
+}
+
+double
+meanFlightUs(const SpanTracer &tracer)
+{
+    double sum = 0;
+    std::uint64_t n = 0;
+    for (const ObsMessage &m : tracer.messages()) {
+        if (m.retx)
+            continue;
+        sum += toUsec(m.ready - m.issued);
+        ++n;
+    }
+    return n ? sum / static_cast<double>(n) : 0.0;
+}
+
+double
+burstFraction(const SpanTracer &tracer, Tick threshold)
+{
+    // Group issue times by source, then count consecutive gaps below
+    // the threshold.
+    std::map<NodeId, std::vector<Tick>> by_src;
+    for (const ObsMessage &m : tracer.messages()) {
+        if (!m.retx)
+            by_src[m.src].push_back(m.issued);
+    }
+    std::uint64_t close = 0, total = 0;
+    for (auto &[src, times] : by_src) {
+        std::sort(times.begin(), times.end());
+        for (std::size_t i = 1; i < times.size(); ++i) {
+            ++total;
+            if (times[i] - times[i - 1] < threshold)
+                ++close;
+        }
+    }
+    return total ? static_cast<double>(close) /
+                       static_cast<double>(total)
+                 : 0.0;
 }
 
 } // namespace nowcluster

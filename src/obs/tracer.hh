@@ -12,10 +12,12 @@
  * (all record paths are inlined here and guarded by a null check; see
  * bench_engine_micro's BM_AmRoundTrip / BM_AmRoundTripTraced A/B).
  *
- * The recorded data feeds three consumers (src/obs/export.hh and
- * src/obs/critpath.hh): the Chrome/Perfetto trace_event exporter, the
- * compact binary format `nowlab replay --obs` can load, and the LogGP
- * critical-path analyzer.
+ * The recorded data feeds every trace consumer: the Chrome/Perfetto
+ * trace_event exporter and the compact binary format `nowlab replay
+ * --obs` loads (src/obs/export.hh), the LogGP critical-path analyzer
+ * (src/obs/critpath.hh), the wavefront analyzer, the analytic
+ * backend's LP lowering, trace replay (src/replay), and the message
+ * statistics at the end of this header.
  */
 
 #ifndef NOWCLUSTER_OBS_TRACER_HH_
@@ -184,6 +186,18 @@ class SpanTracer
     std::unordered_map<std::uint64_t, std::size_t> msgIndex_;
     std::uint64_t lastMsgId_ = 0;
 };
+
+/** Mean in-flight time (issue to presence bit) of a trace's first
+ *  flights, in microseconds; 0 when it has none. */
+double meanFlightUs(const SpanTracer &tracer);
+
+/**
+ * Fraction of consecutive same-source first flights issued closer
+ * together than `threshold` -- the burstiness measure behind the
+ * paper's reading of its gap results (Section 5.2). 0 when no source
+ * sent twice.
+ */
+double burstFraction(const SpanTracer &tracer, Tick threshold);
 
 } // namespace nowcluster
 

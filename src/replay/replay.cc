@@ -8,22 +8,34 @@
 
 namespace nowcluster {
 
+namespace {
+
+// ObsMessage::kind holds a PacketKind as an integer.
+constexpr auto kReply = static_cast<std::uint8_t>(PacketKind::Reply);
+constexpr auto kBulkFrag = static_cast<std::uint8_t>(PacketKind::BulkFrag);
+
+} // namespace
+
 ReplaySchedule
-extractSchedule(const MessageTrace &trace, int nprocs,
+extractSchedule(const SpanTracer &trace, int nprocs,
                 const LogGPParams &recorded_on)
 {
     ReplaySchedule sched;
     sched.nprocs = nprocs;
     sched.steps.resize(nprocs);
 
-    // Per-source sequences, in issue order (the trace appends sends in
+    // Per-source sequences, in issue order (the tracer appends sends in
     // issue order per processor already).
-    std::vector<std::vector<const TraceRecord *>> by_src(nprocs);
-    for (const TraceRecord &r : trace.records()) {
-        panic_if(r.src < 0 || r.src >= nprocs,
-                 "trace source %d outside %d-proc cluster", r.src,
-                 nprocs);
-        by_src[r.src].push_back(&r);
+    std::vector<std::vector<const ObsMessage *>> by_src(nprocs);
+    for (const ObsMessage &m : trace.messages()) {
+        if (m.retx)
+            continue;
+        fatal_if(m.src < 0 || m.src >= nprocs || m.dst < 0 ||
+                     m.dst >= nprocs,
+                 "trace message %d -> %d names a node outside the "
+                 "%d-proc cluster",
+                 m.src, m.dst, nprocs);
+        by_src[m.src].push_back(&m);
     }
 
     const Tick send_cost = recorded_on.sendOverhead();
@@ -32,37 +44,37 @@ extractSchedule(const MessageTrace &trace, int nprocs,
         bool first = true;
         auto &steps = sched.steps[p];
         for (std::size_t i = 0; i < by_src[p].size(); ++i) {
-            const TraceRecord &r = *by_src[p][i];
+            const ObsMessage &r = *by_src[p][i];
             // Replies and acks regenerate during replay.
-            if (r.kind == PacketKind::Reply)
+            if (r.kind == kReply)
                 continue;
-            if (r.kind == PacketKind::BulkFrag) {
+            if (r.kind == kBulkFrag) {
                 // Coalesce a run of fragments to the same destination
                 // into one bulk operation.
                 std::uint64_t bytes = r.bytes;
                 std::size_t j = i + 1;
                 while (j < by_src[p].size() &&
-                       by_src[p][j]->kind == PacketKind::BulkFrag &&
+                       by_src[p][j]->kind == kBulkFrag &&
                        by_src[p][j]->dst == r.dst &&
-                       by_src[p][j]->issuedAt - by_src[p][j - 1]->issuedAt
+                       by_src[p][j]->issued - by_src[p][j - 1]->issued
                            < usec(200)) {
                     bytes += by_src[p][j]->bytes;
                     ++j;
                 }
-                Tick gap = first ? 0 : r.issuedAt - prev_issue;
+                Tick gap = first ? 0 : r.issued - prev_issue;
                 steps.push_back(
                     {std::max<Tick>(0, gap - send_cost), r.dst, true,
                      static_cast<std::uint32_t>(
                          std::min<std::uint64_t>(bytes, 1u << 30))});
-                prev_issue = by_src[p][j - 1]->issuedAt;
+                prev_issue = by_src[p][j - 1]->issued;
                 first = false;
                 i = j - 1;
                 continue;
             }
-            Tick gap = first ? 0 : r.issuedAt - prev_issue;
+            Tick gap = first ? 0 : r.issued - prev_issue;
             steps.push_back({std::max<Tick>(0, gap - send_cost), r.dst,
                              false, 0});
-            prev_issue = r.issuedAt;
+            prev_issue = r.issued;
             first = false;
         }
     }
@@ -129,19 +141,6 @@ replaySchedule(const ReplaySchedule &schedule, const LogGPParams &params)
     result.makespan = cluster.runtime();
     result.sends = schedule.totalSends();
     return result;
-}
-
-MessageTrace
-messageTraceFromObs(const SpanTracer &tracer)
-{
-    MessageTrace trace;
-    for (const ObsMessage &m : tracer.messages()) {
-        if (m.retx)
-            continue;
-        trace.record(m.issued, m.ready, m.src, m.dst,
-                     static_cast<PacketKind>(m.kind), m.bytes);
-    }
-    return trace;
 }
 
 } // namespace nowcluster

@@ -1,7 +1,8 @@
 /**
  * @file
- * Trace replay: LogGOPSim-style "what-if" analysis. A message trace
- * captured from one run (src/stats/trace.hh) is decomposed into
+ * Trace replay: LogGOPSim-style "what-if" analysis. The messages of a
+ * span trace captured from one run (obs/tracer.hh; on disk, the
+ * NOWOBS01 file `nowlab trace --bin` writes) are decomposed into
  * per-processor schedules of (think time, send) steps; replaying the
  * schedules on a cluster with *different* LogGP parameters predicts
  * how the same communication structure would fare on another machine
@@ -21,7 +22,6 @@
 
 #include "net/loggp.hh"
 #include "obs/tracer.hh"
-#include "stats/trace.hh"
 
 namespace nowcluster {
 
@@ -51,15 +51,17 @@ struct ReplaySchedule
 };
 
 /**
- * Decompose a trace into per-processor schedules, subtracting the
- * send cost of the *recording* machine from inter-send gaps to
- * recover think time.
+ * Decompose a trace's messages into per-processor schedules,
+ * subtracting the send cost of the *recording* machine from inter-send
+ * gaps to recover think time.
  *
  * Replies and StoreAck-like traffic regenerate naturally during
  * replay, so only requests, one-ways, and bulk operations (first
- * fragments) are scheduled.
+ * fragments) are scheduled; retransmitted flights are skipped, since
+ * replay regenerates reliability traffic itself. A message naming a
+ * node outside [0, nprocs) is fatal.
  */
-ReplaySchedule extractSchedule(const MessageTrace &trace, int nprocs,
+ReplaySchedule extractSchedule(const SpanTracer &trace, int nprocs,
                                const LogGPParams &recorded_on);
 
 /** Result of replaying a schedule. */
@@ -77,15 +79,6 @@ struct ReplayResult
  */
 ReplayResult replaySchedule(const ReplaySchedule &schedule,
                             const LogGPParams &params);
-
-/**
- * Build a message trace from an observability span trace (the binary
- * form `nowlab trace --bin` writes), so replay can run what-if analysis
- * on traces captured with the tracer instead of the CSV hook.
- * Retransmitted flights are skipped -- replay regenerates reliability
- * traffic itself.
- */
-MessageTrace messageTraceFromObs(const SpanTracer &tracer);
 
 } // namespace nowcluster
 

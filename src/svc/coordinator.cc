@@ -216,7 +216,7 @@ CoordinatorCore::handleSubmit(const JsonValue &req)
         return errorReply("shutting-down");
     Rec rec;
     rec.pt = pointOfRequest(req);
-    std::string complaint = validateSpec(rec.pt);
+    std::string complaint = submitComplaint(req, rec.pt);
     if (!complaint.empty()) {
         std::lock_guard<std::mutex> lock(mu_);
         ++reqBad_;

@@ -1,6 +1,8 @@
 #include "svc/service.hh"
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 
 #include "svc/codec.hh"
 #include "svc/spec.hh"
@@ -51,6 +53,54 @@ validKey(const std::string &key)
     return true;
 }
 
+/** A JSON number as an integral field. Values beyond T's range
+ *  saturate, where a plain cast would be undefined behaviour. */
+template <typename T>
+T
+narrow(double v)
+{
+    constexpr T lo = std::numeric_limits<T>::min();
+    constexpr T hi = std::numeric_limits<T>::max();
+    if (!(v > static_cast<double>(lo)))
+        return lo;
+    if (v >= static_cast<double>(hi))
+        return hi;
+    return static_cast<T>(v);
+}
+
+/** A knob key of the submit protocol and the Knobs field it sets. */
+struct KnobField
+{
+    const char *key;
+    void (*set)(Knobs &, double);
+};
+
+/** Every knob a submit request may carry; any other key is refused. */
+constexpr KnobField kKnobFields[] = {
+    {"overhead", [](Knobs &k, double v) { k.overheadUs = v; }},
+    {"gap", [](Knobs &k, double v) { k.gapUs = v; }},
+    {"latency", [](Knobs &k, double v) { k.latencyUs = v; }},
+    {"mbps", [](Knobs &k, double v) { k.bulkMBps = v; }},
+    {"occupancy", [](Knobs &k, double v) { k.occupancyUs = v; }},
+    {"window", [](Knobs &k, double v) { k.window = narrow<int>(v); }},
+    {"drop", [](Knobs &k, double v) { k.dropRate = v; }},
+    {"dup", [](Knobs &k, double v) { k.dupRate = v; }},
+    {"corrupt", [](Knobs &k, double v) { k.corruptRate = v; }},
+    {"reorder", [](Knobs &k, double v) { k.reorderRate = v; }},
+    {"reorder-delay", [](Knobs &k, double v) { k.reorderMaxDelayUs = v; }},
+    {"fault-seed", [](Knobs &k, double v) { k.faultSeed = narrow<long>(v); }},
+    {"reliable", [](Knobs &k, double v) { k.reliable = narrow<int>(v); }},
+    {"rto", [](Knobs &k, double v) { k.retxTimeoutUs = v; }},
+    {"delay-node", [](Knobs &k, double v) { k.delayNode = narrow<long>(v); }},
+    {"delay-at", [](Knobs &k, double v) { k.delayAtUs = v; }},
+    {"delay-us", [](Knobs &k, double v) { k.delayUs = v; }},
+    {"topo", [](Knobs &k, double v) { k.topo = narrow<int>(v); }},
+    {"topo-hosts", [](Knobs &k, double v) { k.topoHosts = narrow<int>(v); }},
+    {"topo-mbps", [](Knobs &k, double v) { k.topoLinkMBps = v; }},
+    {"topo-oversub", [](Knobs &k, double v) { k.topoOversub = v; }},
+    {"topo-hop", [](Knobs &k, double v) { k.topoHopUs = v; }},
+};
+
 } // namespace
 
 std::string
@@ -67,13 +117,13 @@ pointOfRequest(const JsonValue &req)
     RunPoint pt;
     pt.app = req.stringOr("app", "");
     RunConfig &c = pt.config;
-    c.nprocs = static_cast<int>(req.numberOr("procs", 32));
+    c.nprocs = narrow<int>(req.numberOr("procs", 32));
     c.scale = req.numberOr("scale", 1.0);
-    c.seed = static_cast<std::uint64_t>(req.numberOr("seed", 1));
+    c.seed = narrow<std::uint64_t>(req.numberOr("seed", 1));
     c.validate = req.boolOr("validate", true);
     double max_ms = req.numberOr("max_ms", 0);
     if (max_ms > 0)
-        c.maxTime = static_cast<Tick>(max_ms * kMsec);
+        c.maxTime = narrow<Tick>(max_ms * kMsec);
 
     std::string machine = req.stringOr("machine", "now");
     if (machine == "paragon")
@@ -84,37 +134,31 @@ pointOfRequest(const JsonValue &req)
         c.machine = MachineConfig::berkeleyNow();
 
     if (const JsonValue *k = req.find("knobs")) {
-        Knobs &kn = c.knobs;
-        kn.overheadUs = k->numberOr("overhead", -1);
-        kn.gapUs = k->numberOr("gap", -1);
-        kn.latencyUs = k->numberOr("latency", -1);
-        kn.bulkMBps = k->numberOr("mbps", -1);
-        kn.occupancyUs = k->numberOr("occupancy", -1);
-        kn.window = static_cast<int>(k->numberOr("window", -1));
-        kn.fabricHosts = static_cast<int>(k->numberOr("fabric-hosts", -1));
-        kn.fabricLinkMBps = k->numberOr("fabric-mbps", -1);
-        kn.dropRate = k->numberOr("drop", -1);
-        kn.dupRate = k->numberOr("dup", -1);
-        kn.corruptRate = k->numberOr("corrupt", -1);
-        kn.reorderRate = k->numberOr("reorder", -1);
-        kn.reorderMaxDelayUs = k->numberOr("reorder-delay", -1);
-        kn.faultSeed = static_cast<long>(k->numberOr("fault-seed", -1));
-        kn.reliable = static_cast<int>(k->numberOr("reliable", -1));
-        kn.retxTimeoutUs = k->numberOr("rto", -1);
-        kn.delayNode = static_cast<long>(k->numberOr("delay-node", -1));
-        kn.delayAtUs = k->numberOr("delay-at", -1);
-        kn.delayUs = k->numberOr("delay-us", -1);
-        kn.topo = static_cast<int>(k->numberOr("topo", -1));
-        kn.topoHosts = static_cast<int>(k->numberOr("topo-hosts", -1));
-        kn.topoLinkMBps = k->numberOr("topo-mbps", -1);
-        kn.topoOversub = k->numberOr("topo-oversub", -1);
-        kn.topoHopUs = k->numberOr("topo-hop", -1);
+        for (const KnobField &f : kKnobFields)
+            f.set(c.knobs, k->numberOr(f.key, -1));
     }
     // The result's provenance (0 = simulated, 1 = analytic). Round-
     // tripped so a coordinator re-forwarding a dead worker's job
     // names the same canonical spec the original result was keyed by.
-    pt.config.origin = static_cast<int>(req.numberOr("origin", 0));
+    pt.config.origin = narrow<int>(req.numberOr("origin", 0));
     return pt;
+}
+
+std::string
+submitComplaint(const JsonValue &req, const RunPoint &pt)
+{
+    // A knob this build does not know would otherwise be dropped and
+    // the point run (and cached) without it.
+    if (const JsonValue *k = req.find("knobs"); k && k->isObject()) {
+        for (const auto &member : k->object) {
+            bool known = false;
+            for (const KnobField &f : kKnobFields)
+                known = known || member.first == f.key;
+            if (!known)
+                return "unknown knob '" + member.first + "'";
+        }
+    }
+    return validateSpec(pt);
 }
 
 std::string
@@ -148,8 +192,6 @@ submitRequest(const RunPoint &pt)
         .field("mbps", k.bulkMBps)
         .field("occupancy", k.occupancyUs)
         .field("window", k.window)
-        .field("fabric-hosts", k.fabricHosts)
-        .field("fabric-mbps", k.fabricLinkMBps)
         .field("drop", k.dropRate)
         .field("dup", k.dupRate)
         .field("corrupt", k.corruptRate)
@@ -291,7 +333,7 @@ std::string
 ServiceCore::handleSubmit(const JsonValue &req)
 {
     RunPoint pt = pointOfRequest(req);
-    std::string complaint = validateSpec(pt);
+    std::string complaint = submitComplaint(req, pt);
     if (!complaint.empty()) {
         std::lock_guard<std::mutex> lock(mu_);
         ++reqBad_;

@@ -11,6 +11,8 @@
  *   submit   {"op":"submit","app":"radix","procs":32,"scale":1,
  *             "seed":1,"machine":"now","knobs":{"overhead":12.9,...}}
  *            -> {"ok":true,"id":N,"state":"queued"|"done","cached":B}
+ *            A knobs key the protocol does not define is refused with
+ *            {"ok":false,"error":"unknown knob 'K'"}, never dropped.
  *            Cache hits complete instantly; cache misses are queued on
  *            the Runner pool. A full queue is answered with
  *            {"ok":false,"error":"busy","retry_after_ms":N}: bounded
@@ -122,6 +124,13 @@ std::string errorReply(const std::string &error);
  * correct by construction.
  */
 RunPoint pointOfRequest(const JsonValue &req);
+
+/**
+ * Why a submit request must be refused, "" when it may run: a `knobs`
+ * key the protocol does not define ("unknown knob 'K'"), else
+ * validateSpec()'s complaint about `pt`, its pointOfRequest() point.
+ */
+std::string submitComplaint(const JsonValue &req, const RunPoint &pt);
 
 /**
  * The canonical submit line for a RunPoint: the exact inverse of

@@ -14,7 +14,7 @@ namespace {
  * measured results (event ordering, model stages, parameter defaults).
  * Stale keys then simply never hit and age out of the store via LRU.
  */
-constexpr const char *kCodeFingerprint = "nowcluster-sim-v6";
+constexpr const char *kCodeFingerprint = "nowcluster-sim-v7";
 
 void
 putU64(std::string &out, std::uint64_t v)
@@ -66,9 +66,6 @@ putParams(std::string &out, const LogGPParams &p)
     putU32(out, static_cast<std::uint32_t>(p.window));
     putU32(out, static_cast<std::uint32_t>(p.txQueueDepth));
     putU64(out, p.maxFragment);
-    putU32(out, p.fabric ? 1 : 0);
-    putU32(out, static_cast<std::uint32_t>(p.fabricHostsPerSwitch));
-    putDouble(out, p.fabricLinkMBps);
     putU32(out, p.fault.enabled ? 1 : 0);
     putDouble(out, p.fault.dropRate);
     putDouble(out, p.fault.dupRate);
@@ -103,8 +100,6 @@ putKnobs(std::string &out, const Knobs &k)
     putDouble(out, k.bulkMBps);
     putDouble(out, k.occupancyUs);
     putU32(out, static_cast<std::uint32_t>(k.window));
-    putU32(out, static_cast<std::uint32_t>(k.fabricHosts));
-    putDouble(out, k.fabricLinkMBps);
     putDouble(out, k.dropRate);
     putDouble(out, k.dupRate);
     putDouble(out, k.corruptRate);

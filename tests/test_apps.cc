@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "apps/app.hh"
 #include "harness/experiment.hh"
+#include "harness/runner.hh"
 #include "model/models.hh"
 
 namespace nowcluster {
@@ -77,6 +84,47 @@ TEST_P(EveryApp, SlowsDownWithOverhead)
         return;
     }
     EXPECT_GE(slowdown(b.runtime, a.runtime), 1.0);
+}
+
+/**
+ * Run the drained point -- loss without recovery deadlocks the app, and
+ * the cluster drains it -- write its fingerprint to `path`, and exit.
+ * Runs only in a death-test child.
+ */
+[[noreturn]] void
+runDrainedPoint(const std::string &app, const std::string &path)
+{
+    RunConfig c = smallConfig(8, 0.05);
+    c.seed = 1;
+    c.validate = false;
+    c.knobs.dropRate = 0.02;
+    c.knobs.reliable = 0;
+    std::ofstream(path) << fingerprint(runApp(app, c));
+    std::exit(0);
+}
+
+// A drained app unwinds on garbage (every blocking op returns at once),
+// yet it must neither crash nor depend on the address layout. The
+// drained point runs in two child processes -- the threadsafe death-
+// test style re-executes the binary, so each child gets its own layout
+// -- that must both exit cleanly with equal fingerprints.
+TEST_P(EveryApp, DrainedLossyRunExitsCleanlyAndReproduces)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Relative to the working directory, which the children inherit and
+    // which differs between build trees that may run this test at once.
+    const std::string base = "drained_" + GetParam() + ".";
+    std::string fp[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string path = base + std::to_string(i);
+        EXPECT_EXIT(runDrainedPoint(GetParam(), path),
+                    ::testing::ExitedWithCode(0), "");
+        std::ifstream in(path);
+        fp[i].assign(std::istreambuf_iterator<char>(in), {});
+        std::remove(path.c_str());
+    }
+    EXPECT_EQ(fp[0].rfind("ok=0", 0), 0u) << "the point did not drain";
+    EXPECT_EQ(fp[0], fp[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, EveryApp,
@@ -186,17 +234,17 @@ TEST(Apps, MurphiLargerProtocolMeansMoreStates)
 
 TEST(Apps, TraceThroughHarnessSeesAppTraffic)
 {
-    MessageTrace trace;
+    SpanTracer trace;
     RunConfig c = smallConfig(4, 0.1);
-    c.trace = &trace;
+    c.obs = &trace;
     RunResult r = runApp("em3d-write", c);
     ASSERT_TRUE(r.ok);
     // All messages of all nodes were traced.
     std::uint64_t expect = 0;
     expect = static_cast<std::uint64_t>(r.summary.avgMsgsPerProc) * 4;
-    EXPECT_NEAR(static_cast<double>(trace.size()),
+    EXPECT_NEAR(static_cast<double>(trace.messages().size()),
                 static_cast<double>(expect), 4.0);
-    EXPECT_GT(trace.burstFraction(usec(29.0)), 0.3);
+    EXPECT_GT(burstFraction(trace, usec(29.0)), 0.3);
 }
 
 } // namespace

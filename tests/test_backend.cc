@@ -371,7 +371,7 @@ TEST(Analytic, AgreesWithSimAcrossTheGridForRadixAndEm3dRead)
 
 TEST(Spec, V5KeysSeparateBackendOrigins)
 {
-    EXPECT_EQ(svc::codeFingerprint(), "nowcluster-sim-v6");
+    EXPECT_EQ(svc::codeFingerprint(), "nowcluster-sim-v7");
     RunPoint sim_pt = smallPoint("radix");
     RunPoint ana_pt = sim_pt;
     ana_pt.config.origin = 1;

@@ -25,7 +25,7 @@ TEST(Knobs, DefaultsLeaveParamsUntouched)
     EXPECT_DOUBLE_EQ(q.gPerByte, p.gPerByte);
     EXPECT_EQ(q.occupancy, 0);
     EXPECT_EQ(q.window, p.window);
-    EXPECT_FALSE(q.fabric);
+    EXPECT_FALSE(q.topo);
 }
 
 TEST(Knobs, EveryKnobLandsInItsField)
@@ -37,8 +37,11 @@ TEST(Knobs, EveryKnobLandsInItsField)
     k.bulkMBps = 10;
     k.occupancyUs = 7;
     k.window = 4;
-    k.fabricHosts = 8;
-    k.fabricLinkMBps = 80;
+    k.topo = 1;
+    k.topoHosts = 8;
+    k.topoLinkMBps = 80;
+    k.topoOversub = 2;
+    k.topoHopUs = 1.5;
     auto p = MachineConfig::berkeleyNow().params;
     k.applyTo(p);
     EXPECT_EQ(p.meanOverhead(), usec(12.9));
@@ -47,9 +50,11 @@ TEST(Knobs, EveryKnobLandsInItsField)
     EXPECT_NEAR(p.bulkMBps(), 10.0, 1e-9);
     EXPECT_EQ(p.occupancy, usec(7));
     EXPECT_EQ(p.window, 4);
-    EXPECT_TRUE(p.fabric);
-    EXPECT_EQ(p.fabricHostsPerSwitch, 8);
-    EXPECT_DOUBLE_EQ(p.fabricLinkMBps, 80.0);
+    EXPECT_TRUE(p.topo);
+    EXPECT_EQ(p.topoHostsPerLeaf, 8);
+    EXPECT_DOUBLE_EQ(p.topoLinkMBps, 80.0);
+    EXPECT_DOUBLE_EQ(p.topoOversub, 2.0);
+    EXPECT_EQ(p.topoHopLatency, usec(1.5));
 }
 
 TEST(Harness, EnvConfigParsesAndRejectsGarbage)

@@ -278,6 +278,18 @@ TEST(Export, CorruptBinaryTracesAreRejected)
         bad[8 + 8 + 8 + 8 + 8 + 4] = 77; // First span's track byte.
         writeAndExpectReject(bad);
     }
+    // Negative node ids: the first span's node, then the first
+    // message's src and dst (31-byte spans; id precedes src).
+    auto negate = [&](std::size_t at) {
+        std::string bad = good;
+        for (std::size_t i = 0; i < 4; ++i)
+            bad[at + i] = static_cast<char>(0xff);
+        writeAndExpectReject(bad);
+    };
+    const std::size_t first_msg = 8 + 8 + 8 + tracer.spans().size() * 31;
+    negate(8 + 8 + 8 + 8 + 8);
+    negate(first_msg + 8);
+    negate(first_msg + 8 + 4);
     std::remove(path.c_str());
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for trace replay: schedule extraction, fidelity of same-
- * parameter replay, sensitivity of replayed traces to the knobs, and
- * the CSV round trip the CLI uses.
+ * parameter replay, sensitivity of replayed traces to the knobs, the
+ * NOWOBS01 round trip the CLI uses, and refusal of traces that name
+ * nodes outside the replay cluster.
  */
 
 #include <gtest/gtest.h>
@@ -10,20 +11,22 @@
 #include <cstdio>
 
 #include "harness/experiment.hh"
+#include "net/packet.hh"
+#include "obs/export.hh"
 #include "replay/replay.hh"
 
 namespace nowcluster {
 namespace {
 
-/** Capture a trace and baseline runtime of one app run. */
-std::pair<MessageTrace, RunResult>
+/** Capture a span trace and baseline runtime of one app run. */
+std::pair<SpanTracer, RunResult>
 capture(const std::string &key, int nprocs, double scale)
 {
-    MessageTrace trace;
+    SpanTracer trace;
     RunConfig c;
     c.nprocs = nprocs;
     c.scale = scale;
-    c.trace = &trace;
+    c.obs = &trace;
     RunResult r = runApp(key, c);
     return {std::move(trace), r};
 }
@@ -37,9 +40,9 @@ TEST(Replay, ScheduleExtractionFiltersReplies)
     EXPECT_EQ(sched.nprocs, 4);
     // Only requests/one-ways are scheduled; replies regenerate.
     std::uint64_t non_reply = 0;
-    for (const TraceRecord &rec : trace.records()) {
-        if (rec.kind != PacketKind::Reply &&
-            rec.kind != PacketKind::BulkFrag)
+    for (const ObsMessage &m : trace.messages()) {
+        const auto kind = static_cast<PacketKind>(m.kind);
+        if (kind != PacketKind::Reply && kind != PacketKind::BulkFrag)
             ++non_reply;
     }
     EXPECT_EQ(sched.totalSends(), non_reply);
@@ -102,16 +105,16 @@ TEST(Replay, BulkRunsCoalesce)
     EXPECT_TRUE(rr.ok);
 }
 
-TEST(Replay, CsvRoundTripFeedsReplay)
+TEST(Replay, BinaryRoundTripFeedsReplay)
 {
     auto [trace, r] = capture("em3d-write", 4, 0.15);
     ASSERT_TRUE(r.ok);
-    std::string path = "/tmp/nowcluster_replay_test.csv";
-    ASSERT_TRUE(trace.writeCsv(path));
+    std::string path = ::testing::TempDir() + "nowcluster_replay_test.obs";
+    ASSERT_TRUE(writeBinaryTrace(trace, path));
 
-    MessageTrace loaded;
-    ASSERT_TRUE(loaded.readCsv(path));
-    EXPECT_EQ(loaded.size(), trace.size());
+    SpanTracer loaded;
+    ASSERT_TRUE(readBinaryTrace(loaded, path));
+    EXPECT_EQ(loaded.messages().size(), trace.messages().size());
 
     auto params = MachineConfig::berkeleyNow().params;
     ReplaySchedule a = extractSchedule(trace, 4, params);
@@ -125,12 +128,35 @@ TEST(Replay, CsvRoundTripFeedsReplay)
 
 TEST(Replay, EmptyTraceIsHarmless)
 {
-    MessageTrace empty;
+    SpanTracer empty;
     auto params = MachineConfig::berkeleyNow().params;
     ReplaySchedule sched = extractSchedule(empty, 3, params);
     EXPECT_EQ(sched.totalSends(), 0u);
     ReplayResult rr = replaySchedule(sched, params);
     EXPECT_TRUE(rr.ok);
+}
+
+// A trace from a larger run (or a hand-edited one) must be refused as a
+// user error before replay indexes per-node state with its node ids.
+TEST(ReplayDeathTest, NodeOutsideTheClusterIsFatal)
+{
+    auto params = MachineConfig::berkeleyNow().params;
+    auto oneMessage = [](NodeId src, NodeId dst) {
+        SpanTracer t;
+        ObsMessage m;
+        m.id = t.newMsgId();
+        m.src = src;
+        m.dst = dst;
+        m.kind = static_cast<std::uint8_t>(PacketKind::OneWay);
+        t.message(m);
+        return t;
+    };
+    SpanTracer far_dst = oneMessage(0, 3);
+    EXPECT_EXIT(extractSchedule(far_dst, 2, params),
+                ::testing::ExitedWithCode(1), "outside the 2-proc");
+    SpanTracer far_src = oneMessage(3, 0);
+    EXPECT_EXIT(extractSchedule(far_src, 2, params),
+                ::testing::ExitedWithCode(1), "outside the 2-proc");
 }
 
 } // namespace

@@ -103,23 +103,37 @@ TEST(Stats, PgmRoundTrip)
 } // namespace nowcluster
 
 // ----------------------------------------------------------------------
-// Message tracing.
+// Message statistics over span traces.
 // ----------------------------------------------------------------------
 
-#include "stats/trace.hh"
+#include "obs/tracer.hh"
 
 namespace nowcluster {
 namespace {
 
+/** A trace of first flights from node 0 to node 1, one per
+ *  (issued, ready) pair. */
+SpanTracer
+flights(const std::vector<std::pair<Tick, Tick>> &times)
+{
+    SpanTracer t;
+    for (const auto &[issued, ready] : times) {
+        ObsMessage m;
+        m.id = t.newMsgId();
+        m.src = 0;
+        m.dst = 1;
+        m.issued = issued;
+        m.ready = ready;
+        t.message(m);
+    }
+    return t;
+}
+
 TEST(Trace, RecordsEveryMessageOfARun)
 {
     SplitCRuntime rt(2, MachineConfig::berkeleyNow().params);
-    MessageTrace trace;
-    rt.cluster().setTraceHook([&](Tick issued, Tick ready, NodeId src,
-                                  NodeId dst, PacketKind kind,
-                                  std::uint32_t bytes) {
-        trace.record(issued, ready, src, dst, kind, bytes);
-    });
+    SpanTracer trace;
+    rt.cluster().setTracer(&trace);
     std::vector<std::int64_t> cell(2, 0);
     ASSERT_TRUE(rt.run([&](SplitC &sc) {
         if (sc.myProc() == 0) {
@@ -131,139 +145,45 @@ TEST(Trace, RecordsEveryMessageOfARun)
     }));
     std::uint64_t sent = rt.cluster().node(0).counters().sent +
                          rt.cluster().node(1).counters().sent;
-    EXPECT_EQ(trace.size(), sent);
-    for (const TraceRecord &r : trace.records()) {
-        EXPECT_LT(r.issuedAt, r.readyAt);
-        EXPECT_GE(r.readyAt - r.issuedAt, usec(5.0)); // >= L.
+    EXPECT_EQ(trace.messages().size(), sent);
+    for (const ObsMessage &m : trace.messages()) {
+        EXPECT_LT(m.issued, m.ready);
+        EXPECT_GE(m.ready - m.issued, usec(5.0)); // >= L.
     }
-    EXPECT_GT(trace.meanFlightUs(), 5.0);
+    EXPECT_GT(meanFlightUs(trace), 5.0);
 }
 
 TEST(Trace, BurstFractionSeparatesBurstyFromPaced)
 {
-    MessageTrace bursty, paced;
+    std::vector<std::pair<Tick, Tick>> bursty, paced;
     for (int i = 0; i < 100; ++i) {
-        bursty.record(i * usec(2), i * usec(2) + usec(5), 0, 1,
-                      PacketKind::Request, 0);
-        paced.record(i * usec(100), i * usec(100) + usec(5), 0, 1,
-                     PacketKind::Request, 0);
+        bursty.push_back({i * usec(2), i * usec(2) + usec(5)});
+        paced.push_back({i * usec(100), i * usec(100) + usec(5)});
     }
-    EXPECT_DOUBLE_EQ(bursty.burstFraction(usec(10)), 1.0);
-    EXPECT_DOUBLE_EQ(paced.burstFraction(usec(10)), 0.0);
-}
-
-TEST(Trace, CsvRoundTrip)
-{
-    MessageTrace t;
-    t.record(usec(1), usec(7), 0, 1, PacketKind::BulkFrag, 4096);
-    std::string path = "/tmp/nowcluster_trace_test.csv";
-    ASSERT_TRUE(t.writeCsv(path));
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char line[256];
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr); // Header.
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-    EXPECT_NE(std::string(line).find("bulk"), std::string::npos);
-    EXPECT_NE(std::string(line).find("4096"), std::string::npos);
-    std::fclose(f);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, PacketKindNames)
-{
-    EXPECT_STREQ(packetKindName(PacketKind::Request), "request");
-    EXPECT_STREQ(packetKindName(PacketKind::Reply), "reply");
-    EXPECT_STREQ(packetKindName(PacketKind::OneWay), "oneway");
-    EXPECT_STREQ(packetKindName(PacketKind::BulkFrag), "bulk");
+    EXPECT_DOUBLE_EQ(burstFraction(flights(bursty), usec(10)), 1.0);
+    EXPECT_DOUBLE_EQ(burstFraction(flights(paced), usec(10)), 0.0);
 }
 
 TEST(Trace, StatsOnEmptyAndSingleRecordTraces)
 {
-    MessageTrace empty;
-    EXPECT_DOUBLE_EQ(empty.meanFlightUs(), 0.0);
-    EXPECT_DOUBLE_EQ(empty.burstFraction(usec(10)), 0.0);
+    SpanTracer empty;
+    EXPECT_DOUBLE_EQ(meanFlightUs(empty), 0.0);
+    EXPECT_DOUBLE_EQ(burstFraction(empty, usec(10)), 0.0);
 
-    MessageTrace one;
-    one.record(usec(3), usec(9), 0, 1, PacketKind::OneWay, 0);
-    EXPECT_DOUBLE_EQ(one.meanFlightUs(), 6.0);
+    SpanTracer one = flights({{usec(3), usec(9)}});
+    EXPECT_DOUBLE_EQ(meanFlightUs(one), 6.0);
     // A single message has no consecutive pair, hence no bursts.
-    EXPECT_DOUBLE_EQ(one.burstFraction(usec(10)), 0.0);
-}
+    EXPECT_DOUBLE_EQ(burstFraction(one, usec(10)), 0.0);
 
-namespace {
-
-void
-writeFile(const std::string &path, const std::string &body)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(body.c_str(), f);
-    std::fclose(f);
-}
-
-} // namespace
-
-TEST(Trace, ReadCsvRejectsCorruptInputUntouched)
-{
-    const std::string path = "/tmp/nowcluster_trace_corrupt.csv";
-    MessageTrace t;
-    t.record(usec(1), usec(7), 0, 1, PacketKind::Request, 0);
-
-    // Bad header.
-    writeFile(path, "not,a,trace\n1,2,0,1,request,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // Row with too few fields.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // Out-of-range packet kind.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,0,1,warp,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // Negative node id.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,-3,1,request,0\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-
-    // A corrupt row anywhere rejects the whole file: nothing from the
-    // good prefix may leak into the trace.
-    writeFile(path, "issued_us,ready_us,src,dst,kind,bytes\n"
-                    "1.0,2.0,0,1,request,0\n"
-                    "garbage line\n");
-    EXPECT_FALSE(t.readCsv(path));
-    EXPECT_EQ(t.size(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, ReadCsvRoundTripsWriteCsv)
-{
-    const std::string path = "/tmp/nowcluster_trace_rt.csv";
-    MessageTrace t;
-    t.record(usec(1), usec(7), 0, 1, PacketKind::Request, 0);
-    t.record(usec(2), usec(8), 1, 0, PacketKind::Reply, 0);
-    t.record(usec(3), usec(9), 0, 1, PacketKind::OneWay, 0);
-    t.record(usec(4), usec(20), 1, 0, PacketKind::BulkFrag, 4096);
-    ASSERT_TRUE(t.writeCsv(path));
-
-    MessageTrace back;
-    ASSERT_TRUE(back.readCsv(path));
-    ASSERT_EQ(back.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(back.records()[i].issuedAt, t.records()[i].issuedAt);
-        EXPECT_EQ(back.records()[i].readyAt, t.records()[i].readyAt);
-        EXPECT_EQ(back.records()[i].src, t.records()[i].src);
-        EXPECT_EQ(back.records()[i].dst, t.records()[i].dst);
-        EXPECT_EQ(back.records()[i].kind, t.records()[i].kind);
-        EXPECT_EQ(back.records()[i].bytes, t.records()[i].bytes);
-    }
-    std::remove(path.c_str());
+    // A retransmitted flight is not a new message.
+    ObsMessage retx = one.messages()[0];
+    retx.id = one.newMsgId();
+    retx.issued = usec(4);
+    retx.ready = usec(40);
+    retx.retx = true;
+    one.message(retx);
+    EXPECT_DOUBLE_EQ(meanFlightUs(one), 6.0);
+    EXPECT_DOUBLE_EQ(burstFraction(one, usec(10)), 0.0);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "svc/codec.hh"
+#include "svc/coordinator.hh"
 #include "svc/hash.hh"
 #include "svc/json.hh"
 #include "svc/server.hh"
@@ -412,13 +414,13 @@ TEST(CachedRuns, SinkedPointsBypassTheCache)
     CacheGuard guard(&cache);
 
     RunPoint pt = smallPoint();
-    MessageTrace trace;
-    pt.config.trace = &trace;
+    SpanTracer trace;
+    pt.config.obs = &trace;
     RunResult r = runPointCached(pt);
     EXPECT_TRUE(r.ok);
     // A traced run must really run (side effects), and must not
     // poison the store with a key that ignores the sink.
-    EXPECT_GT(trace.size(), 0u);
+    EXPECT_GT(trace.messages().size(), 0u);
     EXPECT_EQ(store.entryCount(), 0u);
     EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
@@ -521,6 +523,57 @@ TEST(ServiceCore, BadSubmitsAreAnsweredNotFatal)
     }
     svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
     EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 6);
+}
+
+// A knob key this build does not define must be refused, not dropped:
+// a client still sending a retired key would otherwise get (and cache)
+// a result computed without it. The worker and the coordinator parse
+// submits alike, so both refuse it before any work is queued.
+TEST(ServiceCore, UnknownKnobsAreRefusedByWorkerAndCoordinator)
+{
+    const std::string line =
+        "{\"op\":\"submit\",\"app\":\"radix\",\"procs\":4,"
+        "\"scale\":0.1,\"knobs\":{\"overhead\":12.9,"
+        "\"sim-threads\":4}}";
+    const std::string refusal =
+        "{\"ok\":false,\"error\":\"unknown knob 'sim-threads'\"}";
+
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    svc::ServiceCore core(cfg);
+    EXPECT_EQ(core.handleLine(line), refusal);
+    svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 1);
+    EXPECT_EQ(v.find("counters")->numberOr("svc.submits", -1), 0);
+
+    svc::CoordinatorConfig cc;
+    cc.workers = {"127.0.0.1:1"};
+    cc.local.jobs = 1;
+    svc::CoordinatorCore coord(cc);
+    EXPECT_EQ(coord.handleLine(line), refusal);
+
+    // Every key submitRequest() writes is one the parser knows.
+    RunPoint pt = smallPoint();
+    EXPECT_EQ(svc::submitComplaint(parsed(svc::submitRequest(pt)), pt),
+              "");
+}
+
+// Integral fields arrive as JSON doubles; out-of-range values saturate
+// instead of hitting an undefined narrowing cast, and validateSpec
+// then refuses what is out of its range.
+TEST(ServiceCore, OutOfRangeIntegralFieldsSaturate)
+{
+    RunPoint pt = svc::pointOfRequest(parsed(
+        "{\"op\":\"submit\",\"app\":\"radix\",\"procs\":1e12,"
+        "\"seed\":-5,\"max_ms\":1e300,\"knobs\":{\"window\":-1e12,"
+        "\"delay-node\":1e30,\"topo-hosts\":3e9}}"));
+    EXPECT_EQ(pt.config.nprocs, std::numeric_limits<int>::max());
+    EXPECT_EQ(pt.config.seed, 0u);
+    EXPECT_EQ(pt.config.maxTime, std::numeric_limits<Tick>::max());
+    EXPECT_EQ(pt.config.knobs.window, std::numeric_limits<int>::min());
+    EXPECT_EQ(pt.config.knobs.delayNode, std::numeric_limits<long>::max());
+    EXPECT_EQ(pt.config.knobs.topoHosts, std::numeric_limits<int>::max());
+    EXPECT_NE(svc::validateSpec(pt), "");
 }
 
 TEST(ServiceCore, FullQueueAnswersBusyWithRetryHint)

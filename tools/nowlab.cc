@@ -14,7 +14,7 @@
  *   nowlab trace <app> [--out F.json] [--bin F] [knobs]
  *   nowlab wavefront <app> [--node N] [--at US] [--delays a,b,c]
  *                    [--threshold F] [--out F.json] [knobs]
- *   nowlab replay --trace FILE.csv | --obs FILE [--procs N] [knobs]
+ *   nowlab replay --obs FILE [--procs N] [knobs]
  *   nowlab serve [--port P] [--jobs J] [--queue N] [--cache-dir D]
  *                [--cache-only]
  *   nowlab serve --coordinator --workers H:P,H:P,... [--replicas R]
@@ -241,11 +241,6 @@ cmdRun(const Args &a)
     std::string key = a.positional[1];
     RunConfig c = configOf(a);
 
-    MessageTrace trace;
-    auto trace_it = a.options.find("trace");
-    if (trace_it != a.options.end())
-        c.trace = &trace;
-
     RunResult r = runApp(key, c);
     const CommSummary &s = r.summary;
     std::printf("%s on %d procs (%s), scale %.2f\n", s.app.c_str(),
@@ -285,16 +280,6 @@ cmdRun(const Args &a)
                     static_cast<unsigned long long>(s.retxGiveUps));
     if (a.flags.count("matrix"))
         std::fputs(r.matrix.ascii().c_str(), stdout);
-    if (trace_it != a.options.end()) {
-        if (trace.writeCsv(trace_it->second))
-            std::printf("  wrote %zu trace records to %s (mean flight "
-                        "%.1f us, burst fraction %.2f)\n",
-                        trace.size(), trace_it->second.c_str(),
-                        trace.meanFlightUs(),
-                        trace.burstFraction(usec(10)));
-        else
-            warn("could not write %s", trace_it->second.c_str());
-    }
     auto pgm = a.options.find("pgm");
     if (pgm != a.options.end()) {
         if (r.matrix.writePgm(pgm->second))
@@ -689,7 +674,7 @@ submitRequestOf(const Args &a)
 
     static const char *kKnobKeys[] = {
         "overhead", "gap",     "latency",       "mbps",
-        "occupancy", "window", "fabric-hosts",  "fabric-mbps",
+        "occupancy", "window",
         "drop",      "dup",    "corrupt",       "reorder",
         "reorder-delay", "fault-seed", "reliable", "rto",
         "delay-node", "delay-at", "delay-us",
@@ -1363,12 +1348,14 @@ cmdTrace(const Args &a)
     for (const Span &s : tracer.spans())
         ++per_track[static_cast<int>(s.track)];
     std::printf("recorded %zu spans (%llu cpu, %llu nic-tx, %llu "
-                "nic-rx), %zu messages\n",
+                "nic-rx), %zu messages (mean flight %.1f us, burst "
+                "fraction %.2f)\n",
                 tracer.spans().size(),
                 static_cast<unsigned long long>(per_track[0]),
                 static_cast<unsigned long long>(per_track[1]),
                 static_cast<unsigned long long>(per_track[2]),
-                tracer.messages().size());
+                tracer.messages().size(), meanFlightUs(tracer),
+                burstFraction(tracer, usec(10)));
 
     CritPathReport cp = analyzeCriticalPath(tracer);
     std::fputs(cp.render().c_str(), stdout);
@@ -1517,29 +1504,19 @@ cmdWavefront(const Args &a)
 int
 cmdReplay(const Args &a)
 {
-    auto trace_it = a.options.find("trace");
     auto obs_it = a.options.find("obs");
-    fatal_if(trace_it == a.options.end() && obs_it == a.options.end(),
-             "usage: nowlab replay --trace FILE.csv | --obs FILE "
-             "[--procs N] [knobs]");
-    MessageTrace trace;
-    if (obs_it != a.options.end()) {
-        SpanTracer tracer;
-        fatal_if(!readBinaryTrace(tracer, obs_it->second),
-                 "cannot read %s (not a NOWOBS01 trace?)",
-                 obs_it->second.c_str());
-        trace = messageTraceFromObs(tracer);
-    } else {
-        fatal_if(!trace.readCsv(trace_it->second), "cannot read %s",
-                 trace_it->second.c_str());
-    }
+    fatal_if(obs_it == a.options.end(),
+             "usage: nowlab replay --obs FILE [--procs N] [knobs]");
+    SpanTracer trace;
+    fatal_if(!readBinaryTrace(trace, obs_it->second),
+             "cannot read %s (not a NOWOBS01 trace?)",
+             obs_it->second.c_str());
 
-    RunConfig c = configOf(a);
     // Infer the processor count from the trace when not given.
     int nprocs = static_cast<int>(optLong(a, "procs", 0));
     if (nprocs <= 0) {
-        for (const TraceRecord &r : trace.records())
-            nprocs = std::max({nprocs, r.src + 1, r.dst + 1});
+        for (const ObsMessage &m : trace.messages())
+            nprocs = std::max({nprocs, m.src + 1, m.dst + 1});
     }
     fatal_if(nprocs <= 0, "empty trace and no --procs given");
 
@@ -1552,7 +1529,7 @@ cmdReplay(const Args &a)
     ReplayResult what_if = replaySchedule(sched, target);
 
     std::printf("replay of %zu records (%llu sends) on %d procs\n",
-                trace.size(),
+                trace.messages().size(),
                 static_cast<unsigned long long>(sched.totalSends()),
                 nprocs);
     std::printf("  recorded machine : %.3f ms makespan\n",
@@ -1834,7 +1811,6 @@ main(int argc, char **argv)
             "  nowlab calibrate [--machine M] [knobs]\n"
             "  nowlab run <app> [--procs N] [--scale S] [--seed X]\n"
             "             [--machine M] [knobs] [--matrix] [--pgm F]\n"
-            "             [--trace FILE.csv]\n"
             "  nowlab sweep <app> --knob K --values a,b,c [--jobs J]\n"
             "             [--backend sim|analytic|cache] [...]\n"
             "  nowlab perf [--app A] [--points K] [--jobs J]\n"
@@ -1845,8 +1821,7 @@ main(int argc, char **argv)
             "  nowlab wavefront <app> [--node N] [--at US]\n"
             "             [--delays a,b,c] [--threshold F]\n"
             "             [--out F.json] [--procs N] [--scale S] [knobs]\n"
-            "  nowlab replay --trace FILE.csv | --obs FILE [--procs N]\n"
-            "             [knobs]\n"
+            "  nowlab replay --obs FILE [--procs N] [knobs]\n"
             "  nowlab serve [--port P] [--jobs J] [--queue N]\n"
             "             [--cache-dir D] [--cache-only]\n"
             "             [--backend analytic] [--drift-tolerance F]\n"
