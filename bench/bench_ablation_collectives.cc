@@ -2,64 +2,38 @@
  * @file
  * Extension: collective algorithms under the knobs. The LogP model was
  * built to design communication schedules; this bench closes that loop
- * inside the laboratory by racing broadcast algorithms (linear,
- * binomial, LogP-greedy-optimal) across the latency and overhead
- * sweeps, and all-gather algorithms across block sizes.
+ * inside the laboratory by racing the tuned library's broadcast
+ * algorithms (flat, binomial, LogP-greedy) across the latency and
+ * overhead sweeps, and its all-gather algorithms across block sizes.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "coll/collectives.hh"
+#include "coll/cost.hh"
+#include "coll/tuned/harness.hh"
 
 using namespace nowcluster;
 using namespace nowcluster::bench;
 
 namespace {
 
-Tick
-timeBroadcast(const LogGPParams &params, int p, BcastAlg alg, int reps)
+constexpr int kProcs = 32;
+
+/** Broadcast payload: one word, as the paper's apps broadcast. */
+constexpr std::size_t kBcastBytes = sizeof(Word);
+
+double
+spanUs(const LogGPParams &params, coll::Coll c, coll::CollAlg alg,
+       std::size_t bytes)
 {
-    // Span of one broadcast: the root's start to the last arrival
-    // anywhere, averaged over reps (the entry barrier is excluded so
-    // the algorithms, not the barrier, are compared).
-    SplitCRuntime rt(p, params);
-    Collectives coll(p, 1);
-    coll.setModel(std::max(params.oSend, params.gap),
-                  params.sendOverhead() + params.totalLatency() +
-                      params.recvOverhead());
-    Tick total = 0;
-    rt.run([&](SplitC &sc) {
-        coll.broadcast(sc, 1, 0, alg); // Warm the schedule.
-        for (int i = 0; i < reps; ++i) {
-            sc.barrier();
-            Tick t0 = sc.now();
-            coll.broadcast(sc, 42, 0, alg);
-            Tick latest = sc.allReduceMax(sc.now());
-            if (sc.myProc() == 0)
-                total += latest - t0;
-        }
-    });
-    return total / reps;
+    return toUsec(coll::measureCollective(params, c, alg, kProcs, bytes));
 }
 
-Tick
-timeAllGather(const LogGPParams &params, int p, GatherAlg alg,
-              std::size_t n)
+double
+bcastUs(const LogGPParams &params, coll::CollAlg alg)
 {
-    SplitCRuntime rt(p, params);
-    Collectives coll(p, n);
-    Tick elapsed = 0;
-    rt.run([&](SplitC &sc) {
-        std::vector<Word> mine(n, 7), out(n * p);
-        sc.barrier();
-        Tick t0 = sc.now();
-        coll.allGather(sc, mine.data(), n, out.data(), alg);
-        sc.barrier();
-        if (sc.myProc() == 0)
-            elapsed = sc.now() - t0;
-    });
-    return elapsed;
+    return spanUs(params, coll::Coll::Broadcast, alg, kBcastBytes);
 }
 
 } // namespace
@@ -67,56 +41,44 @@ timeAllGather(const LogGPParams &params, int p, GatherAlg alg,
 int
 main(int argc, char **argv)
 {
-    const int p = 32;
-    traceOutIfRequested(argc, argv, "radix", p, scaleOr(1.0));
+    using coll::CollAlg;
+    traceOutIfRequested(argc, argv, "radix", kProcs, scaleOr(1.0));
     std::printf("Collective algorithms under the LogGP knobs, %d "
-                "nodes\n(broadcast columns: span from root start to "
-                "last arrival, us)\n",
-                p);
+                "nodes\n(columns: measureCollective span from the "
+                "entry barrier to the last\nprocessor done, us; "
+                "broadcasts carry one %zu-byte word)\n",
+                kProcs, kBcastBytes);
 
     std::printf("\n--- broadcast vs latency ---\n");
     Table bl;
-    bl.row().cell("L(us)").cell("linear").cell("binomial").cell(
-        "logp-optimal").cell("model-pred");
+    bl.row().cell("L(us)").cell("flat").cell("binomial").cell("logp").cell(
+        "logp-model");
     for (double l : {5.0, 15.0, 55.0, 105.0}) {
         auto params = MachineConfig::berkeleyNow().params;
         params.setDesiredLatencyUsec(l);
-        Tick arrive = params.sendOverhead() + params.totalLatency() +
-                      params.recvOverhead();
-        auto steps = buildOptimalBroadcast(
-            p, std::max(params.oSend, params.gap), arrive);
+        const Tick model = coll::predictCollective(
+            pointFromParams(params), coll::Coll::Broadcast,
+            CollAlg::BcastLogp, kProcs, kBcastBytes);
         bl.row()
             .cell(l, 1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Linear, 8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Binomial,
-                                       8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p,
-                                       BcastAlg::LogPOptimal, 8)),
-                  1)
-            .cell(toUsec(predictedBroadcastCompletion(steps, arrive)),
-                  1);
+            .cell(bcastUs(params, CollAlg::BcastFlat), 1)
+            .cell(bcastUs(params, CollAlg::BcastBinomial), 1)
+            .cell(bcastUs(params, CollAlg::BcastLogp), 1)
+            .cell(toUsec(model), 1);
     }
     bl.print();
 
     std::printf("\n--- broadcast vs overhead ---\n");
     Table bo;
-    bo.row().cell("o(us)").cell("linear").cell("binomial").cell(
-        "logp-optimal");
+    bo.row().cell("o(us)").cell("flat").cell("binomial").cell("logp");
     for (double o : {2.9, 12.9, 52.9}) {
         auto params = MachineConfig::berkeleyNow().params;
         params.setDesiredOverheadUsec(o);
         bo.row()
             .cell(o, 1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Linear, 8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p, BcastAlg::Binomial,
-                                       8)),
-                  1)
-            .cell(toUsec(timeBroadcast(params, p,
-                                       BcastAlg::LogPOptimal, 8)),
-                  1);
+            .cell(bcastUs(params, CollAlg::BcastFlat), 1)
+            .cell(bcastUs(params, CollAlg::BcastBinomial), 1)
+            .cell(bcastUs(params, CollAlg::BcastLogp), 1);
     }
     bo.print();
 
@@ -124,14 +86,16 @@ main(int argc, char **argv)
     Table ag;
     ag.row().cell("words/proc").cell("ring (us)").cell(
         "doubling (us)");
+    const auto params = MachineConfig::berkeleyNow().params;
     for (std::size_t n : {8u, 128u, 2048u}) {
-        auto params = MachineConfig::berkeleyNow().params;
+        const std::size_t block = n * sizeof(Word);
         ag.row()
             .cell(static_cast<std::int64_t>(n))
-            .cell(toUsec(timeAllGather(params, p, GatherAlg::Ring, n)),
+            .cell(spanUs(params, coll::Coll::AllGather, CollAlg::AgRing,
+                         block),
                   1)
-            .cell(toUsec(timeAllGather(
-                      params, p, GatherAlg::RecursiveDoubling, n)),
+            .cell(spanUs(params, coll::Coll::AllGather,
+                         CollAlg::AgRecDouble, block),
                   1);
     }
     ag.print();

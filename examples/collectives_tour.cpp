@@ -1,7 +1,7 @@
 /**
  * @file
- * Tour of the collectives library: run broadcast / all-gather /
- * all-to-all / scan on a simulated cluster, then rebuild the
+ * Tour of the tuned collectives library: run the LogP-greedy broadcast
+ * and a ring all-gather on a simulated cluster, then rebuild the
  * LogP-optimal broadcast schedule for a high-latency machine and watch
  * it restructure itself from a deep tree into a wide, pipelined one.
  *
@@ -13,7 +13,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "coll/collectives.hh"
+#include "coll/cost.hh"
+#include "coll/tuned/tuned.hh"
 
 using namespace nowcluster;
 
@@ -23,7 +24,8 @@ void
 describeSchedule(const char *title, Tick send_interval,
                  Tick arrival_cost, int p)
 {
-    auto steps = buildOptimalBroadcast(p, send_interval, arrival_cost);
+    auto steps =
+        coll::buildOptimalBroadcast(p, send_interval, arrival_cost);
     // Fan-out of the root and depth of the tree.
     int root_sends = 0;
     std::vector<int> depth(p, 0);
@@ -36,8 +38,8 @@ describeSchedule(const char *title, Tick send_interval,
     std::printf("  %-28s root fan-out %2d, tree depth %d, predicted "
                 "completion %.1f us\n",
                 title, root_sends, max_depth,
-                toUsec(predictedBroadcastCompletion(steps,
-                                                    arrival_cost)));
+                toUsec(coll::predictedBroadcastCompletion(
+                    steps, arrival_cost)));
 }
 
 } // namespace
@@ -52,31 +54,32 @@ main(int argc, char **argv)
 
     // ---- Part 1: the operations, end to end ---------------------------
     SplitCRuntime rt(p, params);
-    Collectives coll(p, 8);
+    coll::TunedCollectives tc(rt);
+    // Buffers live outside run(): peers store straight into them.
+    std::vector<Word> token(p, 0);
+    std::vector<std::vector<Word>> mine(p, std::vector<Word>(2));
+    std::vector<std::vector<Word>> everyone(p, std::vector<Word>(2 * p));
     rt.run([&](SplitC &sc) {
-        int me = sc.myProc();
+        const int me = sc.myProc();
 
-        Word token = coll.broadcast(sc, me == 0 ? 1234 : 0, 0,
-                                    BcastAlg::LogPOptimal);
+        if (me == 0)
+            token[me] = 1234;
+        tc.broadcast(sc, &token[me], sizeof(Word), 0,
+                     coll::CollAlg::BcastLogp);
 
-        std::vector<Word> mine(2), everyone(2 * p);
-        mine[0] = static_cast<Word>(me);
-        mine[1] = static_cast<Word>(me * me);
-        coll.allGather(sc, mine.data(), 2, everyone.data(),
-                       GatherAlg::Ring);
-
-        std::int64_t prefix = coll.scanAdd(sc, me + 1);
+        mine[me][0] = static_cast<Word>(me);
+        mine[me][1] = static_cast<Word>(me * me);
+        tc.allGather(sc, mine[me].data(), 2 * sizeof(Word),
+                     everyone[me].data(), coll::CollAlg::AgRing);
 
         if (me == p - 1) {
-            std::printf("broadcast delivered %llu to rank %d\n",
-                        static_cast<unsigned long long>(token), me);
-            std::printf("all-gather: rank 1 contributed (%llu, %llu)\n",
-                        static_cast<unsigned long long>(everyone[2]),
-                        static_cast<unsigned long long>(everyone[3]));
-            std::printf("scan: inclusive prefix at last rank = %lld "
-                        "(expected %d)\n",
-                        static_cast<long long>(prefix),
-                        p * (p + 1) / 2);
+            std::printf("logp broadcast delivered %llu to rank %d\n",
+                        static_cast<unsigned long long>(token[me]), me);
+            std::printf("ring all-gather: rank 1 contributed (%llu, "
+                        "%llu)\n",
+                        static_cast<unsigned long long>(everyone[me][2]),
+                        static_cast<unsigned long long>(
+                            everyone[me][3]));
         }
     });
 

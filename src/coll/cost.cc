@@ -1,6 +1,7 @@
 #include "coll/cost.hh"
 
 #include <algorithm>
+#include <queue>
 
 #include "base/logging.hh"
 
@@ -85,6 +86,10 @@ predictBroadcast(const LogGPPoint &pt, CollAlg alg, int p,
             t += msgTime(pt, std::max<std::size_t>(b >> k, 1));
         return t + static_cast<Tick>(p - 1) * msgTime(pt, block);
       }
+      case CollAlg::BcastLogp:
+        // The greedy schedule's own completion under its model.
+        return predictedBroadcastCompletion(logpSchedule(pt, p, b),
+                                            msgTime(pt, b));
       default:
         panic("not a broadcast algorithm");
     }
@@ -219,6 +224,54 @@ Tick
 msgTime(const LogGPPoint &pt, std::size_t bytes)
 {
     return pt.oSend + wireTime(pt, bytes) + pt.oRecv;
+}
+
+std::vector<BroadcastStep>
+buildOptimalBroadcast(int nprocs, Tick send_interval, Tick arrival_cost)
+{
+    // Degenerate sizes need no schedule (and no model): accept them
+    // before validating the parameters.
+    std::vector<BroadcastStep> steps;
+    if (nprocs <= 1)
+        return steps;
+    panic_if(send_interval <= 0 || arrival_cost <= 0,
+             "broadcast schedule needs positive model parameters");
+
+    // Min-heap of (next free transmission slot, node). Greedy: the
+    // next reception always uses the earliest available slot, and new
+    // holders immediately start transmitting themselves.
+    using Slot = std::pair<Tick, NodeId>;
+    std::priority_queue<Slot, std::vector<Slot>, std::greater<>> free;
+    free.push({0, 0});
+    NodeId next_rank = 1;
+    while (next_rank < nprocs) {
+        auto [t, sender] = free.top();
+        free.pop();
+        NodeId receiver = next_rank++;
+        steps.push_back({sender, receiver, t});
+        free.push({t + send_interval, sender});
+        free.push({t + arrival_cost, receiver});
+    }
+    return steps;
+}
+
+Tick
+predictedBroadcastCompletion(const std::vector<BroadcastStep> &steps,
+                             Tick arrival_cost)
+{
+    if (steps.empty())
+        return 0; // A one-processor broadcast completes instantly.
+    Tick done = 0;
+    for (const BroadcastStep &s : steps)
+        done = std::max(done, s.issueAt + arrival_cost);
+    return done;
+}
+
+std::vector<BroadcastStep>
+logpSchedule(const LogGPPoint &pt, int nprocs, std::size_t bytes)
+{
+    return buildOptimalBroadcast(
+        nprocs, std::max(pt.oSend, txSlot(pt, bytes)), msgTime(pt, bytes));
 }
 
 Tick

@@ -2,11 +2,13 @@
  * @file
  * LogGP cost models for the tuned collective algorithms.
  *
- * Every algorithm in coll/tuned gets a closed-form completion-time
- * prediction from an operating point (L, o, g, G) -- the approach of
- * Barchet-Estefanel & Mounié's intra-cluster collective tuning work:
- * model each candidate, pick the argmin, and validate predicted vs
- * measured on a size x nprocs grid (`nowlab coll validate`).
+ * Every algorithm in coll/tuned gets a completion-time prediction
+ * from an operating point (L, o, g, G) -- a closed form, or for the
+ * LogP-greedy broadcast its own schedule's last arrival. This is the
+ * approach of Barchet-Estefanel & Mounié's intra-cluster collective
+ * tuning work: model each candidate, pick the argmin, and validate
+ * predicted vs measured on a size x nprocs grid (`nowlab coll
+ * validate`).
  *
  * The formulas charge per-segment G and g terms for bulk payloads
  * (fragments of `LogGPPoint::fragment` bytes each occupy the tx
@@ -19,6 +21,7 @@
 #define NOWCLUSTER_COLL_COST_HH_
 
 #include <cstddef>
+#include <vector>
 
 #include "model/models.hh"
 
@@ -45,6 +48,7 @@ enum class CollAlg
     BcastBinomial,   ///< Classic log P tree.
     BcastChain,      ///< Pipelined chain of fragment-size segments.
     BcastScatterAg,  ///< Van de Geijn: binomial scatter + ring allgather.
+    BcastLogp,       ///< LogP-greedy schedule; buildOptimalBroadcast.
     // All-gather (bytes = per-rank block).
     AgRing,          ///< P-1 neighbor steps, bandwidth-friendly.
     AgRecDouble,     ///< log P XOR exchanges; power-of-two P only.
@@ -61,8 +65,6 @@ enum class CollAlg
     ArRecDouble,     ///< log P exchange-and-combine rounds.
     ArRabenseifner,  ///< Reduce-scatter + allgather; power-of-two P.
 };
-
-constexpr int kNumAlgs = 15;
 
 /**
  * Predicted completion time of one collective invocation: the span
@@ -81,6 +83,45 @@ Tick txSlot(const LogGPPoint &pt, std::size_t bytes);
 
 /** End-to-end time of one b-byte message: oSend + slot + L + oRecv. */
 Tick msgTime(const LogGPPoint &pt, std::size_t bytes);
+
+/** One edge of a broadcast schedule. */
+struct BroadcastStep
+{
+    NodeId sender;
+    NodeId receiver;
+    /** Model time the send is issued (diagnostic; execution is
+     *  data-driven). */
+    Tick issueAt;
+};
+
+/**
+ * Build the LogP-greedy-optimal broadcast schedule for P processors
+ * rooted at 0 -- the LogP model's original application (Culler et
+ * al., "LogP: Towards a Realistic Model of Parallel Computation").
+ * The best broadcast is not a fixed tree: each holder of the value
+ * keeps transmitting at the send interval, and every transmission is
+ * aimed at the receiver that can be reached earliest. Repeatedly
+ * assigning the earliest possible reception to the earliest available
+ * transmission slot is optimal under this model, so under it a tree
+ * shape (flat, binomial) can at best tie the schedule.
+ *
+ * @param send_interval  Time between consecutive sends by one node,
+ *                       max(o_send, g) under LogP.
+ * @param arrival_cost   Send-to-usable delay, o_send + L + o_recv.
+ */
+std::vector<BroadcastStep>
+buildOptimalBroadcast(int nprocs, Tick send_interval, Tick arrival_cost);
+
+/** Predicted completion time of a schedule under the same model. */
+Tick predictedBroadcastCompletion(const std::vector<BroadcastStep> &steps,
+                                  Tick arrival_cost);
+
+/**
+ * The schedule the logp broadcast of `bytes` runs and the cost model
+ * prices: send interval max(o_send, txSlot(b)), arrival msgTime(b).
+ */
+std::vector<BroadcastStep> logpSchedule(const LogGPPoint &pt, int nprocs,
+                                        std::size_t bytes);
 
 } // namespace coll
 } // namespace nowcluster

@@ -36,6 +36,7 @@ algName(CollAlg alg)
       case CollAlg::BcastBinomial: return "binomial";
       case CollAlg::BcastChain: return "chain";
       case CollAlg::BcastScatterAg: return "scatter-ag";
+      case CollAlg::BcastLogp: return "logp";
       case CollAlg::AgRing: return "ring";
       case CollAlg::AgRecDouble: return "rdouble";
       case CollAlg::AgBruck: return "bruck";
@@ -59,6 +60,7 @@ collOf(CollAlg alg)
       case CollAlg::BcastBinomial:
       case CollAlg::BcastChain:
       case CollAlg::BcastScatterAg:
+      case CollAlg::BcastLogp:
         return Coll::Broadcast;
       case CollAlg::AgRing:
       case CollAlg::AgRecDouble:
@@ -82,9 +84,10 @@ collOf(CollAlg alg)
 const std::vector<CollAlg> &
 algsFor(Coll coll)
 {
+    // logp leads so model ties go to it (see registry.hh).
     static const std::vector<CollAlg> bcast = {
-        CollAlg::BcastFlat, CollAlg::BcastBinomial, CollAlg::BcastChain,
-        CollAlg::BcastScatterAg};
+        CollAlg::BcastLogp, CollAlg::BcastFlat, CollAlg::BcastBinomial,
+        CollAlg::BcastChain, CollAlg::BcastScatterAg};
     static const std::vector<CollAlg> allgather = {
         CollAlg::AgRing, CollAlg::AgRecDouble, CollAlg::AgBruck};
     static const std::vector<CollAlg> alltoall = {

@@ -27,7 +27,14 @@ const char *algName(CollAlg alg);
 /** The collective an algorithm belongs to. */
 Coll collOf(CollAlg alg);
 
-/** All registered algorithms for one collective. */
+/**
+ * All registered algorithms for one collective, in tie-break order:
+ * when two candidates predict the same time the tuner keeps the
+ * earlier one. Broadcast lists logp first. Its greedy schedule is
+ * optimal under the very model that prices it, so the flat and
+ * binomial trees can at best tie it -- and where they tie on the
+ * NOW, the greedy schedule measures faster.
+ */
 const std::vector<CollAlg> &algsFor(Coll coll);
 
 /**

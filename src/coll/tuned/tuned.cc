@@ -41,7 +41,6 @@ TunedCollectives::TunedCollectives(SplitCRuntime &rt)
     for (NodeState &n : nodes_) {
         n.seen.assign(kSlots, 0);
         n.srcSeen.assign(nprocs_, 0);
-        n.dissSeen.assign(std::max(levels_, 1), 0);
         n.tourSeen.assign(std::max(levels_, 1), 0);
     }
     point_ = pointFromParams(rt.cluster().params());
@@ -60,7 +59,7 @@ TunedCollectives::enter(SplitC &sc, void *pub)
 {
     NodeState &m = mine(sc);
     m.pub = static_cast<std::uint8_t *>(pub);
-    barDissemination(sc);
+    sc.barrier();
     return ++m.myEpoch;
 }
 
@@ -84,10 +83,7 @@ TunedCollectives::waitSlot(SplitC &sc, const std::int64_t &slot,
 CollAlg
 TunedCollectives::select(Coll coll, int nprocs, std::size_t bytes) const
 {
-    if (auto forced = policy_.forcedFor(coll))
-        if (algValid(*forced, nprocs, bytes))
-            return *forced;
-    return chooseAlg(point_, coll, nprocs, bytes);
+    return selectAlg(policy_, point_, coll, nprocs, bytes, algsFor(coll));
 }
 
 // ----------------------------------------------------------------------
@@ -128,6 +124,9 @@ TunedCollectives::broadcast(SplitC &sc, void *data, std::size_t bytes,
         break;
       case CollAlg::BcastScatterAg:
         bcastScatterAg(sc, d, bytes, rel, root, epoch);
+        break;
+      case CollAlg::BcastLogp:
+        bcastLogp(sc, d, bytes, rel, root, epoch);
         break;
       default:
         panic("unreachable");
@@ -250,6 +249,29 @@ TunedCollectives::bcastScatterAg(SplitC &sc, std::uint8_t *data,
                     data + off(sb), end(sb + 1) - off(sb),
                     &nodes_[right].srcSeen[sb], epoch);
         waitSlot(sc, m.srcSeen[rb], epoch, "scatter-ag ring");
+    }
+}
+
+void
+TunedCollectives::bcastLogp(SplitC &sc, std::uint8_t *data,
+                            std::size_t bytes, int rel, NodeId root,
+                            std::int64_t epoch)
+{
+    const int p = sc.procs();
+    auto [it, fresh] = logpTargets_.try_emplace(bytes);
+    if (fresh) {
+        it->second.resize(p);
+        for (const BroadcastStep &s : logpSchedule(point_, p, bytes))
+            it->second[s.sender].push_back(s.receiver);
+    }
+    // A holder pipelines its sends back to back, in schedule order --
+    // no round trip per target, which is the schedule's whole point.
+    if (rel != 0)
+        waitSlot(sc, mine(sc).seen[0], epoch, "logp broadcast");
+    for (int t : it->second[rel]) {
+        const NodeId dst = static_cast<NodeId>((t + root) % p);
+        storeSignal(sc, dst, nodes_[dst].pub, data, bytes,
+                    &nodes_[dst].seen[0], epoch);
     }
 }
 
@@ -516,7 +538,7 @@ TunedCollectives::barrier(SplitC &sc, CollAlg alg)
         barFlat(sc);
         break;
       case CollAlg::BarDissemination:
-        barDissemination(sc);
+        sc.barrier();
         break;
       case CollAlg::BarTournament:
         barTournament(sc);
@@ -550,27 +572,6 @@ TunedCollectives::barFlat(SplitC &sc)
                        reinterpret_cast<Word>(&nodes_[0].barArrived));
         sc.am().pollUntil([&] { return m.barRelease >= epoch; },
                           "flat barrier");
-    }
-}
-
-void
-TunedCollectives::barDissemination(SplitC &sc)
-{
-    const int p = sc.procs();
-    const int me = sc.myProc();
-    if (p <= 1)
-        return;
-    NodeState &m = mine(sc);
-    const std::int64_t epoch = ++m.myDissEpoch;
-    int round = 0;
-    for (int d = 1; d < p; d <<= 1, ++round) {
-        const NodeId dst = static_cast<NodeId>((me + d) % p);
-        sc.am().oneWay(dst, hSet_,
-                       reinterpret_cast<Word>(
-                           &nodes_[dst].dissSeen[round]),
-                       static_cast<Word>(epoch));
-        sc.am().pollUntil([&] { return m.dissSeen[round] >= epoch; },
-                          "dissemination barrier");
     }
 }
 

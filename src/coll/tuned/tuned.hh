@@ -8,10 +8,10 @@
  *
  * Design rules shared by every data collective:
  *
- *  - Bulk-synchronous entry: publish my receive buffer, run a cheap
- *    dissemination barrier, bump the shared epoch. The barrier's
- *    message chain orders every publish before any peer reads the
- *    published pointers.
+ *  - Bulk-synchronous entry: publish my receive buffer, run the
+ *    Split-C dissemination barrier (SplitC::barrier), bump the shared
+ *    epoch. The barrier's message chain orders every publish before
+ *    any peer reads the published pointers.
  *  - Zero staging wherever possible: payloads are stored directly
  *    into their final position in the destination's output buffer
  *    (per-source or per-round regions are disjoint, so early arrivals
@@ -29,6 +29,7 @@
 #define NOWCLUSTER_COLL_TUNED_TUNED_HH_
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "coll/tuned/tuner.hh"
@@ -127,17 +128,15 @@ class TunedCollectives
         std::vector<std::uint8_t> packBuf;
 
         // Barrier mailboxes, one set per algorithm so invocations may
-        // mix algorithms freely.
+        // mix algorithms freely (dissemination is SplitC::barrier's).
         std::int64_t barArrived = 0;  ///< Flat: arrivals at rank 0.
         std::int64_t barRelease = 0;  ///< Flat: release epoch.
-        std::vector<std::int64_t> dissSeen;  ///< Per round.
         std::vector<std::int64_t> tourSeen;  ///< Per up-round.
         std::int64_t tourRelease = 0;
 
         /** This processor's own epoch counters (SPMD lockstep). */
         std::int64_t myEpoch = 0;
         std::int64_t myFlatEpoch = 0;
-        std::int64_t myDissEpoch = 0;
         std::int64_t myTourEpoch = 0;
     };
 
@@ -162,6 +161,8 @@ class TunedCollectives
     void bcastScatterAg(SplitC &sc, std::uint8_t *data,
                         std::size_t bytes, int rel, NodeId root,
                         std::int64_t epoch);
+    void bcastLogp(SplitC &sc, std::uint8_t *data, std::size_t bytes,
+                   int rel, NodeId root, std::int64_t epoch);
 
     void agRing(SplitC &sc, std::size_t block, std::uint8_t *out,
                 std::int64_t epoch);
@@ -178,7 +179,6 @@ class TunedCollectives
                   std::int64_t epoch);
 
     void barFlat(SplitC &sc);
-    void barDissemination(SplitC &sc);
     void barTournament(SplitC &sc);
 
     void arBinomial(SplitC &sc, std::int64_t *vec, std::size_t n,
@@ -195,6 +195,9 @@ class TunedCollectives
     std::vector<NodeState> nodes_;
     LogGPPoint point_;
     CollPolicy policy_;
+    /** logp broadcast targets per relative sender, in send order,
+     *  keyed by payload; built by the first caller of each payload. */
+    std::map<std::size_t, std::vector<std::vector<int>>> logpTargets_;
     /** Handler: *(int64*)args[0] = (int64)args[1]. */
     int hSet_;
     /** Handler: ++*(int64*)args[0]. */

@@ -1,5 +1,6 @@
 #include "coll/tuned/tuner.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -107,6 +108,19 @@ chooseAlgAmong(const LogGPPoint &pt, Coll coll, int nprocs,
     panic_if(!have, "no valid %s algorithm for p=%d bytes=%zu",
              collName(coll), nprocs, bytes);
     return best;
+}
+
+CollAlg
+selectAlg(const CollPolicy &policy, const LogGPPoint &pt, Coll coll,
+          int nprocs, std::size_t bytes,
+          const std::vector<CollAlg> &candidates)
+{
+    if (auto pin = policy.forcedFor(coll))
+        if (algValid(*pin, nprocs, bytes) &&
+            std::find(candidates.begin(), candidates.end(), *pin) !=
+                candidates.end())
+            return *pin;
+    return chooseAlgAmong(pt, coll, nprocs, bytes, candidates);
 }
 
 std::vector<DecisionRow>

@@ -11,6 +11,8 @@
  *   "bcast=chain,allreduce=rdouble"
  *              -> tuned, with the named collectives pinned to the
  *                 named algorithm (the rest stay cost-model-picked).
+ *
+ * Every tuned call site resolves a pin through selectAlg().
  */
 
 #ifndef NOWCLUSTER_COLL_TUNED_TUNER_HH_
@@ -62,6 +64,17 @@ CollAlg chooseAlg(const LogGPPoint &pt, Coll coll, int nprocs,
 CollAlg chooseAlgAmong(const LogGPPoint &pt, Coll coll, int nprocs,
                        std::size_t bytes,
                        const std::vector<CollAlg> &candidates);
+
+/**
+ * The algorithm a tuned call runs: the policy's pin for `coll` if
+ * algValid accepts it at this shape and it is among `candidates`,
+ * else the model's pick among `candidates` (chooseAlgAmong). So
+ * "allreduce=rabenseifner" pins the vector all-reduce, while the
+ * word all-reduce, which cannot run it, keeps the model's pick.
+ */
+CollAlg selectAlg(const CollPolicy &policy, const LogGPPoint &pt,
+                  Coll coll, int nprocs, std::size_t bytes,
+                  const std::vector<CollAlg> &candidates);
 
 /** One row of the decision dump. */
 struct DecisionRow

@@ -306,17 +306,11 @@ SplitCRuntime::SplitCRuntime(int nprocs, const LogGPParams &params,
     // same 8-byte shape, so the pick is a property of the runtime, not
     // of the invocation.
     reduceAlg_ = coll::CollAlg::ArBinomial;
-    if (auto pin = collPolicy_.forcedFor(coll::Coll::AllReduce)) {
-        panic_if(*pin == coll::CollAlg::ArRabenseifner,
-                 "rabenseifner needs a vector payload; word allreduce "
-                 "supports binomial and rdouble");
-        reduceAlg_ = *pin;
-    } else if (collPolicy_.tuned()) {
-        reduceAlg_ = coll::chooseAlgAmong(
-            pointFromParams(params), coll::Coll::AllReduce, nprocs,
-            sizeof(Word),
+    if (collPolicy_.tuned())
+        reduceAlg_ = coll::selectAlg(
+            collPolicy_, pointFromParams(params), coll::Coll::AllReduce,
+            nprocs, sizeof(Word),
             {coll::CollAlg::ArBinomial, coll::CollAlg::ArRecDouble});
-    }
     h_ = registerHandlers();
     scs_.reserve(nprocs);
     for (int i = 0; i < nprocs; ++i)

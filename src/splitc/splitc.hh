@@ -372,8 +372,10 @@ class SplitCRuntime
      * The word-allreduce algorithm every allReduce{Add,Min,Max} call
      * runs. Resolved once at construction: the PR-7 binomial
      * reduce-plus-broadcast under the naive policy, the cost model's
-     * pick between it and one-pass recursive doubling under "tuned",
-     * or whatever "allreduce=..." pinned.
+     * pick between it and one-pass recursive doubling under "tuned".
+     * An "allreduce=..." pin follows coll::selectAlg(): binomial and
+     * rdouble run as pinned, rabenseifner (vector-only) falls back to
+     * the model's pick.
      */
     coll::CollAlg reduceAlg() const { return reduceAlg_; }
 

@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "harness/experiment.hh"
+#include "harness/runner.hh"
 
 namespace nowcluster {
 namespace {
@@ -151,6 +152,23 @@ TEST(Harness, MachineConfigSelectsParams)
     ASSERT_TRUE(paragon.ok && now.ok);
     // Radb is bulk-heavy: the Paragon's 141 MB/s should win.
     EXPECT_LT(paragon.runtime, now.runtime);
+}
+
+TEST(Harness, UnrunnableAllreducePinRunsLikeTuned)
+{
+    // The word all-reduce cannot run rabenseifner (vector-only), so
+    // the pin falls back to the model's pick -- the same run as
+    // "tuned" -- instead of aborting the process.
+    RunConfig c;
+    c.nprocs = 4;
+    c.scale = 0.05;
+    c.knobs.collAlg = "allreduce=rabenseifner";
+    RunResult pinned = runApp("radix", c);
+    c.knobs.collAlg = "tuned";
+    RunResult tuned = runApp("radix", c);
+    ASSERT_TRUE(pinned.ok);
+    EXPECT_TRUE(pinned.validated);
+    EXPECT_EQ(fingerprint(pinned), fingerprint(tuned));
 }
 
 } // namespace

@@ -43,6 +43,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,32 +85,85 @@ using namespace nowcluster;
 
 namespace {
 
-struct Args
+/**
+ * The parsed command line. Commands read options only through value()
+ * and flag(), which record what was asked for. Once a command has
+ * read every option it takes, and before it does any work, it calls
+ * rejectUnread(): an option nothing read -- a typo like --latncy, a
+ * removed option, one that belongs to another command -- exits 1
+ * naming it, instead of running silently at the default.
+ */
+class Args
 {
-    std::vector<std::string> positional;
-    std::map<std::string, std::string> options;
-    std::map<std::string, bool> flags;
-};
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args a;
-    for (int i = 1; i < argc; ++i) {
-        std::string s = argv[i];
-        if (s.rfind("--", 0) == 0) {
-            std::string key = s.substr(2);
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                a.options[key] = argv[++i];
+  public:
+    Args(int argc, char **argv)
+    {
+        for (int i = 1; i < argc; ++i) {
+            std::string s = argv[i];
+            if (s.rfind("--", 0) == 0) {
+                std::string key = s.substr(2);
+                if (i + 1 < argc && argv[i + 1][0] != '-')
+                    options_[key] = argv[++i];
+                else
+                    flags_.insert(key);
             } else {
-                a.flags[key] = true;
+                // A value never starts with '-', so "--latency -5" or
+                // "-procs 4" would otherwise leave a stray argument.
+                fatal_if(s[0] == '-',
+                         "unexpected argument '%s' (options are --key "
+                         "[value]; values cannot start with '-')",
+                         s.c_str());
+                positional.push_back(s);
             }
-        } else {
-            a.positional.push_back(s);
         }
     }
-    return a;
-}
+
+    std::vector<std::string> positional;
+
+    /** The value of --key, or nullptr if absent. */
+    const std::string *
+    value(const std::string &key) const
+    {
+        valueRead_.insert(key);
+        fatal_if(flags_.count(key), "--%s needs a value", key.c_str());
+        auto it = options_.find(key);
+        return it == options_.end() ? nullptr : &it->second;
+    }
+
+    /** Whether bare --key (no value) was given. */
+    bool
+    flag(const std::string &key) const
+    {
+        flagRead_.insert(key);
+        return flags_.count(key) != 0;
+    }
+
+    /** Exit 1 naming the first option no value()/flag() asked for. */
+    void
+    rejectUnread() const
+    {
+        const std::string cmd =
+            positional.empty() ? "" : " " + positional[0];
+        for (const auto &[key, v] : options_) {
+            if (valueRead_.count(key))
+                continue;
+            fatal_if(flagRead_.count(key), "--%s takes no value (got '%s')",
+                     key.c_str(), v.c_str());
+            fatal("unknown option --%s for 'nowlab%s'", key.c_str(),
+                  cmd.c_str());
+        }
+        for (const std::string &key : flags_)
+            fatal_if(!flagRead_.count(key),
+                     "unknown option --%s for 'nowlab%s'", key.c_str(),
+                     cmd.c_str());
+    }
+
+  private:
+    std::map<std::string, std::string> options_;
+    std::set<std::string> flags_;
+    mutable std::set<std::string> valueRead_;
+    mutable std::set<std::string> flagRead_;
+};
 
 // Strict option parsing: a typo like `--jobs foo` or `--latency 5us`
 // must be a diagnostic and a non-zero exit, never a silent 0 that runs
@@ -118,34 +172,41 @@ parseArgs(int argc, char **argv)
 double
 optDouble(const Args &a, const std::string &key, double fallback)
 {
-    auto it = a.options.find(key);
-    if (it == a.options.end())
+    const std::string *s = a.value(key);
+    if (!s)
         return fallback;
     double v;
-    fatal_if(!parseDoubleStrict(it->second, v),
+    fatal_if(!parseDoubleStrict(*s, v),
              "--%s: '%s' is not a finite number", key.c_str(),
-             it->second.c_str());
+             s->c_str());
     return v;
 }
 
 long
 optLong(const Args &a, const std::string &key, long fallback)
 {
-    auto it = a.options.find(key);
-    if (it == a.options.end())
+    const std::string *s = a.value(key);
+    if (!s)
         return fallback;
     long v;
-    fatal_if(!parseLongStrict(it->second, v),
-             "--%s: '%s' is not an integer", key.c_str(),
-             it->second.c_str());
+    fatal_if(!parseLongStrict(*s, v), "--%s: '%s' is not an integer",
+             key.c_str(), s->c_str());
     return v;
+}
+
+/** The value of --key, or the fallback if absent. */
+std::string
+optString(const Args &a, const std::string &key,
+          const std::string &fallback)
+{
+    const std::string *s = a.value(key);
+    return s ? *s : fallback;
 }
 
 MachineConfig
 machineOf(const Args &a)
 {
-    auto it = a.options.find("machine");
-    std::string m = it == a.options.end() ? "now" : it->second;
+    std::string m = optString(a, "machine", "now");
     if (m == "now")
         return MachineConfig::berkeleyNow();
     if (m == "paragon")
@@ -178,15 +239,13 @@ knobsOf(const Args &a)
     k.delayUs = optDouble(a, "delay-us", -1);
     // --topo as a bare flag enables the fat-tree with defaults; any
     // --topo-* option implies it too (applyTo handles that).
-    k.topo = a.flags.count("topo")
-                 ? 1
-                 : static_cast<int>(optLong(a, "topo", -1));
+    k.topo = a.flag("topo") ? 1
+                            : static_cast<int>(optLong(a, "topo", -1));
     k.topoHosts = static_cast<int>(optLong(a, "topo-hosts", -1));
     k.topoLinkMBps = optDouble(a, "topo-mbps", -1);
     k.topoOversub = optDouble(a, "topo-oversub", -1);
     k.topoHopUs = optDouble(a, "topo-hop", -1);
-    if (auto it = a.options.find("coll-alg"); it != a.options.end())
-        k.collAlg = it->second;
+    k.collAlg = optString(a, "coll-alg", "");
     return k;
 }
 
@@ -222,6 +281,7 @@ cmdCalibrate(const Args &a)
     auto machine = machineOf(a);
     LogGPParams params = machine.params;
     knobsOf(a).applyTo(params);
+    a.rejectUnread();
     std::printf("calibrating '%s'...\n", machine.name.c_str());
     Microbench mb(params);
     CalibratedParams c = mb.calibrate();
@@ -240,6 +300,9 @@ cmdRun(const Args &a)
         fatal("usage: nowlab run <app> [options]");
     std::string key = a.positional[1];
     RunConfig c = configOf(a);
+    const bool matrix = a.flag("matrix");
+    const std::string *pgm = a.value("pgm");
+    a.rejectUnread();
 
     RunResult r = runApp(key, c);
     const CommSummary &s = r.summary;
@@ -278,14 +341,13 @@ cmdRun(const Args &a)
                     static_cast<unsigned long long>(s.retransmits),
                     static_cast<unsigned long long>(s.dupsSuppressed),
                     static_cast<unsigned long long>(s.retxGiveUps));
-    if (a.flags.count("matrix"))
+    if (matrix)
         std::fputs(r.matrix.ascii().c_str(), stdout);
-    auto pgm = a.options.find("pgm");
-    if (pgm != a.options.end()) {
-        if (r.matrix.writePgm(pgm->second))
-            std::printf("  wrote %s\n", pgm->second.c_str());
+    if (pgm) {
+        if (r.matrix.writePgm(*pgm))
+            std::printf("  wrote %s\n", pgm->c_str());
         else
-            warn("could not write %s", pgm->second.c_str());
+            warn("could not write %s", pgm->c_str());
     }
     return r.ok && r.validated ? 0 : 1;
 }
@@ -303,9 +365,7 @@ struct CacheScope
 
     explicit CacheScope(const Args &a)
     {
-        auto it = a.options.find("cache-dir");
-        std::string dir =
-            it != a.options.end() ? it->second : envCacheDir();
+        std::string dir = optString(a, "cache-dir", envCacheDir());
         if (dir.empty())
             return;
         store = std::make_unique<svc::ResultStore>(dir);
@@ -337,17 +397,16 @@ cmdSweep(const Args &a)
     std::string key = a.positional[1];
     CacheScope cache(a);
     auto t0 = std::chrono::steady_clock::now();
-    auto knob_it = a.options.find("knob");
-    auto values_it = a.options.find("values");
-    fatal_if(knob_it == a.options.end() || values_it == a.options.end(),
-             "sweep needs --knob and --values");
-    std::string knob = knob_it->second;
+    const std::string *knob_opt = a.value("knob");
+    const std::string *values_opt = a.value("values");
+    fatal_if(!knob_opt || !values_opt, "sweep needs --knob and --values");
+    std::string knob = *knob_opt;
 
     std::vector<double> xs;
     {
         std::string err;
-        fatal_if(!parseDoubleList(values_it->second, xs, &err),
-                 "--values: %s", err.c_str());
+        fatal_if(!parseDoubleList(*values_opt, xs, &err), "--values: %s",
+                 err.c_str());
     }
     fatal_if(xs.empty(), "no sweep values given");
     // Parse every numeric option before the baseline run so a typo
@@ -361,9 +420,8 @@ cmdSweep(const Args &a)
     backend::BackendKind bk;
     {
         std::string err;
-        auto it = a.options.find("backend");
-        fatal_if(!backend::resolveBackendKind(
-                     it != a.options.end() ? it->second : "", bk, err),
+        fatal_if(!backend::resolveBackendKind(optString(a, "backend", ""),
+                                              bk, err),
                  "%s", err.c_str());
     }
     std::unique_ptr<backend::ExperimentBackend> be;
@@ -377,6 +435,7 @@ cmdSweep(const Args &a)
     }
 
     RunConfig base = configOf(a);
+    a.rejectUnread();
     RunPoint basePt{key, base};
     RunResult b;
     bool baseViaModel = false;
@@ -550,17 +609,15 @@ cmdServe(const Args &a)
     cfg.jobs = static_cast<int>(optLong(a, "jobs", 0));
     cfg.maxQueue =
         static_cast<std::size_t>(optLong(a, "queue", 64));
-    auto dir = a.options.find("cache-dir");
-    cfg.cacheDir =
-        dir != a.options.end() ? dir->second : envCacheDir();
-    cfg.cacheOnly = a.flags.count("cache-only") != 0;
+    cfg.cacheDir = optString(a, "cache-dir", envCacheDir());
+    cfg.cacheOnly = a.flag("cache-only");
     fatal_if(cfg.cacheOnly && cfg.cacheDir.empty(),
              "--cache-only needs --cache-dir (or NOW_CACHE_DIR)");
-    if (auto it = a.options.find("backend"); it != a.options.end()) {
-        fatal_if(it->second != "sim" && it->second != "analytic",
+    if (const std::string *b = a.value("backend")) {
+        fatal_if(*b != "sim" && *b != "analytic",
                  "serve --backend must be sim or analytic (got '%s')",
-                 it->second.c_str());
-        if (it->second == "analytic")
+                 b->c_str());
+        if (*b == "analytic")
             cfg.backend = "analytic";
     }
     cfg.driftTolerance =
@@ -568,16 +625,14 @@ cmdServe(const Args &a)
     const int port =
         static_cast<int>(optLong(a, "port", svc::kDefaultPort));
 
-    const bool coordinator = a.flags.count("coordinator") != 0 ||
-                             a.options.count("workers") != 0;
-    if (coordinator) {
+    const std::string *workers = a.value("workers");
+    if (a.flag("coordinator") || workers) {
         // Fleet front end: same protocol, same transport, but the
         // brain shards submits across worker nowlabds.
         svc::CoordinatorConfig cc;
-        auto w = a.options.find("workers");
-        fatal_if(w == a.options.end(),
+        fatal_if(!workers,
                  "--coordinator needs --workers host:port,host:port,...");
-        cc.workers = splitCsv(w->second);
+        cc.workers = splitCsv(*workers);
         fatal_if(cc.workers.empty(), "--workers: empty list");
         for (const std::string &addr : cc.workers) {
             std::string host;
@@ -592,6 +647,7 @@ cmdServe(const Args &a)
             static_cast<int>(optLong(a, "rpc-timeout-ms", 2000));
         cc.backoffSeed = static_cast<std::uint64_t>(::getpid());
         cc.local = cfg; // Degraded-mode fallback shares the flags.
+        a.rejectUnread();
 
         svc::CoordinatorCore coord(cc);
         svc::NowlabServer server(coord, port);
@@ -610,6 +666,7 @@ cmdServe(const Args &a)
         return 0;
     }
 
+    a.rejectUnread();
     svc::NowlabServer server(cfg, port);
     if (!server.start())
         fatal("cannot bind 127.0.0.1:%d", port);
@@ -633,9 +690,8 @@ cmdServe(const Args &a)
 svc::Client
 clientOf(const Args &a)
 {
-    auto host = a.options.find("host");
     return svc::Client(
-        host != a.options.end() ? host->second : "127.0.0.1",
+        optString(a, "host", "127.0.0.1"),
         static_cast<int>(optLong(a, "port", svc::kDefaultPort)));
 }
 
@@ -665,11 +721,11 @@ submitRequestOf(const Args &a)
             static_cast<std::int64_t>(optLong(a, "procs", 32)));
     w.field("scale", optDouble(a, "scale", 1.0));
     w.field("seed", static_cast<std::int64_t>(optLong(a, "seed", 1)));
-    if (a.options.count("machine"))
-        w.field("machine", a.options.at("machine"));
-    if (a.options.count("max-ms"))
+    if (const std::string *m = a.value("machine"))
+        w.field("machine", *m);
+    if (a.value("max-ms"))
         w.field("max_ms", optDouble(a, "max-ms", 0));
-    if (a.flags.count("no-validate"))
+    if (a.flag("no-validate"))
         w.field("validate", false);
 
     static const char *kKnobKeys[] = {
@@ -681,17 +737,19 @@ submitRequestOf(const Args &a)
         "topo",      "topo-hosts", "topo-mbps", "topo-oversub",
         "topo-hop",
     };
-    bool any = a.flags.count("topo") != 0;
-    for (const char *k : kKnobKeys)
-        any = any || a.options.count(k);
-    if (any) {
+    // --topo as a bare flag enables the fat-tree, as in knobsOf().
+    const bool topoFlag = a.flag("topo");
+    std::vector<std::pair<const char *, double>> knobs;
+    for (const char *k : kKnobKeys) {
+        if (std::strcmp(k, "topo") == 0 && topoFlag)
+            knobs.emplace_back(k, 1.0);
+        else if (a.value(k))
+            knobs.emplace_back(k, optDouble(a, k, -1));
+    }
+    if (!knobs.empty()) {
         w.beginObject("knobs");
-        for (const char *k : kKnobKeys) {
-            if (a.options.count(k))
-                w.field(k, optDouble(a, k, -1));
-        }
-        if (a.flags.count("topo") && !a.options.count("topo"))
-            w.field("topo", 1.0);
+        for (const auto &[k, v] : knobs)
+            w.field(k, v);
         w.endObject();
     }
     w.endObject();
@@ -705,8 +763,10 @@ cmdSubmit(const Args &a)
         fatal("usage: nowlab submit <app> [knobs] [--host H] "
               "[--port P] [--wait] [--max-retries N]");
     svc::Client client = clientOf(a);
-    const bool wait = a.flags.count("wait") != 0;
+    const bool wait = a.flag("wait");
     const long maxRetries = optLong(a, "max-retries", 8);
+    const std::string request = submitRequestOf(a);
+    a.rejectUnread();
 
     // Backpressure: a busy reply is retried (one-shot and --wait mode
     // alike) on the fleet-wide jittered backoff policy, never shorter
@@ -715,7 +775,7 @@ cmdSubmit(const Args &a)
     svc::Backoff backoff(50, 5000,
                          static_cast<std::uint64_t>(::getpid()));
     long retries = 0;
-    svc::JsonValue v = roundTrip(client, submitRequestOf(a));
+    svc::JsonValue v = roundTrip(client, request);
     while (v.stringOr("error", "") == "busy") {
         if (++retries > maxRetries) {
             warn("server still busy after %ld retries, giving up",
@@ -726,7 +786,7 @@ cmdSubmit(const Args &a)
             static_cast<long>(v.numberOr("retry_after_ms", 0)),
             static_cast<long>(backoff.nextMs()));
         std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-        v = roundTrip(client, submitRequestOf(a));
+        v = roundTrip(client, request);
     }
     if (!v.boolOr("ok", false))
         return 1;
@@ -759,7 +819,7 @@ cmdSubmit(const Args &a)
 int
 cmdGet(const Args &a)
 {
-    if (a.options.count("id")) {
+    if (a.value("id")) {
         svc::Client client = clientOf(a);
         svc::JsonWriter g;
         g.beginObject()
@@ -767,6 +827,7 @@ cmdGet(const Args &a)
             .field("id",
                    static_cast<std::uint64_t>(optLong(a, "id", 0)))
             .endObject();
+        a.rejectUnread();
         svc::JsonValue v = roundTrip(client, g.str());
         return v.boolOr("ok", false) ? 0 : 1;
     }
@@ -776,13 +837,12 @@ cmdGet(const Args &a)
     if (a.positional.size() < 2)
         fatal("usage: nowlab get --id N [--host H] [--port P]\n"
               "       nowlab get <app> --cache-dir D [knobs]");
-    auto dir = a.options.find("cache-dir");
-    std::string cacheDir =
-        dir != a.options.end() ? dir->second : envCacheDir();
+    std::string cacheDir = optString(a, "cache-dir", envCacheDir());
     fatal_if(cacheDir.empty(),
              "offline get needs --cache-dir (or NOW_CACHE_DIR)");
 
     RunPoint pt{a.positional[1], configOf(a)};
+    a.rejectUnread();
     std::string key = svc::cacheKey(pt);
     svc::ResultStore store(cacheDir);
     std::string payload;
@@ -812,10 +872,12 @@ int
 cmdStats(const Args &a)
 {
     svc::Client client = clientOf(a);
+    const bool shutdown = a.flag("shutdown");
+    a.rejectUnread();
     // Stats before shutdown: the server winds down right after the
     // shutdown reply, so this order gets the final numbers out.
     svc::JsonValue v = roundTrip(client, "{\"op\":\"stats\"}");
-    if (a.flags.count("shutdown"))
+    if (shutdown)
         roundTrip(client, "{\"op\":\"shutdown\"}");
     return v.boolOr("ok", false) ? 0 : 1;
 }
@@ -850,29 +912,25 @@ cmdStorm(const Args &a)
     using Clock = std::chrono::steady_clock;
     const int conns = static_cast<int>(optLong(a, "conns", 64));
     const long ops = optLong(a, "ops", 2000);
-    const std::string app =
-        a.options.count("app") ? a.options.at("app") : "radix";
+    const std::string app = optString(a, "app", "radix");
     const int procs = static_cast<int>(optLong(a, "procs", 4));
     const double scale = optDouble(a, "scale", 0.05);
     const long seeds = std::max(1L, optLong(a, "seeds", 16));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(optLong(a, "seed", 1));
-    auto hostIt = a.options.find("host");
-    const std::string host =
-        hostIt != a.options.end() ? hostIt->second : "127.0.0.1";
+    const std::string host = optString(a, "host", "127.0.0.1");
     const int port =
         static_cast<int>(optLong(a, "port", svc::kDefaultPort));
     // --backend analytic stamps every submit with the analytic engine
     // request: the server answers eligible jobs from the LogGP model
     // (falling back to sim transparently), which is how BENCH_svc.json
     // shows served-QPS with the cheap backend.
-    std::string stormBackend = "sim";
-    if (auto it = a.options.find("backend"); it != a.options.end()) {
-        fatal_if(it->second != "sim" && it->second != "analytic",
-                 "storm --backend must be sim or analytic (got '%s')",
-                 it->second.c_str());
-        stormBackend = it->second;
-    }
+    const std::string stormBackend = optString(a, "backend", "sim");
+    fatal_if(stormBackend != "sim" && stormBackend != "analytic",
+             "storm --backend must be sim or analytic (got '%s')",
+             stormBackend.c_str());
+    const std::string *out = a.value("out");
+    a.rejectUnread();
 
     enum
     {
@@ -1080,8 +1138,8 @@ cmdStorm(const Args &a)
                 submitted, completed.load(), failedJobs.load(),
                 lost.load());
 
-    if (a.options.count("out")) {
-        const std::string &path = a.options.at("out");
+    if (out) {
+        const std::string &path = *out;
         std::FILE *f = std::fopen(path.c_str(), "w");
         if (!f) {
             warn("cannot write %s", path.c_str());
@@ -1143,12 +1201,16 @@ cmdPerf(const Args &a)
         return std::chrono::duration<double>(Clock::now() - t0).count();
     };
 
-    const std::string app = a.options.count("app")
-                                ? a.options.at("app")
-                                : std::string("radix");
+    const std::string app = optString(a, "app", "radix");
     const long events = optLong(a, "events", 2'000'000);
     const int jobs = resolveJobs(static_cast<int>(optLong(a, "jobs", 0)));
     const int npoints = static_cast<int>(optLong(a, "points", 8));
+    const RunConfig base = configOf(a);
+    const int sim_procs =
+        static_cast<int>(optLong(a, "sim-procs", 1024));
+    const double sim_scale = optDouble(a, "sim-scale", 0.02);
+    const std::string *out = a.value("out");
+    a.rejectUnread();
 
     // --- (1) event-loop throughput ----------------------------------
     // Batches of 1000 events with a 24-byte capture (bigger than
@@ -1211,7 +1273,6 @@ cmdPerf(const Args &a)
     std::printf("fiber swap : %.1f ns per resume+yield\n", switch_ns);
 
     // --- (3) canonical sweep, serial vs parallel ----------------------
-    RunConfig base = configOf(a);
     std::vector<RunPoint> points;
     for (int i = 0; i < npoints; ++i) {
         RunPoint p{app, base};
@@ -1241,9 +1302,6 @@ cmdPerf(const Args &a)
                 identical ? "byte-identical" : "DIVERGENT");
 
     // --- (4) one large run on the single-heap engine -----------------
-    const int sim_procs =
-        static_cast<int>(optLong(a, "sim-procs", 1024));
-    const double sim_scale = optDouble(a, "sim-scale", 0.02);
     RunConfig pcfg;
     pcfg.nprocs = sim_procs;
     pcfg.scale = sim_scale;
@@ -1261,8 +1319,8 @@ cmdPerf(const Args &a)
                 sim_procs, large_s, large_eps / 1e6,
                 large.ok ? "" : " (FAILED)");
 
-    if (a.options.count("out")) {
-        const std::string &path = a.options.at("out");
+    if (out) {
+        const std::string &path = *out;
         std::FILE *f = std::fopen(path.c_str(), "w");
         if (!f) {
             warn("cannot write %s", path.c_str());
@@ -1334,6 +1392,9 @@ cmdTrace(const Args &a)
               "[options]");
     std::string key = a.positional[1];
     RunConfig c = configOf(a);
+    const std::string *out = a.value("out");
+    const std::string *bin = a.value("bin");
+    a.rejectUnread();
 
     SpanTracer tracer;
     c.obs = &tracer;
@@ -1362,20 +1423,18 @@ cmdTrace(const Args &a)
 
     std::printf("metrics:\n%s", r.metrics.render().c_str());
 
-    auto out = a.options.find("out");
-    if (out != a.options.end()) {
-        if (writePerfettoJson(tracer, out->second))
+    if (out) {
+        if (writePerfettoJson(tracer, *out))
             std::printf("wrote %s (load in ui.perfetto.dev)\n",
-                        out->second.c_str());
+                        out->c_str());
         else
-            warn("could not write %s", out->second.c_str());
+            warn("could not write %s", out->c_str());
     }
-    auto bin = a.options.find("bin");
-    if (bin != a.options.end()) {
-        if (writeBinaryTrace(tracer, bin->second))
-            std::printf("wrote %s\n", bin->second.c_str());
+    if (bin) {
+        if (writeBinaryTrace(tracer, *bin))
+            std::printf("wrote %s\n", bin->c_str());
         else
-            warn("could not write %s", bin->second.c_str());
+            warn("could not write %s", bin->c_str());
     }
     return r.ok ? 0 : 1;
 }
@@ -1402,9 +1461,9 @@ cmdWavefront(const Args &a)
              "--delays, not --delay-*");
 
     std::vector<double> delaysUs;
-    if (auto it = a.options.find("delays"); it != a.options.end()) {
+    if (const std::string *d = a.value("delays")) {
         std::string err;
-        fatal_if(!parseDoubleList(it->second, delaysUs, &err),
+        fatal_if(!parseDoubleList(*d, delaysUs, &err),
                  "--delays: %s", err.c_str());
         for (double d : delaysUs)
             fatal_if(!(d > 0), "--delays entries must be positive");
@@ -1416,6 +1475,12 @@ cmdWavefront(const Args &a)
         optLong(a, "node", base.nprocs / 2));
     fatal_if(node < 0 || node >= base.nprocs,
              "--node %d out of range [0, %d)", node, base.nprocs);
+    // Without --at, inject at 30% of the baseline run (known below).
+    const bool atGiven = a.value("at") != nullptr;
+    const double atOpt = optDouble(a, "at", 0);
+    fatal_if(atOpt < 0, "--at must be non-negative");
+    const std::string *out = a.value("out");
+    a.rejectUnread();
 
     SpanTracer baseTrace;
     base.obs = &baseTrace;
@@ -1427,8 +1492,7 @@ cmdWavefront(const Args &a)
     // Deterministic defaults derived from the baseline: inject at 30%
     // of the run, sweep delays of 2%, 8%, and 32% of the runtime.
     const double runtimeUs = static_cast<double>(br.runtime) / kUsec;
-    const double atUs = optDouble(a, "at", 0.30 * runtimeUs);
-    fatal_if(atUs < 0, "--at must be non-negative");
+    const double atUs = atGiven ? atOpt : 0.30 * runtimeUs;
     if (delaysUs.empty())
         delaysUs = {0.02 * runtimeUs, 0.08 * runtimeUs,
                     0.32 * runtimeUs};
@@ -1490,13 +1554,13 @@ cmdWavefront(const Args &a)
     std::printf("\nper-node wavefront for the largest delay:\n%s",
                 reps[largestAt].render().c_str());
 
-    if (auto out = a.options.find("out"); out != a.options.end()) {
-        if (writePerfettoJson(largest, out->second))
+    if (out) {
+        if (writePerfettoJson(largest, *out))
             std::printf("wrote %s (idle wave on the cpu tracks; load "
                         "in ui.perfetto.dev)\n",
-                        out->second.c_str());
+                        out->c_str());
         else
-            warn("could not write %s", out->second.c_str());
+            warn("could not write %s", out->c_str());
     }
     return 0;
 }
@@ -1504,27 +1568,26 @@ cmdWavefront(const Args &a)
 int
 cmdReplay(const Args &a)
 {
-    auto obs_it = a.options.find("obs");
-    fatal_if(obs_it == a.options.end(),
-             "usage: nowlab replay --obs FILE [--procs N] [knobs]");
+    const std::string *obs = a.value("obs");
+    fatal_if(!obs, "usage: nowlab replay --obs FILE [--procs N] [knobs]");
+    int nprocs = static_cast<int>(optLong(a, "procs", 0));
+    LogGPParams recorded = machineOf(a).params;
+    LogGPParams target = recorded;
+    knobsOf(a).applyTo(target);
+    a.rejectUnread();
+
     SpanTracer trace;
-    fatal_if(!readBinaryTrace(trace, obs_it->second),
-             "cannot read %s (not a NOWOBS01 trace?)",
-             obs_it->second.c_str());
+    fatal_if(!readBinaryTrace(trace, *obs),
+             "cannot read %s (not a NOWOBS01 trace?)", obs->c_str());
 
     // Infer the processor count from the trace when not given.
-    int nprocs = static_cast<int>(optLong(a, "procs", 0));
     if (nprocs <= 0) {
         for (const ObsMessage &m : trace.messages())
             nprocs = std::max({nprocs, m.src + 1, m.dst + 1});
     }
     fatal_if(nprocs <= 0, "empty trace and no --procs given");
 
-    LogGPParams recorded = machineOf(a).params;
     ReplaySchedule sched = extractSchedule(trace, nprocs, recorded);
-
-    LogGPParams target = recorded;
-    knobsOf(a).applyTo(target);
     ReplayResult base = replaySchedule(sched, recorded);
     ReplayResult what_if = replaySchedule(sched, target);
 
@@ -1555,12 +1618,12 @@ machineByName(const std::string &m)
 std::vector<int>
 optIntList(const Args &a, const char *key, std::vector<int> fallback)
 {
-    auto it = a.options.find(key);
-    if (it == a.options.end())
+    const std::string *s = a.value(key);
+    if (!s)
         return fallback;
     std::vector<double> xs;
     std::string err;
-    fatal_if(!parseDoubleList(it->second, xs, &err), "--%s: %s", key,
+    fatal_if(!parseDoubleList(*s, xs, &err), "--%s: %s", key,
              err.c_str());
     std::vector<int> out;
     for (double x : xs) {
@@ -1576,12 +1639,12 @@ std::vector<std::size_t>
 optSizeList(const Args &a, const char *key,
             std::vector<std::size_t> fallback)
 {
-    auto it = a.options.find(key);
-    if (it == a.options.end())
+    const std::string *s = a.value(key);
+    if (!s)
         return fallback;
     std::vector<double> xs;
     std::string err;
-    fatal_if(!parseDoubleList(it->second, xs, &err), "--%s: %s", key,
+    fatal_if(!parseDoubleList(*s, xs, &err), "--%s: %s", key,
              err.c_str());
     std::vector<std::size_t> out;
     for (double x : xs) {
@@ -1615,6 +1678,7 @@ cmdColl(const Args &a)
         auto procs = optIntList(a, "procs", {2, 8, 64, 256, 1024});
         auto sizes =
             optSizeList(a, "sizes", {8, 1024, 65536, 1 << 20});
+        a.rejectUnread();
         auto rows =
             coll::decisionTable(pointFromParams(params), procs, sizes);
         std::printf("decision table for '%s':\n%s",
@@ -1625,15 +1689,18 @@ cmdColl(const Args &a)
 
     if (sub == "validate") {
         std::vector<std::string> machines{"now", "meiko"};
-        if (auto it = a.options.find("machines"); it != a.options.end())
-            machines = splitCsv(it->second);
-        else if (a.options.count("machine"))
-            machines = {a.options.at("machine")};
+        if (const std::string *m = a.value("machines"))
+            machines = splitCsv(*m);
+        else if (const std::string *m = a.value("machine"))
+            machines = {*m};
         fatal_if(machines.empty(), "--machines: empty list");
         auto procs = optIntList(a, "procs", {4, 8, 16});
         auto sizes = optSizeList(a, "sizes", {256, 16384});
         const double tol = optDouble(a, "tolerance", 0.10);
         const double min_hit = optDouble(a, "min-hit", 0.90);
+        const Knobs knobs = knobsOf(a);
+        const std::string *out = a.value("out");
+        a.rejectUnread();
 
         svc::JsonWriter w;
         w.beginObject().field("bench", "coll").field("tolerance", tol);
@@ -1641,7 +1708,7 @@ cmdColl(const Args &a)
         bool pass = true;
         for (const std::string &name : machines) {
             LogGPParams params = machineByName(name).params;
-            knobsOf(a).applyTo(params);
+            knobs.applyTo(params);
             auto report = coll::validateGrid(params, procs, sizes);
             const double hit = report.hitRate(tol);
             std::printf("%s: %d/%zu points within %.0f%% of "
@@ -1682,12 +1749,12 @@ cmdColl(const Args &a)
             }
         }
         w.endArray().field("pass", pass).endObject();
-        if (auto it = a.options.find("out"); it != a.options.end()) {
-            FILE *f = std::fopen(it->second.c_str(), "w");
-            fatal_if(!f, "cannot write %s", it->second.c_str());
+        if (out) {
+            FILE *f = std::fopen(out->c_str(), "w");
+            fatal_if(!f, "cannot write %s", out->c_str());
             std::fprintf(f, "%s\n", w.str().c_str());
             std::fclose(f);
-            std::printf("wrote %s\n", it->second.c_str());
+            std::printf("wrote %s\n", out->c_str());
         }
         return pass ? 0 : 1;
     }
@@ -1709,12 +1776,14 @@ cmdBackend(const Args &a)
         fatal("usage: nowlab backend validate [--apps A,B] [--procs N]\n"
               "       [--scale S] [--tolerance F] [--out F]");
     std::vector<std::string> apps{"radix", "em3d-read"};
-    if (auto it = a.options.find("apps"); it != a.options.end())
-        apps = splitCsv(it->second);
+    if (const std::string *list = a.value("apps"))
+        apps = splitCsv(*list);
     fatal_if(apps.empty(), "--apps: empty list");
     const int procs = static_cast<int>(optLong(a, "procs", 4));
     const double scale = optDouble(a, "scale", 0.1);
     const double tol = optDouble(a, "tolerance", 0.10);
+    const std::string *out = a.value("out");
+    a.rejectUnread();
 
     backend::AnalyticBackend be(backend::BackendOptions{tol, true});
     svc::JsonWriter w;
@@ -1783,12 +1852,12 @@ cmdBackend(const Args &a)
             .endObject();
     }
     w.endArray().field("pass", pass).endObject();
-    if (auto it = a.options.find("out"); it != a.options.end()) {
-        FILE *f = std::fopen(it->second.c_str(), "w");
-        fatal_if(!f, "cannot write %s", it->second.c_str());
+    if (out) {
+        FILE *f = std::fopen(out->c_str(), "w");
+        fatal_if(!f, "cannot write %s", out->c_str());
         std::fprintf(f, "%s\n", w.str().c_str());
         std::fclose(f);
-        std::printf("wrote %s\n", it->second.c_str());
+        std::printf("wrote %s\n", out->c_str());
     }
     std::printf("backend validate: %s\n", pass ? "pass" : "FAIL");
     return pass ? 0 : 1;
@@ -1802,7 +1871,7 @@ main(int argc, char **argv)
     // A server vanishing mid-conversation must fail the request, not
     // kill the process (covers submit/get/stats and serve alike).
     std::signal(SIGPIPE, SIG_IGN);
-    Args a = parseArgs(argc, argv);
+    const Args a(argc, argv);
     if (a.positional.empty()) {
         std::printf(
             "nowlab -- the LogGP cluster laboratory\n"
@@ -1842,7 +1911,7 @@ main(int argc, char **argv)
             "             [--out BENCH_coll.json]\n"
             "  nowlab backend validate [--apps A,B] [--procs N]\n"
             "             [--scale S] [--tolerance F] [--out F]\n"
-            "sweep/run also honour --cache-dir D / NOW_CACHE_DIR: the\n"
+            "sweep also honours --cache-dir D / NOW_CACHE_DIR: the\n"
             "content-addressed result store serves repeated points.\n"
             "knobs: --overhead US --gap US --latency US --mbps B\n"
             "       --occupancy US --window N\n"
@@ -1867,8 +1936,10 @@ main(int argc, char **argv)
         return 0;
     }
     const std::string &cmd = a.positional[0];
-    if (cmd == "list")
+    if (cmd == "list") {
+        a.rejectUnread();
         return cmdList();
+    }
     if (cmd == "calibrate")
         return cmdCalibrate(a);
     if (cmd == "run")
