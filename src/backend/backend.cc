@@ -329,9 +329,11 @@ AnalyticBackend::run(const RunPoint &pt)
         buildLocked(pt, *e);
     if (!e->healthy)
         return fail;
-    AnalyticPrediction pred =
-        e->model.predict(resolvedParams(pt.config));
-    if (!pred.ok)
+    // Only the runtime is served: the makespan-only solve skips the
+    // dual that predict() computes for the slopes.
+    std::optional<double> runtime =
+        e->model.runtime(resolvedParams(pt.config));
+    if (!runtime)
         return fail;
 
     // The result carries the traced run's measurements (the message
@@ -340,7 +342,7 @@ AnalyticBackend::run(const RunPoint &pt)
     // budget applies to the predicted time exactly as it would to a
     // simulated one (the paper's "N/A" entries).
     RunResult r = e->baseResult;
-    r.runtime = static_cast<Tick>(std::llround(pred.runtime));
+    r.runtime = static_cast<Tick>(std::llround(*runtime));
     r.ok = r.runtime <= pt.config.maxTime;
     r.validated = false;
     r.simEvents = 0;

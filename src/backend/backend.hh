@@ -132,7 +132,8 @@ class CacheBackend : public ExperimentBackend
  * The analytic LP backend. One traced base run per (app, nprocs,
  * scale, seed, machine, non-swept knobs) is recorded on first demand,
  * lowered into the LP, probe-validated against the simulator, and then
- * answers every (L, o, g, G) point against that model in microseconds.
+ * answers every (L, o, g, G) point against that model with one LP
+ * solve: well under a millisecond at 8 procs.
  */
 class AnalyticBackend : public ExperimentBackend
 {
@@ -152,7 +153,9 @@ class AnalyticBackend : public ExperimentBackend
     /** Serve `pt`: predicted runtime over the base run's measurements
      *  (validated=false marks the result model-derived). Builds the
      *  model on first use -- one traced sim run plus one probe run --
-     *  then every further point is an LP solve. */
+     *  then every further point is a makespan-only LP solve
+     *  (AnalyticModel::runtime): the runtime is llround of predict()'s,
+     *  without the dual. */
     RunResult run(const RunPoint &pt) override;
 
     /** True iff the point's model is built and healthy: run() would
@@ -160,7 +163,8 @@ class AnalyticBackend : public ExperimentBackend
     bool ready(const RunPoint &pt);
 
     /** Full prediction (runtime + dT/dL, dT/do, dT/dg, dT/dG slopes)
-     *  for sweep tables and validation; builds like run(). */
+     *  for sweep tables and validation, from the LP solve with the
+     *  dual; builds like run(). */
     AnalyticPrediction predict(const RunPoint &pt);
 
     /** Lowering statistics of the point's model (ok=false prediction

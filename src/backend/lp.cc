@@ -5,9 +5,44 @@
 
 #include "backend/lp.hh"
 
-#include <algorithm>
+#include <array>
+#include <bit>
+#include <unordered_map>
 
 namespace nowcluster::backend {
+
+namespace {
+
+/** The last in-edge of its node (the low bit of InEdge::coef). */
+constexpr std::uint32_t kLast = 1;
+
+} // namespace
+
+/** Per-thread solve scratch: concurrent sweep points share nothing,
+ *  and no solve reallocates once the thread has seen its largest DAG.
+ *  Every slot a solve reads is written earlier in that same solve. */
+struct LpDag::Scratch
+{
+    std::vector<double> dist; ///< Longest-path distance per slot.
+    std::vector<int> pred;    ///< Binding stream entry per slot, or -1.
+    std::vector<Tuple> terms; ///< tuples_ times the operating point.
+    std::size_t argmax = 0;   ///< First slot reaching the makespan.
+};
+
+LpDag::Scratch &
+LpDag::scratch()
+{
+    thread_local Scratch s;
+    return s;
+}
+
+inline float
+LpDag::weight(const InEdge &e, const Tuple *terms)
+{
+    const Tuple &t = terms[e.coef >> 1];
+    const float w = e.fixed + t.l + t.o + t.g + t.gb;
+    return w > 0 ? w : 0;
+}
 
 int
 LpDag::addNode()
@@ -26,77 +61,168 @@ LpDag::addEdge(int src, int dst, const LinCost &cost)
 bool
 LpDag::prepare()
 {
+    prepared_ = false;
+    stream_.clear();
+    tuples_.clear();
     const int n = static_cast<int>(nodeCount_);
+    // Tuple indices and stream positions must fit in 31 bits.
+    if (edges_.size() + nodeCount_ >= (std::size_t{1} << 31))
+        return false;
     std::vector<int> indeg(nodeCount_, 0);
+    std::vector<int> outOff(nodeCount_ + 1, 0);
     for (const Edge &e : edges_) {
         if (e.dst < 0 || e.dst >= n)
             return false;
         if (e.src < kSource || e.src >= n)
             return false;
-        if (e.src != kSource)
+        if (e.src != kSource) {
             indeg[e.dst]++;
+            outOff[e.src + 1]++;
+        }
     }
 
-    topo_.clear();
-    topo_.reserve(nodeCount_);
+    // Out-adjacency for the sort, each source's edges in added order.
+    for (std::size_t v = 0; v < nodeCount_; v++)
+        outOff[v + 1] += outOff[v];
+    std::vector<int> out(outOff[nodeCount_]);
+    {
+        std::vector<int> at(outOff.begin(), outOff.end() - 1);
+        for (const Edge &e : edges_)
+            if (e.src != kSource)
+                out[at[e.src]++] = e.dst;
+    }
+    std::vector<int> topo;
+    topo.reserve(nodeCount_);
     std::vector<int> frontier;
     for (int v = 0; v < n; v++)
         if (indeg[v] == 0)
             frontier.push_back(v);
-    // Out-adjacency, built once for the sort only.
-    std::vector<std::vector<int>> out(nodeCount_);
-    for (const Edge &e : edges_)
-        if (e.src != kSource)
-            out[e.src].push_back(e.dst);
     while (!frontier.empty()) {
         int v = frontier.back();
         frontier.pop_back();
-        topo_.push_back(v);
-        for (int w : out[v])
-            if (--indeg[w] == 0)
-                frontier.push_back(w);
+        topo.push_back(v);
+        for (int i = outOff[v]; i < outOff[v + 1]; i++)
+            if (--indeg[out[i]] == 0)
+                frontier.push_back(out[i]);
     }
-    if (topo_.size() != nodeCount_) {
-        prepared_ = false;
+    if (topo.size() != nodeCount_)
         return false;
-    }
+
+    // Distance slots: topological position + 1 (slot 0 is the source).
+    std::vector<std::uint32_t> slot(nodeCount_);
+    for (std::size_t k = 0; k < nodeCount_; k++)
+        slot[topo[k]] = static_cast<std::uint32_t>(k + 1);
+
+    // Intern the coefficient tuples by bit pattern, so that the table
+    // holds exactly the floats each edge would have carried.
+    using Bits = std::array<std::uint32_t, 4>;
+    struct BitsHash
+    {
+        std::size_t
+        operator()(const Bits &b) const
+        {
+            const std::uint64_t lo = (std::uint64_t{b[0]} << 32) | b[1];
+            const std::uint64_t hi = (std::uint64_t{b[2]} << 32) | b[3];
+            return static_cast<std::size_t>(
+                (lo * 0x9E3779B97F4A7C15ull) ^
+                ((hi + 0x632BE59BD9B4E019ull) * 0xC2B2AE3D27D4EB4Full));
+        }
+    };
+    std::unordered_map<Bits, std::uint32_t, BitsHash> index;
+    auto intern = [&](const Tuple &t) {
+        const auto next = static_cast<std::uint32_t>(tuples_.size());
+        auto [it, fresh] = index.try_emplace(std::bit_cast<Bits>(t), next);
+        if (fresh)
+            tuples_.push_back(t);
+        return it->second << 1;
+    };
 
     // Lay the in-edges out contiguously in *visit* order: the solve
-    // loop then streams csrSrc_/csrCost_ front to back, one cache-
-    // friendly pass per operating point.
-    std::vector<int> count(nodeCount_, 0);
+    // loop then streams them front to back, and since sources are
+    // stored as slots, its predecessor loads land on recently written,
+    // still-cached distances. A node without in-edges gets one entry
+    // from slot 0 at zero cost.
+    std::vector<std::uint32_t> off(nodeCount_ + 1, 0); // by slot
     for (const Edge &e : edges_)
-        count[e.dst]++;
-    std::vector<int> slot(nodeCount_ + 1, 0);
-    csrOff_.assign(nodeCount_ + 1, 0);
-    for (std::size_t k = 0; k < topo_.size(); k++)
-        csrOff_[k + 1] = csrOff_[k] + count[topo_[k]];
-    std::vector<int> pos(nodeCount_, 0); // node id -> topo position
-    for (std::size_t k = 0; k < topo_.size(); k++)
-        pos[topo_[k]] = static_cast<int>(k);
-    csrSrc_.assign(edges_.size(), 0);
-    cFixed_.assign(edges_.size(), 0);
-    cPerL_.assign(edges_.size(), 0);
-    cPerO_.assign(edges_.size(), 0);
-    cPerG_.assign(edges_.size(), 0);
-    cPerGb_.assign(edges_.size(), 0);
-    for (std::size_t k = 0; k < topo_.size(); k++)
-        slot[k] = csrOff_[k];
-    for (std::size_t i = 0; i < edges_.size(); i++) {
-        const Edge &e = edges_[i];
-        int at = slot[pos[e.dst]]++;
-        // Sources are stored as *topo positions*: the solve loop then
-        // walks one dense array front to back and its predecessor
-        // loads land on recently written, still-cached slots.
-        csrSrc_[at] = e.src == kSource ? kSource : pos[e.src];
-        cFixed_[at] = static_cast<float>(e.cost.fixed);
-        cPerL_[at] = static_cast<float>(e.cost.perL);
-        cPerO_[at] = static_cast<float>(e.cost.perO);
-        cPerG_[at] = static_cast<float>(e.cost.perG);
-        cPerGb_[at] = static_cast<float>(e.cost.perGb);
+        off[slot[e.dst]]++;
+    for (std::size_t k = 1; k <= nodeCount_; k++)
+        off[k] = off[k - 1] + (off[k] > 0 ? off[k] : 1);
+    // Node at slot k owns entries [off[k - 1], off[k]).
+    stream_.assign(off[nodeCount_], {0, 0.0f, intern({0, 0, 0, 0})});
+    std::vector<std::uint32_t> at(off.begin(), off.end() - 1);
+    for (const Edge &e : edges_) {
+        const LinCost &c = e.cost;
+        stream_[at[slot[e.dst] - 1]++] = {
+            e.src == kSource ? 0 : slot[e.src],
+            static_cast<float>(c.fixed),
+            intern({static_cast<float>(c.perL), static_cast<float>(c.perO),
+                    static_cast<float>(c.perG),
+                    static_cast<float>(c.perGb)})};
     }
+    for (std::size_t k = 1; k <= nodeCount_; k++)
+        stream_[off[k] - 1].coef |= kLast;
     prepared_ = true;
     return true;
+}
+
+template <bool kDual>
+double
+LpDag::propagate(const LpParams &params, Scratch &sc) const
+{
+    const float pL = static_cast<float>(params.L);
+    const float pO = static_cast<float>(params.o);
+    const float pG = static_cast<float>(params.g);
+    const float pGb = static_cast<float>(params.Gb);
+    sc.terms.resize(tuples_.size());
+    for (std::size_t i = 0; i < tuples_.size(); i++) {
+        const Tuple &t = tuples_[i];
+        sc.terms[i] = {t.l * pL, t.o * pO, t.g * pG, t.gb * pGb};
+    }
+    sc.dist.resize(nodeCount_ + 1);
+    double *dist = sc.dist.data();
+    int *pred = nullptr;
+    if constexpr (kDual) {
+        sc.pred.resize(nodeCount_ + 1);
+        pred = sc.pred.data();
+        pred[0] = -1;
+    }
+    const Tuple *terms = sc.terms.data();
+    dist[0] = 0.0;
+
+    // Every node starts no earlier than time zero, so every distance
+    // is at least +0 and so is the makespan. Ties keep the first node
+    // to reach it: slot 1 when every distance is zero.
+    double makespan = 0.0;
+    sc.argmax = 1;
+    double best = 0.0;
+    int binding = -1;
+    std::size_t k = 1;
+    const InEdge *stream = stream_.data();
+    const std::size_t m = stream_.size();
+    for (std::size_t s = 0; s < m; s++) {
+        const InEdge &e = stream[s];
+        const double d = dist[e.src] + weight(e, terms);
+        if (d > best) {
+            best = d;
+            if constexpr (kDual)
+                binding = static_cast<int>(s);
+        }
+        if (e.coef & kLast) {
+            dist[k] = best;
+            if (best > makespan) {
+                makespan = best;
+                if constexpr (kDual)
+                    sc.argmax = k;
+            }
+            if constexpr (kDual) {
+                pred[k] = binding;
+                binding = -1;
+            }
+            best = 0.0;
+            k++;
+        }
+    }
+    return makespan;
 }
 
 LpSolution
@@ -109,80 +235,34 @@ LpDag::solve(const LpParams &params) const
     if (nodeCount_ == 0)
         return sol;
 
-    // Longest path: every node is reachable from the virtual source
-    // (zero-indegree nodes start at time 0, matching the LP's implicit
-    // start >= 0 constraint). Scratch is thread-local so concurrent
-    // sweep points neither share state nor reallocate per solve.
-    thread_local std::vector<double> dist;
-    thread_local std::vector<int> pred; // binding csr slot, or -1
-    dist.resize(nodeCount_); // every entry is written in pass 2
-    pred.resize(nodeCount_);
-
-    // Pass 1: evaluate every edge weight at the operating point. One
-    // flat loop over parallel arrays, which the compiler vectorizes.
-    const std::size_t m = csrSrc_.size();
-    thread_local std::vector<float> w;
-    w.resize(m);
-    {
-        const float pL = static_cast<float>(params.L);
-        const float pO = static_cast<float>(params.o);
-        const float pG = static_cast<float>(params.g);
-        const float pGb = static_cast<float>(params.Gb);
-        const float *fx = cFixed_.data(), *cl = cPerL_.data();
-        const float *co = cPerO_.data(), *cg = cPerG_.data();
-        const float *cb = cPerGb_.data();
-        for (std::size_t s = 0; s < m; s++) {
-            float v = fx[s] + cl[s] * pL + co[s] * pO + cg[s] * pG +
-                      cb[s] * pGb;
-            w[s] = v > 0 ? v : 0;
-        }
-    }
-
-    // Pass 2: longest-path propagation in topo position order.
-    int argmax = -1;
-    double maxDist = -1.0;
-    const std::size_t n = topo_.size();
-    for (std::size_t k = 0; k < n; k++) {
-        double best = 0.0;
-        int bestSlot = -1;
-        const int lo = csrOff_[k], hi = csrOff_[k + 1];
-        for (int s = lo; s < hi; s++) {
-            const int src = csrSrc_[s];
-            const double d =
-                (src == kSource ? 0.0 : dist[src]) + w[s];
-            if (d > best) {
-                best = d;
-                bestSlot = s;
-            }
-        }
-        dist[k] = best;
-        pred[k] = bestSlot;
-        if (best > maxDist) {
-            maxDist = best;
-            argmax = static_cast<int>(k);
-        }
-    }
-    if (argmax < 0)
-        return sol;
-    sol.makespan = maxDist;
+    Scratch &sc = scratch();
+    sol.makespan = propagate<true>(params, sc);
 
     // Walk the binding path back to the source, summing coefficients.
     // A clamped edge (its weight hit the zero floor) contributes no
     // slope: its weight is locally constant in every parameter.
-    int v = argmax;
-    while (v >= 0 && pred[v] >= 0) {
-        const int s = pred[v];
-        if (w[s] > 0) {
-            sol.gradient.fixed += cFixed_[s];
-            sol.gradient.perL += cPerL_[s];
-            sol.gradient.perO += cPerO_[s];
-            sol.gradient.perG += cPerG_[s];
-            sol.gradient.perGb += cPerGb_[s];
+    for (int s = sc.pred[sc.argmax]; s >= 0;) {
+        const InEdge &e = stream_[static_cast<std::size_t>(s)];
+        if (weight(e, sc.terms.data()) > 0) {
+            const Tuple &t = tuples_[e.coef >> 1];
+            sol.gradient.fixed += e.fixed;
+            sol.gradient.perL += t.l;
+            sol.gradient.perO += t.o;
+            sol.gradient.perG += t.g;
+            sol.gradient.perGb += t.gb;
         }
         sol.pathEdges++;
-        v = csrSrc_[s];
+        s = sc.pred[e.src];
     }
     return sol;
+}
+
+std::optional<double>
+LpDag::makespan(const LpParams &params) const
+{
+    if (!prepared_)
+        return std::nullopt;
+    return propagate<false>(params, scratch());
 }
 
 } // namespace nowcluster::backend

@@ -18,12 +18,16 @@
  * Built once per traced run (src/backend/model.hh), solved once per
  * sweep point: every (L, o, g, G) evaluation is O(V + E) over the
  * prepared graph -- milliseconds where a simulation costs seconds.
+ * A sweep that needs only runtimes asks for makespan(), which skips
+ * the dual.
  */
 
 #ifndef NOWCLUSTER_BACKEND_LP_HH_
 #define NOWCLUSTER_BACKEND_LP_HH_
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace nowcluster::backend {
@@ -38,7 +42,8 @@ struct LpParams
     double Gb = 0; ///< Bulk gap per byte.
 };
 
-/** An edge weight that is linear in the LogGP parameters. */
+/** An edge weight that is linear in the LogGP parameters. The solver
+ *  evaluates it (LpDag::prepare describes how, and how exactly). */
 struct LinCost
 {
     double fixed = 0; ///< Parameter-independent part (ticks).
@@ -46,16 +51,6 @@ struct LinCost
     double perO = 0;  ///< Overhead phases: coefficient of added o.
     double perG = 0;  ///< Gap stalls: coefficient of g.
     double perGb = 0; ///< Bulk bytes serialized: coefficient of G.
-
-    /** Evaluate at an operating point (clamped at zero: a knob below
-     *  the recorded baseline cannot make an edge take negative time). */
-    double
-    eval(const LpParams &p) const
-    {
-        double w = fixed + perL * p.L + perO * p.o + perG * p.g +
-                   perGb * p.Gb;
-        return w > 0 ? w : 0;
-    }
 
     LinCost &
     operator+=(const LinCost &c)
@@ -86,14 +81,22 @@ struct LpSolution
  * The dependency DAG. Nodes are events (span starts plus one sink);
  * edges carry LinCost weights. addEdge accepts kSource as a source to
  * anchor an event to virtual time zero. prepare() topologically orders
- * the graph once; solve() then evaluates any operating point without
- * touching the structure, so it is const and safe to call from many
- * threads concurrently.
+ * the graph once; solve() and makespan() then evaluate any operating
+ * point without touching the structure, so they are const and safe to
+ * call from many threads concurrently.
  */
 class LpDag
 {
   public:
     static constexpr int kSource = -1;
+
+    /** One constraint as added: start(dst) >= start(src) + cost. */
+    struct Edge
+    {
+        int src;
+        int dst;
+        LinCost cost;
+    };
 
     /** Add an event; returns its id (dense, starting at 0). */
     int addNode();
@@ -102,10 +105,30 @@ class LpDag
     void addEdge(int src, int dst, const LinCost &cost);
 
     /**
-     * Topologically order the graph. Must be called (once) before
-     * solve(); returns false if the edges form a cycle, which a
-     * well-formed trace cannot produce (timestamps only move forward)
-     * but a corrupt binary trace could.
+     * Topologically order the graph and lay it out for solving. Must
+     * be called (once) before solve(); returns false if the edges form
+     * a cycle, which a well-formed trace cannot produce (timestamps
+     * only move forward) but a corrupt binary trace could.
+     *
+     * The solve form is one stream of in-edges in topological visit
+     * order: per edge, the source's distance slot (slot 0, always
+     * zero, stands in for kSource and for the implicit start >= 0 of
+     * a node without in-edges, which gets one zero-cost entry), the
+     * `float` fixed cost, an index into the table of the DAG's
+     * distinct (perL, perO, perG, perGb) tuples, and a mark on its
+     * node's last in-edge. Traced models have a few hundred distinct
+     * tuples against hundreds of thousands of edges, so each solve
+     * multiplies the table by the operating point once and evaluates
+     * every edge inside the propagation loop.
+     *
+     * Exactness: an edge weighs ((((fixed + perL*L) + perO*o) +
+     * perG*g) + perGb*G), computed in float in that order and clamped
+     * at +0; distances accumulate in double, and a node's binding
+     * in-edge is its first strict maximum. Floats are plenty:
+     * coefficients are O(path-count) values whose rounding error is
+     * parts-per-ten-million of the makespan, and the residual
+     * calibration in the model layer absorbs it exactly at the base
+     * point.
      */
     bool prepare();
 
@@ -114,33 +137,44 @@ class LpDag
      *  gradient follows the binding path back to the source. */
     LpSolution solve(const LpParams &params) const;
 
+    /** solve()'s makespan alone, bit for bit, without recording the
+     *  binding edges or walking the path; nullopt until prepared. */
+    std::optional<double> makespan(const LpParams &params) const;
+
     std::size_t nodeCount() const { return nodeCount_; }
     std::size_t edgeCount() const { return edges_.size(); }
+    /** The edges in the order they were added. */
+    const std::vector<Edge> &edges() const { return edges_; }
 
   private:
-    struct Edge
+    /** One (perL, perO, perG, perGb) tuple, or its terms at a point. */
+    struct Tuple
     {
-        int src;
-        int dst;
-        LinCost cost;
+        float l, o, g, gb;
     };
+    /** One entry of the solve stream (see prepare). */
+    struct InEdge
+    {
+        std::uint32_t src;  ///< Source's distance slot (0: kSource).
+        float fixed;        ///< Parameter-independent cost.
+        std::uint32_t coef; ///< tuples_ index << 1 | last of its node.
+    };
+    struct Scratch;
+
+    static Scratch &scratch();
+    static float weight(const InEdge &e, const Tuple *terms);
+
+    /** The longest-path pass shared by solve() and makespan(): fills
+     *  the thread's scratch and returns the makespan. kDual also
+     *  records each node's binding entry and the first node to reach
+     *  the makespan. */
+    template <bool kDual>
+    double propagate(const LpParams &params, Scratch &sc) const;
 
     std::size_t nodeCount_ = 0;
     std::vector<Edge> edges_;
-    /** Node order that respects every edge (filled by prepare). */
-    std::vector<int> topo_;
-    // Compressed in-edge adjacency (filled by prepare): solve() is the
-    // per-sweep-point hot loop. Edge weights are evaluated in one
-    // vectorizable pass over five parallel float coefficient arrays,
-    // then a second tight pass propagates longest-path distances in
-    // topological position order, so predecessor loads land on
-    // recently written slots. Floats are plenty: coefficients are
-    // O(path-count) values whose rounding error is parts-per-ten-
-    // million of the makespan, and the residual calibration in the
-    // model layer absorbs it exactly at the base point.
-    std::vector<int> csrOff_; ///< nodeCount_+1 offsets into csr*.
-    std::vector<int> csrSrc_; ///< Source *topo position* (or kSource).
-    std::vector<float> cFixed_, cPerL_, cPerO_, cPerG_, cPerGb_;
+    std::vector<InEdge> stream_; ///< Filled by prepare.
+    std::vector<Tuple> tuples_;  ///< Distinct coefficient tuples.
     bool prepared_ = false;
 };
 

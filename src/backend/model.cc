@@ -333,13 +333,20 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
 
     // Calibrate: the LP explains the dependency structure; whatever is
     // left (untraced waits) is constant slack charged at every point.
-    LpSolution atBase = dag_.solve(pointOf(base_));
-    if (!atBase.ok)
+    std::optional<double> atBase = dag_.makespan(pointOf(base_));
+    if (!atBase)
         return false;
-    residual_ = static_cast<double>(measuredRuntime) - atBase.makespan;
+    residual_ = static_cast<double>(measuredRuntime) - *atBase;
     stats_.residual = residual_;
     ok_ = true;
     return true;
+}
+
+double
+AnalyticModel::calibrated(double makespan) const
+{
+    const double t = makespan + residual_;
+    return t < 0 ? 0 : t;
 }
 
 AnalyticPrediction
@@ -352,14 +359,23 @@ AnalyticModel::predict(const LogGPParams &target) const
     if (!sol.ok)
         return p;
     p.ok = true;
-    p.runtime = sol.makespan + residual_;
-    if (p.runtime < 0)
-        p.runtime = 0;
+    p.runtime = calibrated(sol.makespan);
     p.dTdL = sol.gradient.perL;
     p.dTdO = sol.gradient.perO;
     p.dTdG = sol.gradient.perG;
     p.dTdGb = sol.gradient.perGb;
     return p;
+}
+
+std::optional<double>
+AnalyticModel::runtime(const LogGPParams &target) const
+{
+    if (!ok_)
+        return std::nullopt;
+    std::optional<double> m = dag_.makespan(pointOf(target));
+    if (!m)
+        return std::nullopt;
+    return calibrated(*m);
 }
 
 } // namespace nowcluster::backend

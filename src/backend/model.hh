@@ -24,12 +24,18 @@
  * captured as a constant residual at build time, so the model is exact
  * at its own base point and the error budget is spent only on the
  * *change* in runtime.
+ *
+ * Two entry points evaluate it: predict() solves with the LP dual for
+ * the sensitivity slopes, runtime() solves for the makespan alone
+ * (what a served point needs). Both give the same runtime, bit for
+ * bit.
  */
 
 #ifndef NOWCLUSTER_BACKEND_MODEL_HH_
 #define NOWCLUSTER_BACKEND_MODEL_HH_
 
 #include <cstddef>
+#include <optional>
 
 #include "backend/lp.hh"
 #include "net/loggp.hh"
@@ -62,7 +68,8 @@ struct ModelBuildStats
 
 /**
  * The lowered model for one traced (app, nprocs, topology) run.
- * build() once, predict() from any thread (solve is const).
+ * build() once, then predict() or runtime() from any thread (the LP
+ * solves are const).
  */
 class AnalyticModel
 {
@@ -76,11 +83,19 @@ class AnalyticModel
     bool build(const SpanTracer &tracer, const LogGPParams &base,
                Tick measuredRuntime);
 
-    /** Evaluate the model at a target operating point. */
+    /** Evaluate the model at a target operating point: the runtime
+     *  and the dual's slopes. */
     AnalyticPrediction predict(const LogGPParams &target) const;
+
+    /** predict()'s runtime alone, bit for bit, from the makespan-only
+     *  solve (no dual): what AnalyticBackend::run serves. nullopt if
+     *  the model is not built. */
+    std::optional<double> runtime(const LogGPParams &target) const;
 
     bool ready() const { return ok_; }
     const ModelBuildStats &stats() const { return stats_; }
+    /** The lowered LP (its edges, for inspection). */
+    const LpDag &dag() const { return dag_; }
 
     /** The LP coordinates of a parameter set: (totalLatency, addedO,
      *  gap, gPerByte). */
@@ -88,6 +103,8 @@ class AnalyticModel
 
   private:
     LinCost spanCost(const Span &s) const;
+    /** A raw LP makespan plus the residual, floored at zero. */
+    double calibrated(double makespan) const;
 
     LpDag dag_;
     LogGPParams base_;

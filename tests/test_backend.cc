@@ -4,13 +4,21 @@
  * longest-path solver and its closed-form gradients, backend selection
  * and the ExperimentBackend contract, and -- the acceptance criterion
  * of the subsystem -- analytic-vs-simulated agreement on runtime and
- * dT/dL slope across an L x o grid for radix and em3d-read.
+ * dT/dL slope across an L x o grid for radix and em3d-read. An oracle
+ * (the solver's former two-pass kernel) pins every solve byte for
+ * byte, and concurrent serving must match a serial run.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <map>
+#include <numeric>
+#include <optional>
+#include <random>
+#include <thread>
 
 #include "backend/backend.hh"
 #include "backend/lp.hh"
@@ -22,6 +30,7 @@ namespace nowcluster {
 namespace {
 
 using backend::AnalyticBackend;
+using backend::AnalyticModel;
 using backend::AnalyticPrediction;
 using backend::BackendKind;
 using backend::BackendOptions;
@@ -37,16 +46,27 @@ using backend::SimBackend;
 // The LP solver.
 // ----------------------------------------------------------------------
 
+/** One edge's weight as the solver evaluates it: the makespan of a
+ *  one-edge DAG anchored at the virtual source. */
+double
+edgeWeight(const LinCost &c, const LpParams &p)
+{
+    LpDag d;
+    d.addEdge(LpDag::kSource, d.addNode(), c);
+    EXPECT_TRUE(d.prepare());
+    return d.solve(p).makespan;
+}
+
 TEST(Lp, LinCostEvaluatesLinearlyAndClampsAtZero)
 {
     LinCost c;
     c.fixed = 10;
     c.perL = 2;
     c.perO = 1;
-    EXPECT_DOUBLE_EQ(c.eval({0, 0, 0, 0}), 10);
-    EXPECT_DOUBLE_EQ(c.eval({5, 3, 0, 0}), 23);
+    EXPECT_DOUBLE_EQ(edgeWeight(c, {0, 0, 0, 0}), 10);
+    EXPECT_DOUBLE_EQ(edgeWeight(c, {5, 3, 0, 0}), 23);
     c.fixed = -100;
-    EXPECT_DOUBLE_EQ(c.eval({5, 3, 0, 0}), 0); // Never negative.
+    EXPECT_DOUBLE_EQ(edgeWeight(c, {5, 3, 0, 0}), 0); // Never negative.
 }
 
 TEST(Lp, EmptyDagSolvesToZero)
@@ -362,6 +382,384 @@ TEST(Analytic, AgreesWithSimAcrossTheGridForRadixAndEm3dRead)
     // critpath analyzer) does: read round trips are latency bound,
     // write-based radix much less so.
     EXPECT_GT(em3d_dtdl, radix_dtdl);
+}
+
+// ----------------------------------------------------------------------
+// Bit identity: the compact-stream solver against the two-pass kernel
+// it replaced, and the served runtime under concurrency.
+// ----------------------------------------------------------------------
+
+/**
+ * The oracle: LpDag's former prepare/solve, kept here as the reference
+ * implementation. Kahn order; in-edges laid out in visit order as a CSR
+ * with five float coefficient arrays; one pass evaluates every edge
+ * weight, a second propagates longest-path distances in double, and
+ * the binding path is walked back from the first node that reaches the
+ * makespan.
+ */
+class ReferenceLp
+{
+  public:
+    explicit ReferenceLp(const LpDag &dag)
+    {
+        const std::vector<LpDag::Edge> &edges = dag.edges();
+        const std::size_t n = dag.nodeCount();
+        std::vector<int> indeg(n, 0);
+        for (const LpDag::Edge &e : edges)
+            if (e.src != LpDag::kSource)
+                indeg[e.dst]++;
+        std::vector<int> topo, frontier;
+        for (int v = 0; v < static_cast<int>(n); v++)
+            if (indeg[v] == 0)
+                frontier.push_back(v);
+        std::vector<std::vector<int>> out(n);
+        for (const LpDag::Edge &e : edges)
+            if (e.src != LpDag::kSource)
+                out[e.src].push_back(e.dst);
+        while (!frontier.empty()) {
+            int v = frontier.back();
+            frontier.pop_back();
+            topo.push_back(v);
+            for (int w : out[v])
+                if (--indeg[w] == 0)
+                    frontier.push_back(w);
+        }
+        EXPECT_EQ(topo.size(), n) << "the oracle needs a DAG";
+        n_ = topo.size();
+
+        std::vector<int> count(n, 0);
+        for (const LpDag::Edge &e : edges)
+            count[e.dst]++;
+        off_.assign(n_ + 1, 0);
+        for (std::size_t k = 0; k < n_; k++)
+            off_[k + 1] = off_[k] + count[topo[k]];
+        std::vector<int> pos(n, 0);
+        for (std::size_t k = 0; k < n_; k++)
+            pos[topo[k]] = static_cast<int>(k);
+        std::vector<int> slot(off_.begin(), off_.end() - 1);
+        const std::size_t m = edges.size();
+        src_.assign(m, 0);
+        fx_.assign(m, 0);
+        l_.assign(m, 0);
+        o_.assign(m, 0);
+        g_.assign(m, 0);
+        gb_.assign(m, 0);
+        for (const LpDag::Edge &e : edges) {
+            const int at = slot[pos[e.dst]]++;
+            src_[at] = e.src == LpDag::kSource ? LpDag::kSource
+                                               : pos[e.src];
+            fx_[at] = static_cast<float>(e.cost.fixed);
+            l_[at] = static_cast<float>(e.cost.perL);
+            o_[at] = static_cast<float>(e.cost.perO);
+            g_[at] = static_cast<float>(e.cost.perG);
+            gb_[at] = static_cast<float>(e.cost.perGb);
+        }
+    }
+
+    LpSolution
+    solve(const LpParams &params) const
+    {
+        LpSolution sol;
+        sol.ok = true;
+        if (n_ == 0)
+            return sol;
+        const std::size_t m = src_.size();
+        std::vector<float> w(m);
+        const float pL = static_cast<float>(params.L);
+        const float pO = static_cast<float>(params.o);
+        const float pG = static_cast<float>(params.g);
+        const float pGb = static_cast<float>(params.Gb);
+        for (std::size_t s = 0; s < m; s++) {
+            float v = fx_[s] + l_[s] * pL + o_[s] * pO + g_[s] * pG +
+                      gb_[s] * pGb;
+            w[s] = v > 0 ? v : 0;
+        }
+        std::vector<double> dist(n_);
+        std::vector<int> pred(n_);
+        int argmax = -1;
+        double maxDist = -1.0;
+        for (std::size_t k = 0; k < n_; k++) {
+            double best = 0.0;
+            int bestSlot = -1;
+            for (int s = off_[k]; s < off_[k + 1]; s++) {
+                const int src = src_[s];
+                const double d =
+                    (src == LpDag::kSource ? 0.0 : dist[src]) + w[s];
+                if (d > best) {
+                    best = d;
+                    bestSlot = s;
+                }
+            }
+            dist[k] = best;
+            pred[k] = bestSlot;
+            if (best > maxDist) {
+                maxDist = best;
+                argmax = static_cast<int>(k);
+            }
+        }
+        sol.makespan = maxDist;
+        for (int v = argmax; v >= 0 && pred[v] >= 0;) {
+            const int s = pred[v];
+            if (w[s] > 0) {
+                sol.gradient.fixed += fx_[s];
+                sol.gradient.perL += l_[s];
+                sol.gradient.perO += o_[s];
+                sol.gradient.perG += g_[s];
+                sol.gradient.perGb += gb_[s];
+            }
+            sol.pathEdges++;
+            v = src_[s];
+        }
+        return sol;
+    }
+
+  private:
+    std::size_t n_ = 0;
+    std::vector<int> off_, src_;
+    std::vector<float> fx_, l_, o_, g_, gb_;
+};
+
+std::string
+hexOf(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/** "" when both of the solver's paths answer `p` byte for byte as the
+ *  oracle does (makespan, every gradient field, pathEdges), else the
+ *  first difference. */
+std::string
+mismatch(const LpDag &dag, const ReferenceLp &ref, const LpParams &p)
+{
+    const LpSolution want = ref.solve(p);
+    const LpSolution got = dag.solve(p);
+    const std::optional<double> alone = dag.makespan(p);
+    if (!got.ok || !alone)
+        return "not solved";
+    const std::pair<const char *, std::pair<double, double>> fields[] = {
+        {"makespan", {got.makespan, want.makespan}},
+        {"makespan-only", {*alone, want.makespan}},
+        {"gradient.fixed", {got.gradient.fixed, want.gradient.fixed}},
+        {"gradient.perL", {got.gradient.perL, want.gradient.perL}},
+        {"gradient.perO", {got.gradient.perO, want.gradient.perO}},
+        {"gradient.perG", {got.gradient.perG, want.gradient.perG}},
+        {"gradient.perGb", {got.gradient.perGb, want.gradient.perGb}},
+    };
+    for (const auto &[name, v] : fields)
+        if (std::bit_cast<std::uint64_t>(v.first) !=
+            std::bit_cast<std::uint64_t>(v.second))
+            return std::string(name) + " " + hexOf(v.first) +
+                   " != " + hexOf(v.second);
+    if (got.pathEdges != want.pathEdges)
+        return "pathEdges " + std::to_string(got.pathEdges) +
+               " != " + std::to_string(want.pathEdges);
+    return "";
+}
+
+/** Operating points with integer-valued terms (so equal-weight paths
+ *  tie), the zero point, and one with fractional terms. */
+const LpParams kOraclePoints[] = {
+    {0, 0, 0, 0}, {1, 0, 0, 0},  {3, 2, 1, 0.5},
+    {0, 5, 0, 2}, {10, 1, 2, 0}, {7.3, 2.9, 5.8, 0.013},
+};
+
+/**
+ * A seeded random DAG with the shapes traced models take and some they
+ * avoid: node ids shuffled against a hidden topological order, edges
+ * added in random order, anchors at kSource, nodes without in-edges,
+ * nodes with up to 8 in-edges plus a 16-way sink, negative fixed costs
+ * (clamped at small parameters), and small integer coefficients so
+ * that paths tie. `distinct` gives every edge its own coefficient
+ * tuple.
+ */
+LpDag
+randomDag(std::uint64_t seed, int nodes, bool distinct = false)
+{
+    std::mt19937_64 rng(seed);
+    auto pick = [&](std::uint64_t n) { return rng() % n; };
+    std::vector<int> order(static_cast<std::size_t>(nodes));
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t i = order.size(); i > 1; i--)
+        std::swap(order[i - 1], order[pick(i)]);
+    std::vector<LpDag::Edge> edges;
+    for (int r = 0; r < nodes; r++) {
+        const std::uint64_t roll = pick(20);
+        std::uint64_t indeg = roll < 3    ? 0
+                              : roll < 10 ? 1
+                              : roll < 16 ? 2
+                                          : 3 + pick(6);
+        if (r == nodes - 1)
+            indeg = 16;
+        for (std::uint64_t i = 0; i < indeg; i++) {
+            LinCost c;
+            c.fixed = static_cast<double>(pick(11)) - 4;
+            c.perL = static_cast<double>(pick(3));
+            c.perO = static_cast<double>(pick(3));
+            c.perG = static_cast<double>(pick(2));
+            c.perGb = 0.5 * static_cast<double>(pick(4));
+            const int src = r == 0 || pick(8) == 0
+                                ? LpDag::kSource
+                                : order[pick(static_cast<std::uint64_t>(r))];
+            edges.push_back({src, order[r], c});
+        }
+    }
+    for (std::size_t i = edges.size(); i > 1; i--)
+        std::swap(edges[i - 1], edges[pick(i)]);
+    LpDag d;
+    for (int v = 0; v < nodes; v++)
+        d.addNode();
+    for (std::size_t i = 0; i < edges.size(); i++) {
+        if (distinct)
+            edges[i].cost.perGb = 0.25 * static_cast<double>(i);
+        d.addEdge(edges[i].src, edges[i].dst, edges[i].cost);
+    }
+    EXPECT_TRUE(d.prepare());
+    return d;
+}
+
+TEST(LpOracle, RandomDagsMatchTheTwoPassKernel)
+{
+    for (std::uint64_t seed = 1; seed <= 40; seed++) {
+        const int nodes = 1 + static_cast<int>(seed * 37 % 500);
+        const LpDag dag = randomDag(seed, nodes);
+        const ReferenceLp ref(dag);
+        for (const LpParams &p : kOraclePoints)
+            EXPECT_EQ(mismatch(dag, ref, p), "")
+                << "seed " << seed << ", L=" << p.L << " o=" << p.o
+                << " g=" << p.g << " G=" << p.Gb;
+    }
+}
+
+TEST(LpOracle, TupleIndexCoversMoreThan65536Tuples)
+{
+    const LpDag dag = randomDag(99, 40000, true);
+    ASSERT_GT(dag.edgeCount(), 65536u); // One tuple per edge.
+    const ReferenceLp ref(dag);
+    for (const LpParams &p : kOraclePoints)
+        EXPECT_EQ(mismatch(dag, ref, p), "")
+            << "L=" << p.L << " o=" << p.o << " g=" << p.g
+            << " G=" << p.Gb;
+}
+
+TEST(LpOracle, AlternatingDagSizesOnOneThread)
+{
+    // The solver's per-thread scratch outlives each solve: a larger
+    // DAG leaves stale distances and binding entries behind for a
+    // smaller one to trip over, and vice versa.
+    LpDag anchored;
+    LinCost at50;
+    at50.fixed = 50;
+    anchored.addEdge(LpDag::kSource, anchored.addNode(), at50);
+    ASSERT_TRUE(anchored.prepare());
+    LpDag empty;
+    ASSERT_TRUE(empty.prepare());
+    const LpDag big = randomDag(7, 6000);
+    const LpDag small = randomDag(8, 12);
+    const LpDag *dags[] = {&big, &small, &anchored, &big, &empty,
+                           &small, &big, &anchored};
+    for (int round = 0; round < 2; round++) {
+        for (const LpDag *dag : dags) {
+            const ReferenceLp ref(*dag);
+            for (const LpParams &p : kOraclePoints)
+                EXPECT_EQ(mismatch(*dag, ref, p), "")
+                    << dag->nodeCount() << " nodes, L=" << p.L;
+        }
+    }
+}
+
+TEST(LpOracle, TracedModelsMatchOverAnLxOxGGrid)
+{
+    for (const char *app : {"radix", "em3d-read", "sample"}) {
+        RunPoint pt = smallPoint(app);
+        LogGPParams base = pt.config.machine.params;
+        pt.config.knobs.applyTo(base);
+        SpanTracer tracer;
+        pt.config.obs = &tracer;
+        const RunResult traced = runApp(pt.app, pt.config);
+        ASSERT_TRUE(traced.ok) << app;
+        AnalyticModel model;
+        ASSERT_TRUE(model.build(tracer, base, traced.runtime)) << app;
+        const ReferenceLp ref(model.dag());
+        for (double l : {5.0, 15.0, 55.0, 105.0}) {
+            for (double o : {2.9, 7.9, 52.9}) {
+                for (double g : {5.8, 30.0, 105.0}) {
+                    Knobs k;
+                    k.latencyUs = l;
+                    k.overheadUs = o;
+                    k.gapUs = g;
+                    LogGPParams p = pt.config.machine.params;
+                    k.applyTo(p);
+                    EXPECT_EQ(mismatch(model.dag(), ref,
+                                       AnalyticModel::pointOf(p)),
+                              "")
+                        << app << " at L=" << l << " o=" << o
+                        << " g=" << g;
+                    // The model's two entry points give one runtime.
+                    const std::optional<double> rt = model.runtime(p);
+                    ASSERT_TRUE(rt.has_value()) << app;
+                    EXPECT_EQ(hexOf(*rt), hexOf(model.predict(p).runtime))
+                        << app << " at L=" << l << " o=" << o
+                        << " g=" << g;
+                }
+            }
+        }
+    }
+}
+
+TEST(Analytic, ConcurrentAnswersMatchASerialRun)
+{
+    // nowlabd calls run() from its worker pool, and the solver keeps
+    // per-thread scratch: four threads sharing one backend (and its
+    // first model builds) must answer exactly as one thread does.
+    BackendOptions opts;
+    opts.validateModels = false;
+    std::vector<RunPoint> grid;
+    for (const char *app : {"radix", "em3d-read"})
+        for (double l : {5.0, 30.0, 80.0})
+            for (double o : {2.9, 10.0})
+                for (double g : {5.8, 30.0}) {
+                    RunPoint pt = smallPoint(app);
+                    pt.config.scale = 0.05;
+                    pt.config.knobs.latencyUs = l;
+                    pt.config.knobs.overheadUs = o;
+                    pt.config.knobs.gapUs = g;
+                    grid.push_back(pt);
+                }
+    auto answer = [](AnalyticBackend &be, const RunPoint &pt) {
+        const AnalyticPrediction p = be.predict(pt);
+        return fingerprint(be.run(pt)) + " " + hexOf(p.runtime) + " " +
+               hexOf(p.dTdL) + " " + hexOf(p.dTdO) + " " +
+               hexOf(p.dTdG) + " " + hexOf(p.dTdGb);
+    };
+
+    AnalyticBackend serial(opts);
+    std::vector<std::string> want;
+    for (const RunPoint &pt : grid)
+        want.push_back(answer(serial, pt));
+
+    constexpr std::size_t kThreads = 4;
+    AnalyticBackend shared(opts);
+    std::vector<std::vector<std::string>> got(
+        kThreads, std::vector<std::string>(grid.size()));
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < kThreads; t++) {
+        pool.emplace_back([&, t] {
+            // Each thread walks the whole grid from its own offset.
+            for (std::size_t j = 0; j < grid.size(); j++) {
+                const std::size_t i =
+                    (j + t * grid.size() / kThreads) % grid.size();
+                got[t][i] = answer(shared, grid[i]);
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (std::size_t t = 0; t < kThreads; t++)
+        for (std::size_t i = 0; i < grid.size(); i++)
+            EXPECT_EQ(got[t][i], want[i])
+                << "thread " << t << ", point " << i;
 }
 
 // ----------------------------------------------------------------------

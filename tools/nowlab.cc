@@ -1764,10 +1764,12 @@ cmdColl(const Args &a)
 /**
  * `nowlab backend validate`: the analytic backend's CI gate. For each
  * app it builds the LP model (which runs the built-in latency probe),
- * then independently stretches overhead and gap and races the model
- * against the simulator. Any unhealthy model or drift beyond
- * --tolerance exits non-zero, so a lowering regression fails the build
- * instead of silently skewing every analytic sweep.
+ * then independently stretches overhead and gap and races the answer
+ * users get, `run()`, against the simulator. Any unhealthy model,
+ * drift beyond --tolerance, or a served runtime that is not
+ * `predict()`'s rounded runtime exits non-zero, so a lowering or
+ * solver regression fails the build instead of silently skewing every
+ * analytic sweep.
  */
 int
 cmdBackend(const Args &a)
@@ -1807,17 +1809,23 @@ cmdBackend(const Args &a)
         backend::ModelBuildStats stats = be.modelStats(pt);
 
         // Drift at points the build probe does not cover: stretch one
-        // knob well past its machine baseline and race model vs sim.
+        // knob well past its machine baseline and race the served
+        // answer against sim. run() solves for the makespan alone and
+        // predict() with the dual; both must give one runtime.
+        bool consistent = true;
         auto driftAt = [&](const Knobs &kn) {
             if (!healthy)
                 return -1.0;
             RunPoint q = pt;
             q.config.knobs = kn;
+            RunResult ana = be.run(q);
             backend::AnalyticPrediction pr = be.predict(q);
             RunResult sim = runPointCached(q);
-            if (!pr.ok || !sim.ok)
+            if (!ana.ok || !pr.ok || !sim.ok)
                 return -1.0;
-            return std::fabs(pr.runtime -
+            if (ana.runtime != std::llround(pr.runtime))
+                consistent = false;
+            return std::fabs(static_cast<double>(ana.runtime) -
                              static_cast<double>(sim.runtime)) /
                    static_cast<double>(sim.runtime);
         };
@@ -1828,14 +1836,16 @@ cmdBackend(const Args &a)
         kg.gapUs = 15;
         const double dGap = driftAt(kg);
 
-        const bool app_pass = healthy && dOver >= 0 && dOver <= tol &&
-                              dGap >= 0 && dGap <= tol;
+        const bool app_pass = healthy && consistent && dOver >= 0 &&
+                              dOver <= tol && dGap >= 0 && dGap <= tol;
         pass = pass && app_pass;
         if (healthy)
             std::printf("%-10s model %zu nodes / %zu edges, overhead "
-                        "drift %.1f%%, gap drift %.1f%% -> %s\n",
+                        "drift %.1f%%, gap drift %.1f%%%s -> %s\n",
                         app.c_str(), stats.lpNodes, stats.lpEdges,
                         dOver * 100, dGap * 100,
+                        consistent ? ""
+                                   : ", run() differs from predict()",
                         app_pass ? "pass" : "FAIL");
         else
             std::printf("%-10s unhealthy: %s -> FAIL\n", app.c_str(),
@@ -1848,6 +1858,7 @@ cmdBackend(const Args &a)
             .field("lpEdges", static_cast<std::uint64_t>(stats.lpEdges))
             .field("overheadDriftPct", dOver * 100)
             .field("gapDriftPct", dGap * 100)
+            .field("runMatchesPredict", consistent)
             .field("pass", app_pass)
             .endObject();
     }
