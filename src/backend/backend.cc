@@ -1,14 +1,12 @@
 /**
  * @file
- * The three ExperimentBackend implementations and backend selection.
+ * The analytic LP backend.
  */
 
 #include "backend/backend.hh"
 
 #include <cmath>
 #include <cstdio>
-
-#include "base/logging.hh"
 
 namespace nowcluster::backend {
 
@@ -84,106 +82,6 @@ resolvedParams(const RunConfig &c)
 }
 
 } // namespace
-
-const char *
-backendKindName(BackendKind kind)
-{
-    switch (kind) {
-      case BackendKind::kSim:
-        return "sim";
-      case BackendKind::kAnalytic:
-        return "analytic";
-      case BackendKind::kCache:
-        return "cache";
-    }
-    return "?";
-}
-
-bool
-parseBackendKind(const std::string &name, BackendKind &out)
-{
-    if (name == "sim")
-        out = BackendKind::kSim;
-    else if (name == "analytic")
-        out = BackendKind::kAnalytic;
-    else if (name == "cache")
-        out = BackendKind::kCache;
-    else
-        return false;
-    return true;
-}
-
-bool
-resolveBackendKind(const std::string &arg, BackendKind &out,
-                   std::string &err)
-{
-    const std::string &name = !arg.empty() ? arg : envConfig().backend;
-    if (name.empty()) {
-        out = BackendKind::kSim;
-        return true;
-    }
-    if (!parseBackendKind(name, out)) {
-        err = "unknown backend '" + name +
-              "' (expected sim, analytic, or cache)";
-        return false;
-    }
-    return true;
-}
-
-std::vector<RunResult>
-ExperimentBackend::runMany(const std::vector<RunPoint> &pts, int jobs)
-{
-    (void)jobs; // points answered from a model need no fan-out
-    std::vector<RunResult> out;
-    out.reserve(pts.size());
-    for (const RunPoint &pt : pts)
-        out.push_back(run(pt));
-    return out;
-}
-
-// --- sim -----------------------------------------------------------
-
-std::string
-SimBackend::canServe(const RunPoint &)
-{
-    return "";
-}
-
-RunResult
-SimBackend::run(const RunPoint &pt)
-{
-    return runPointCached(pt);
-}
-
-std::vector<RunResult>
-SimBackend::runMany(const std::vector<RunPoint> &pts, int jobs)
-{
-    return runPoints(pts, jobs);
-}
-
-// --- cache ---------------------------------------------------------
-
-std::string
-CacheBackend::canServe(const RunPoint &pt)
-{
-    if (!cache_)
-        return "no result cache installed";
-    RunResult tmp;
-    if (!cache_->lookup(pt, tmp))
-        return "spec not in cache";
-    return "";
-}
-
-RunResult
-CacheBackend::run(const RunPoint &pt)
-{
-    RunResult r;
-    if (cache_)
-        cache_->lookup(pt, r);
-    return r;
-}
-
-// --- analytic ------------------------------------------------------
 
 std::string
 AnalyticBackend::canServe(const RunPoint &pt)
@@ -347,23 +245,6 @@ AnalyticBackend::run(const RunPoint &pt)
     r.validated = false;
     r.simEvents = 0;
     return r;
-}
-
-// --- factory -------------------------------------------------------
-
-std::unique_ptr<ExperimentBackend>
-makeBackend(BackendKind kind, BackendOptions opts)
-{
-    switch (kind) {
-      case BackendKind::kSim:
-        return std::make_unique<SimBackend>();
-      case BackendKind::kAnalytic:
-        return std::make_unique<AnalyticBackend>(opts);
-      case BackendKind::kCache:
-        return std::make_unique<CacheBackend>(runCache());
-    }
-    fatal("unreachable backend kind");
-    return nullptr;
 }
 
 } // namespace nowcluster::backend

@@ -1,28 +1,22 @@
 /**
  * @file
- * ExperimentBackend: one API for answering experiment points, with the
- * engine that answers them selected at runtime.
+ * ExperimentBackend: the interface through which points are answered
+ * from a model instead of a simulation.
  *
  * Every consumer of experiment results -- `nowlab sweep`, the bench
  * binaries, `nowlabd` -- asks the same question: "what does this
- * (app, machine, knobs) point measure?" Three engines can answer it:
+ * (app, machine, knobs) point measure?" The simulator
+ * (harness::runPoints) always answers it, in seconds per point. The
+ * analytic backend below answers the LogGP knobs from the LP lowered
+ * from one traced run (backend/model.hh): milliseconds per point with
+ * closed-form sensitivity slopes, valid for the swept LogGP knobs of a
+ * recorded (app, nprocs, topology); it self-validates against a sim
+ * probe and refuses service when drift exceeds tolerance.
  *
- *   sim       the discrete-event simulator (harness::runPoints):
- *             always correct, seconds per point.
- *   analytic  the LP lowered from one traced run (backend/model.hh):
- *             milliseconds per point with closed-form sensitivity
- *             slopes, valid for the swept LogGP knobs of a recorded
- *             (app, nprocs, topology); self-validates against a sim
- *             probe and refuses service when drift exceeds tolerance.
- *   cache     the content-addressed result store: instant when a
- *             byte-identical spec was already computed.
- *
- * Callers hold an ExperimentBackend pointer and never know which one
- * is behind it; canServe() lets layered dispatchers (nowlabd, sweep)
- * ask before committing and fall back -- the analytic backend says
- * *why* it cannot serve a point so the fallback is explainable.
- * Selection comes from `--backend sim|analytic|cache` with the
- * NOW_BACKEND environment variable as fallback.
+ * canServe() lets dispatchers (nowlabd, sweep) ask before committing
+ * and fall back to the simulator -- the backend says *why* it cannot
+ * serve a point so the fallback is explainable. Tools select it with
+ * `--backend sim|analytic`.
  */
 
 #ifndef NOWCLUSTER_BACKEND_BACKEND_HH_
@@ -32,33 +26,11 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "backend/model.hh"
 #include "harness/runner.hh"
 
 namespace nowcluster::backend {
-
-enum class BackendKind
-{
-    kSim,
-    kAnalytic,
-    kCache,
-};
-
-/** "sim" / "analytic" / "cache". */
-const char *backendKindName(BackendKind kind);
-
-/** Parse a backend name; false (out untouched) on an unknown name. */
-bool parseBackendKind(const std::string &name, BackendKind &out);
-
-/**
- * Resolve a user-facing --backend value: an explicit name wins, then
- * NOW_BACKEND, then sim. False with a complaint in `err` if either
- * source names an unknown backend.
- */
-bool resolveBackendKind(const std::string &arg, BackendKind &out,
-                        std::string &err);
 
 /** Knobs common to backend construction. */
 struct BackendOptions
@@ -78,54 +50,17 @@ class ExperimentBackend
   public:
     virtual ~ExperimentBackend() = default;
 
-    virtual BackendKind kind() const = 0;
-    const char *name() const { return backendKindName(kind()); }
-
     /**
      * Can this backend answer `pt`? "" = yes; otherwise a
      * human-readable reason (the fallback explanation nowlabd logs).
-     * May do work (the analytic backend probes its model table, the
-     * cache backend probes the store) but never simulates.
+     * May do work (the analytic backend probes its model table) but
+     * never simulates.
      */
     virtual std::string canServe(const RunPoint &pt) = 0;
 
     /** Answer one point. A point the backend cannot serve returns
      *  ok=false (callers that care ask canServe first). */
     virtual RunResult run(const RunPoint &pt) = 0;
-
-    /** Answer a batch in submission order. Default: run() in a loop
-     *  (the sim backend fans out across the worker pool instead). */
-    virtual std::vector<RunResult>
-    runMany(const std::vector<RunPoint> &pts, int jobs);
-};
-
-/** The simulator behind the interface: runPointCached / runPoints,
- *  including the installed RunCache and --jobs fan-out. */
-class SimBackend : public ExperimentBackend
-{
-  public:
-    BackendKind kind() const override { return BackendKind::kSim; }
-    std::string canServe(const RunPoint &pt) override;
-    RunResult run(const RunPoint &pt) override;
-    std::vector<RunResult> runMany(const std::vector<RunPoint> &pts,
-                                   int jobs) override;
-};
-
-/** The result store behind the interface: hits are instant, misses are
- *  refusals (ok=false) -- this backend never computes. */
-class CacheBackend : public ExperimentBackend
-{
-  public:
-    /** @param cache The store hook to probe (not owned; nullptr means
-     *               "no cache installed" and nothing is served). */
-    explicit CacheBackend(RunCache *cache) : cache_(cache) {}
-
-    BackendKind kind() const override { return BackendKind::kCache; }
-    std::string canServe(const RunPoint &pt) override;
-    RunResult run(const RunPoint &pt) override;
-
-  private:
-    RunCache *cache_;
 };
 
 /**
@@ -139,8 +74,6 @@ class AnalyticBackend : public ExperimentBackend
 {
   public:
     explicit AnalyticBackend(BackendOptions opts = {}) : opts_(opts) {}
-
-    BackendKind kind() const override { return BackendKind::kAnalytic; }
 
     /**
      * Static incompatibilities (fault injection, reliability protocol,
@@ -192,11 +125,6 @@ class AnalyticBackend : public ExperimentBackend
     std::unordered_map<std::string, std::shared_ptr<ModelEntry>>
         models_;
 };
-
-/** Construct a backend of the given kind. The cache backend wraps the
- *  process-global RunCache hook (runner.hh). */
-std::unique_ptr<ExperimentBackend> makeBackend(BackendKind kind,
-                                               BackendOptions opts = {});
 
 } // namespace nowcluster::backend
 

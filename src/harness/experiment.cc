@@ -122,8 +122,6 @@ parseEnvConfig()
         c.collAlg = s;
     if (const char *s = std::getenv("NOW_CACHE_DIR"))
         c.cacheDir = s;
-    if (const char *s = std::getenv("NOW_BACKEND"))
-        c.backend = s;
     return c;
 }
 

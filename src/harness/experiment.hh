@@ -89,7 +89,8 @@ struct RunConfig
     int origin = 0;
     /** Optional span tracer (not owned): records per-track timelines
      *  and per-message flights for the Perfetto exporter, the
-     *  critical-path analyzer, replay and the burstiness stats. */
+     *  critical-path analyzer, the LP lowering (analytic backend and
+     *  replay) and the burstiness stats. */
     SpanTracer *obs = nullptr;
 };
 
@@ -130,9 +131,6 @@ struct EnvConfig
     std::string collAlg;
     /** NOW_CACHE_DIR: result-store directory ("" = caching off). */
     std::string cacheDir;
-    /** NOW_BACKEND: experiment-backend fallback for tools that take
-     *  --backend ("" = unset, meaning sim). */
-    std::string backend;
 };
 
 /** Parse the environment right now (testing; most code wants the

@@ -16,8 +16,9 @@
  * trace_event exporter and the compact binary format `nowlab replay
  * --obs` loads (src/obs/export.hh), the LogGP critical-path analyzer
  * (src/obs/critpath.hh), the wavefront analyzer, the analytic
- * backend's LP lowering, trace replay (src/replay), and the message
- * statistics at the end of this header.
+ * backend's LP lowering (src/backend/model.hh, which is also what
+ * `nowlab replay` solves), and the message statistics at the end of
+ * this header.
  */
 
 #ifndef NOWCLUSTER_OBS_TRACER_HH_

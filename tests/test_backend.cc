@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the experiment-backend subsystem (src/backend/): the LP
- * longest-path solver and its closed-form gradients, backend selection
- * and the ExperimentBackend contract, and -- the acceptance criterion
+ * longest-path solver and its closed-form gradients, the analytic
+ * backend's refusals and calibration, and -- the acceptance criterion
  * of the subsystem -- analytic-vs-simulated agreement on runtime and
  * dT/dL slope across an L x o grid for radix and em3d-read. An oracle
  * (the solver's former two-pass kernel) pins every solve byte for
@@ -14,7 +14,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -32,15 +31,11 @@ namespace {
 using backend::AnalyticBackend;
 using backend::AnalyticModel;
 using backend::AnalyticPrediction;
-using backend::BackendKind;
 using backend::BackendOptions;
-using backend::CacheBackend;
-using backend::ExperimentBackend;
 using backend::LinCost;
 using backend::LpDag;
 using backend::LpParams;
 using backend::LpSolution;
-using backend::SimBackend;
 
 // ----------------------------------------------------------------------
 // The LP solver.
@@ -142,41 +137,7 @@ TEST(Lp, VirtualSourceAnchorsAndCyclesAreRejected)
 }
 
 // ----------------------------------------------------------------------
-// Backend selection.
-// ----------------------------------------------------------------------
-
-TEST(Backend, KindNamesParseAndRoundTrip)
-{
-    BackendKind k;
-    ASSERT_TRUE(backend::parseBackendKind("sim", k));
-    EXPECT_EQ(k, BackendKind::kSim);
-    ASSERT_TRUE(backend::parseBackendKind("analytic", k));
-    EXPECT_EQ(k, BackendKind::kAnalytic);
-    ASSERT_TRUE(backend::parseBackendKind("cache", k));
-    EXPECT_EQ(k, BackendKind::kCache);
-    EXPECT_FALSE(backend::parseBackendKind("quantum", k));
-    EXPECT_STREQ(backend::backendKindName(BackendKind::kAnalytic),
-                 "analytic");
-
-    std::string err;
-    ASSERT_TRUE(backend::resolveBackendKind("", k, err));
-    EXPECT_EQ(k, BackendKind::kSim); // Default (no NOW_BACKEND here).
-    EXPECT_FALSE(backend::resolveBackendKind("bogus", k, err));
-    EXPECT_NE(err.find("bogus"), std::string::npos);
-}
-
-TEST(Backend, FactoryConstructsEveryKind)
-{
-    for (BackendKind k : {BackendKind::kSim, BackendKind::kAnalytic,
-                          BackendKind::kCache}) {
-        auto b = backend::makeBackend(k);
-        ASSERT_NE(b, nullptr);
-        EXPECT_EQ(b->kind(), k);
-    }
-}
-
-// ----------------------------------------------------------------------
-// Sim and cache backends honor the common contract.
+// The analytic backend.
 // ----------------------------------------------------------------------
 
 RunPoint
@@ -189,63 +150,6 @@ smallPoint(const std::string &app)
     pt.config.validate = false;
     return pt;
 }
-
-TEST(Backend, SimBackendMatchesTheHarnessByteForByte)
-{
-    RunPoint pt = smallPoint("radix");
-    SimBackend sim;
-    EXPECT_EQ(sim.canServe(pt), "");
-    RunResult via_backend = sim.run(pt);
-    RunResult direct = runApp(pt.app, pt.config);
-    ASSERT_TRUE(via_backend.ok);
-    EXPECT_EQ(fingerprint(via_backend), fingerprint(direct));
-}
-
-/** Toy in-memory RunCache keyed by canonical spec. */
-class MapCache : public RunCache
-{
-  public:
-    bool
-    lookup(const RunPoint &pt, RunResult &out) override
-    {
-        auto it = map_.find(svc::cacheKey(pt));
-        if (it == map_.end())
-            return false;
-        out = it->second;
-        return true;
-    }
-    void
-    insert(const RunPoint &pt, const RunResult &r) override
-    {
-        map_[svc::cacheKey(pt)] = r;
-    }
-
-  private:
-    std::map<std::string, RunResult> map_;
-};
-
-TEST(Backend, CacheBackendServesOnlyWhatWasStored)
-{
-    MapCache cache;
-    CacheBackend be(&cache);
-    RunPoint pt = smallPoint("radix");
-    EXPECT_EQ(be.canServe(pt), "spec not in cache");
-    EXPECT_FALSE(be.run(pt).ok);
-
-    RunResult r = runApp(pt.app, pt.config);
-    ASSERT_TRUE(r.ok);
-    cache.insert(pt, r);
-    EXPECT_EQ(be.canServe(pt), "");
-    EXPECT_EQ(fingerprint(be.run(pt)), fingerprint(r));
-
-    CacheBackend none(nullptr);
-    EXPECT_EQ(none.canServe(pt), "no result cache installed");
-    EXPECT_FALSE(none.run(pt).ok);
-}
-
-// ----------------------------------------------------------------------
-// The analytic backend.
-// ----------------------------------------------------------------------
 
 TEST(Analytic, RefusesWhatTheModelCannotRetime)
 {

@@ -1,22 +1,34 @@
 /**
  * @file
- * Tests for trace replay: schedule extraction, fidelity of same-
- * parameter replay, sensitivity of replayed traces to the knobs, the
- * NOWOBS01 round trip the CLI uses, and refusal of traces that name
- * nodes outside the replay cluster.
+ * Tests for trace replay, which answers what-if questions by lowering
+ * a recorded span trace into the analytic backend's LP
+ * (backend::AnalyticModel) calibrated on the trace's own makespan:
+ * exactness on the recorded machine, sensitivity of replayed traces to
+ * the knobs, the NOWOBS01 round trip the CLI uses, the paper's
+ * latency-bound app replayed from a file, and hostile traces that must
+ * be refused or answered with a finite runtime.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "backend/model.hh"
 #include "harness/experiment.hh"
 #include "net/packet.hh"
 #include "obs/export.hh"
-#include "replay/replay.hh"
 
 namespace nowcluster {
 namespace {
+
+using backend::AnalyticModel;
+using backend::AnalyticPrediction;
 
 /** Capture a span trace and baseline runtime of one app run. */
 std::pair<SpanTracer, RunResult>
@@ -31,45 +43,44 @@ capture(const std::string &key, int nprocs, double scale)
     return {std::move(trace), r};
 }
 
-TEST(Replay, ScheduleExtractionFiltersReplies)
+/** What `nowlab replay` builds: the trace lowered under the machine
+ *  baseline and calibrated on its own last tick. */
+AnalyticModel
+lower(const SpanTracer &trace, const LogGPParams &recorded)
 {
-    auto [trace, r] = capture("em3d-write", 4, 0.2);
-    ASSERT_TRUE(r.ok);
-    auto params = MachineConfig::berkeleyNow().params;
-    ReplaySchedule sched = extractSchedule(trace, 4, params);
-    EXPECT_EQ(sched.nprocs, 4);
-    // Only requests/one-ways are scheduled; replies regenerate.
-    std::uint64_t non_reply = 0;
-    for (const ObsMessage &m : trace.messages()) {
-        const auto kind = static_cast<PacketKind>(m.kind);
-        if (kind != PacketKind::Reply && kind != PacketKind::BulkFrag)
-            ++non_reply;
-    }
-    EXPECT_EQ(sched.totalSends(), non_reply);
-    // Every step's destination is a valid, non-self node.
-    for (int p = 0; p < 4; ++p) {
-        for (const ReplayStep &s : sched.steps[p]) {
-            EXPECT_GE(s.dst, 0);
-            EXPECT_LT(s.dst, 4);
-        }
-    }
+    AnalyticModel m;
+    EXPECT_TRUE(m.build(trace, recorded, trace.lastTick()));
+    return m;
+}
+
+Tick
+replayedRuntime(const AnalyticModel &m, const LogGPParams &target)
+{
+    return std::llround(m.runtime(target).value_or(-1));
+}
+
+/** Write `trace` as NOWOBS01 and read it back, as the CLI does. */
+SpanTracer
+throughFile(const SpanTracer &trace, const std::string &name)
+{
+    const std::string path = ::testing::TempDir() + name;
+    EXPECT_TRUE(writeBinaryTrace(trace, path));
+    SpanTracer loaded;
+    EXPECT_TRUE(readBinaryTrace(loaded, path));
+    std::remove(path.c_str());
+    return loaded;
 }
 
 TEST(Replay, SameParametersReproduceTheRuntimeShape)
 {
     auto [trace, r] = capture("em3d-write", 4, 0.2);
     ASSERT_TRUE(r.ok);
+    // The trace's last tick is the run's measured runtime, and the LP
+    // calibrated on it reproduces it to the tick.
+    EXPECT_EQ(trace.lastTick(), r.runtime);
     auto params = MachineConfig::berkeleyNow().params;
-    ReplaySchedule sched = extractSchedule(trace, 4, params);
-    ReplayResult rr = replaySchedule(sched, params);
-    ASSERT_TRUE(rr.ok);
-    // Replay approximates the original (think-time extraction folds
-    // receive overheads into think, so expect the same ballpark, not
-    // equality).
-    double ratio = static_cast<double>(rr.makespan) /
-                   static_cast<double>(r.runtime);
-    EXPECT_GT(ratio, 0.5);
-    EXPECT_LT(ratio, 1.6);
+    AnalyticModel m = lower(trace, params);
+    EXPECT_EQ(replayedRuntime(m, params), r.runtime);
 }
 
 TEST(Replay, KnobsStretchReplayedTraces)
@@ -77,86 +88,184 @@ TEST(Replay, KnobsStretchReplayedTraces)
     auto [trace, r] = capture("radix", 4, 0.15);
     ASSERT_TRUE(r.ok);
     auto base = MachineConfig::berkeleyNow().params;
-    ReplaySchedule sched = extractSchedule(trace, 4, base);
+    AnalyticModel m = lower(trace, base);
 
-    ReplayResult fast = replaySchedule(sched, base);
     auto slow_params = base;
     slow_params.setDesiredGapUsec(55.0);
-    ReplayResult slow = replaySchedule(sched, slow_params);
-    ASSERT_TRUE(fast.ok && slow.ok);
-    EXPECT_GT(slow.makespan, fast.makespan);
-}
-
-TEST(Replay, BulkRunsCoalesce)
-{
-    auto [trace, r] = capture("radb", 4, 0.15);
-    ASSERT_TRUE(r.ok);
-    auto params = MachineConfig::berkeleyNow().params;
-    ReplaySchedule sched = extractSchedule(trace, 4, params);
-    // Radb's distribution sends multi-fragment bulk messages; the
-    // schedule must contain bulk steps with multi-kilobyte payloads.
-    bool has_big_bulk = false;
-    for (int p = 0; p < 4; ++p) {
-        for (const ReplayStep &s : sched.steps[p])
-            has_big_bulk = has_big_bulk || (s.bulk && s.bytes > 4096);
-    }
-    EXPECT_TRUE(has_big_bulk);
-    ReplayResult rr = replaySchedule(sched, params);
-    EXPECT_TRUE(rr.ok);
+    EXPECT_GT(replayedRuntime(m, slow_params), replayedRuntime(m, base));
+    EXPECT_GT(m.predict(slow_params).dTdG, 0.0);
 }
 
 TEST(Replay, BinaryRoundTripFeedsReplay)
 {
     auto [trace, r] = capture("em3d-write", 4, 0.15);
     ASSERT_TRUE(r.ok);
-    std::string path = ::testing::TempDir() + "nowcluster_replay_test.obs";
-    ASSERT_TRUE(writeBinaryTrace(trace, path));
-
-    SpanTracer loaded;
-    ASSERT_TRUE(readBinaryTrace(loaded, path));
+    SpanTracer loaded = throughFile(trace, "nowcluster_replay_test.obs");
     EXPECT_EQ(loaded.messages().size(), trace.messages().size());
 
+    // The file carries everything the lowering reads: the models built
+    // in memory and from disk predict byte-equal answers.
     auto params = MachineConfig::berkeleyNow().params;
-    ReplaySchedule a = extractSchedule(trace, 4, params);
-    ReplaySchedule b = extractSchedule(loaded, 4, params);
-    EXPECT_EQ(a.totalSends(), b.totalSends());
-    ReplayResult ra = replaySchedule(a, params);
-    ReplayResult rb = replaySchedule(b, params);
-    EXPECT_EQ(ra.makespan, rb.makespan);
-    std::remove(path.c_str());
+    AnalyticModel a = lower(trace, params);
+    AnalyticModel b = lower(loaded, params);
+    EXPECT_EQ(a.stats().lpEdges, b.stats().lpEdges);
+    auto target = params;
+    target.setDesiredOverheadUsec(12.9);
+    target.setDesiredLatencyUsec(30.0);
+    const AnalyticPrediction pa = a.predict(target);
+    const AnalyticPrediction pb = b.predict(target);
+    ASSERT_TRUE(pa.ok && pb.ok);
+    const double want[] = {pa.runtime, pa.dTdL, pa.dTdO, pa.dTdG,
+                           pa.dTdGb};
+    const double got[] = {pb.runtime, pb.dTdL, pb.dTdO, pb.dTdG,
+                          pb.dTdGb};
+    for (std::size_t i = 0; i < std::size(want); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "field " << i;
 }
 
 TEST(Replay, EmptyTraceIsHarmless)
 {
     SpanTracer empty;
     auto params = MachineConfig::berkeleyNow().params;
-    ReplaySchedule sched = extractSchedule(empty, 3, params);
-    EXPECT_EQ(sched.totalSends(), 0u);
-    ReplayResult rr = replaySchedule(sched, params);
-    EXPECT_TRUE(rr.ok);
+    AnalyticModel m;
+    EXPECT_FALSE(m.build(empty, params, empty.lastTick()));
+    EXPECT_FALSE(m.predict(params).ok);
+    EXPECT_FALSE(m.runtime(params).has_value());
 }
 
-// A trace from a larger run (or a hand-edited one) must be refused as a
-// user error before replay indexes per-node state with its node ids.
-TEST(ReplayDeathTest, NodeOutsideTheClusterIsFatal)
+// The paper's latency-bound app: every remote read is a round trip the
+// CPU waits on, so L = 80 us stretches it ~7x. A replay that turns
+// those waits into fixed think time reads 1.01x here.
+TEST(Replay, LatencyBoundAppFromAFileTracksTheSimulator)
 {
+    auto [trace, r] = capture("em3d-read", 8, 0.1);
+    ASSERT_TRUE(r.ok);
+    SpanTracer loaded = throughFile(trace, "nowcluster_replay_em3d.obs");
     auto params = MachineConfig::berkeleyNow().params;
-    auto oneMessage = [](NodeId src, NodeId dst) {
-        SpanTracer t;
-        ObsMessage m;
-        m.id = t.newMsgId();
-        m.src = src;
-        m.dst = dst;
-        m.kind = static_cast<std::uint8_t>(PacketKind::OneWay);
-        t.message(m);
-        return t;
+    AnalyticModel m = lower(loaded, params);
+
+    RunConfig c;
+    c.nprocs = 8;
+    c.scale = 0.1;
+    c.knobs.latencyUs = 80;
+    RunResult sim = runApp("em3d-read", c);
+    ASSERT_TRUE(sim.ok);
+    LogGPParams target = params;
+    c.knobs.applyTo(target);
+    const double err =
+        std::fabs(static_cast<double>(replayedRuntime(m, target)) -
+                  static_cast<double>(sim.runtime)) /
+        static_cast<double>(sim.runtime);
+    EXPECT_LE(err, 0.10) << "sim " << sim.runtime << " replay "
+                         << replayedRuntime(m, target);
+    EXPECT_GT(sim.runtime, 5 * r.runtime);
+}
+
+/** Span and message builders for hand-made traces. */
+void
+cpuSpan(SpanTracer &t, NodeId node, SpanCat cat, Tick b, Tick e,
+        std::uint64_t msg = 0)
+{
+    t.span(node, TrackKind::Cpu, cat, b, e, msg);
+}
+
+void
+flight(SpanTracer &t, std::uint64_t id, NodeId src, NodeId dst,
+       Tick issued, Tick ready, bool retx = false)
+{
+    ObsMessage m;
+    m.id = id;
+    m.src = src;
+    m.dst = dst;
+    m.issued = issued;
+    m.inject = issued;
+    m.wire = issued;
+    m.ready = ready;
+    m.wireLatency = MachineConfig::berkeleyNow().params.totalLatency();
+    m.kind = static_cast<std::uint8_t>(PacketKind::OneWay);
+    m.retx = retx;
+    m.bytes = 32;
+    t.message(m);
+}
+
+// Replay reads files from outside the program. Whatever a NOWOBS01
+// file that passes readBinaryTrace holds, the lowering either refuses
+// it or answers with a finite runtime: the LP keys nodes by id, so no
+// node id indexes an array.
+TEST(Replay, HostileTracesAreRefusedOrFinite)
+{
+    constexpr NodeId kFar = std::numeric_limits<NodeId>::max();
+    constexpr Tick kHuge = Tick{1} << 62;
+    std::vector<std::pair<const char *, SpanTracer>> cases;
+    auto add = [&](const char *name) -> SpanTracer & {
+        cases.emplace_back(name, SpanTracer{});
+        return cases.back().second;
     };
-    SpanTracer far_dst = oneMessage(0, 3);
-    EXPECT_EXIT(extractSchedule(far_dst, 2, params),
-                ::testing::ExitedWithCode(1), "outside the 2-proc");
-    SpanTracer far_src = oneMessage(3, 0);
-    EXPECT_EXIT(extractSchedule(far_src, 2, params),
-                ::testing::ExitedWithCode(1), "outside the 2-proc");
+
+    {
+        SpanTracer &t = add("far node ids");
+        cpuSpan(t, 0, SpanCat::OSend, 0, 100, 1);
+        cpuSpan(t, kFar, SpanCat::ORecv, 200, 300, 1);
+        flight(t, 1, 0, kFar, 100, 150);
+    }
+    {
+        SpanTracer &t = add("dangling message ids");
+        cpuSpan(t, 1, SpanCat::OSend, 0, 100, 7);   // no record for 7
+        cpuSpan(t, 2, SpanCat::ORecv, 50, 90, 9);   // no record for 9
+        flight(t, 42, 3, 4, 10, 20);                // no spans for 42
+        flight(t, 43, kFar, 0, 10, 20);
+    }
+    {
+        SpanTracer &t = add("timestamps near 2^62");
+        cpuSpan(t, 0, SpanCat::Compute, 0, kHuge);
+        cpuSpan(t, 0, SpanCat::OSend, kHuge, kHuge + 100, 1);
+        cpuSpan(t, 1, SpanCat::ORecv, kHuge + 500, kHuge + 600, 1);
+        flight(t, 1, 0, 1, kHuge + 100, kHuge + 400);
+    }
+    {
+        SpanTracer &t = add("retransmitted flights");
+        cpuSpan(t, 0, SpanCat::OSend, 0, 100, 1);
+        cpuSpan(t, 1, SpanCat::ORecv, 300, 400, 1);
+        flight(t, 1, 0, 1, 100, 200);
+        flight(t, 1, 0, 1, 250, 300, true);
+        t.span(0, TrackKind::NicTx, SpanCat::Retransmit, 250, 250, 1);
+    }
+    {
+        // Each node receives (binding: the CPU is idle until it lands)
+        // before it sends what the other one receives: a cycle.
+        SpanTracer &t = add("a dependency cycle");
+        cpuSpan(t, 0, SpanCat::ORecv, 10, 20, 2);
+        cpuSpan(t, 0, SpanCat::OSend, 30, 40, 1);
+        cpuSpan(t, 1, SpanCat::ORecv, 10, 20, 1);
+        cpuSpan(t, 1, SpanCat::OSend, 30, 40, 2);
+        flight(t, 1, 0, 1, 40, 10);
+        flight(t, 2, 1, 0, 40, 10);
+    }
+
+    auto params = MachineConfig::berkeleyNow().params;
+    auto target = params;
+    target.setDesiredLatencyUsec(80.0);
+    target.setDesiredGapUsec(30.0);
+    std::vector<std::string> refused;
+    for (auto &[name, t] : cases) {
+        SpanTracer loaded = throughFile(t, "nowcluster_replay_hostile.obs");
+        AnalyticModel m;
+        if (!m.build(loaded, params, loaded.lastTick())) {
+            refused.push_back(name);
+            EXPECT_FALSE(m.predict(target).ok) << name;
+            continue;
+        }
+        const AnalyticPrediction p = m.predict(target);
+        ASSERT_TRUE(p.ok) << name;
+        EXPECT_TRUE(std::isfinite(p.runtime)) << name;
+        EXPECT_GE(p.runtime, 0.0) << name;
+        EXPECT_EQ(m.runtime(target).value_or(-1), p.runtime) << name;
+    }
+    // Only the cycle cannot lower; `nowlab replay` refuses the
+    // retransmissions before it builds.
+    EXPECT_EQ(refused, std::vector<std::string>{"a dependency cycle"});
 }
 
 } // namespace

@@ -8,13 +8,14 @@
  *                    [--machine now|paragon|meiko] [--matrix]
  *                    [--pgm FILE]
  *   nowlab sweep <app> --knob K --values a,b,c [--procs N] [--scale S]
- *                [--jobs J]
+ *                [--jobs J] [--backend sim|analytic]
  *   nowlab perf [--app A] [--points K] [--jobs J] [--events N]
  *               [--sim-procs N] [--sim-scale S] [--out FILE]
  *   nowlab trace <app> [--out F.json] [--bin F] [knobs]
  *   nowlab wavefront <app> [--node N] [--at US] [--delays a,b,c]
  *                    [--threshold F] [--out F.json] [knobs]
- *   nowlab replay --obs FILE [--procs N] [knobs]
+ *   nowlab replay --obs FILE [--machine M] [--latency US]
+ *                [--overhead US] [--gap US] [--mbps B]
  *   nowlab serve [--port P] [--jobs J] [--queue N] [--cache-dir D]
  *                [--cache-only]
  *   nowlab serve --coordinator --workers H:P,H:P,... [--replicas R]
@@ -64,7 +65,6 @@
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "obs/wavefront.hh"
-#include "replay/replay.hh"
 #include "sim/fiber.hh"
 #include "sim/simulator.hh"
 #include "svc/backoff.hh"
@@ -138,24 +138,26 @@ class Args
         return flags_.count(key) != 0;
     }
 
-    /** Exit 1 naming the first option no value()/flag() asked for. */
+    /** Exit 1 naming the first option no value()/flag() asked for,
+     *  followed by `why` (what the command takes instead) if given. */
     void
-    rejectUnread() const
+    rejectUnread(const char *why = nullptr) const
     {
         const std::string cmd =
             positional.empty() ? "" : " " + positional[0];
+        const std::string tail = why ? std::string(" (") + why + ")" : "";
         for (const auto &[key, v] : options_) {
             if (valueRead_.count(key))
                 continue;
             fatal_if(flagRead_.count(key), "--%s takes no value (got '%s')",
                      key.c_str(), v.c_str());
-            fatal("unknown option --%s for 'nowlab%s'", key.c_str(),
-                  cmd.c_str());
+            fatal("unknown option --%s for 'nowlab%s'%s", key.c_str(),
+                  cmd.c_str(), tail.c_str());
         }
         for (const std::string &key : flags_)
             fatal_if(!flagRead_.count(key),
-                     "unknown option --%s for 'nowlab%s'", key.c_str(),
-                     cmd.c_str());
+                     "unknown option --%s for 'nowlab%s'%s", key.c_str(),
+                     cmd.c_str(), tail.c_str());
     }
 
   private:
@@ -393,7 +395,7 @@ cmdSweep(const Args &a)
 {
     if (a.positional.size() < 2)
         fatal("usage: nowlab sweep <app> --knob K --values a,b,c "
-              "[--backend sim|analytic|cache]");
+              "[--backend sim|analytic]");
     std::string key = a.positional[1];
     CacheScope cache(a);
     auto t0 = std::chrono::steady_clock::now();
@@ -413,26 +415,22 @@ cmdSweep(const Args &a)
     // costs a diagnostic, not minutes of simulation.
     const int jobs = static_cast<int>(optLong(a, "jobs", 0));
 
-    // Engine selection: --backend wins, NOW_BACKEND is the fallback,
-    // sim the default. The analytic engine answers eligible points
-    // from the LP model and drops ineligible ones back to sim; the
-    // cache engine answers from the store only (misses print N/A).
-    backend::BackendKind bk;
-    {
-        std::string err;
-        fatal_if(!backend::resolveBackendKind(optString(a, "backend", ""),
-                                              bk, err),
-                 "%s", err.c_str());
-    }
-    std::unique_ptr<backend::ExperimentBackend> be;
-    backend::AnalyticBackend *ana = nullptr;
-    if (bk == backend::BackendKind::kAnalytic) {
-        auto p = std::make_unique<backend::AnalyticBackend>();
-        ana = p.get();
-        be = std::move(p);
-    } else if (bk != backend::BackendKind::kSim) {
-        be = backend::makeBackend(bk);
-    }
+    // Engine selection. The analytic engine answers eligible points
+    // from the LP model and drops ineligible ones back to sim. The LP
+    // re-times only the four LogGP knobs: any other knob is part of a
+    // model's identity (window, occupancy) or refused by it (drop), so
+    // its points -- the baseline included -- go straight to sim
+    // instead of tracing and probing a model per point.
+    const std::string engine = optString(a, "backend", "sim");
+    fatal_if(engine != "sim" && engine != "analytic",
+             "sweep --backend must be sim or analytic (got '%s')",
+             engine.c_str());
+    const bool logGPKnob = knob == "latency" || knob == "overhead" ||
+                           knob == "gap" || knob == "bandwidth" ||
+                           knob == "mbps";
+    std::unique_ptr<backend::AnalyticBackend> ana;
+    if (engine == "analytic" && logGPKnob)
+        ana = std::make_unique<backend::AnalyticBackend>();
 
     RunConfig base = configOf(a);
     a.rejectUnread();
@@ -482,6 +480,11 @@ cmdSweep(const Args &a)
         points.push_back(RunPoint{key, c});
     }
 
+    // The analytic engine knows the sweep's local derivative for free
+    // (the LP dual along the binding path); surface it for the LogGP
+    // knobs where it is defined.
+    const bool slopes = ana && (knob == "latency" || knob == "overhead" ||
+                                knob == "gap");
     std::vector<RunResult> rs;
     std::vector<backend::AnalyticPrediction> preds(points.size());
     std::size_t served = 0, fellBack = 0;
@@ -490,8 +493,14 @@ cmdSweep(const Args &a)
     // only the first would hide the rest. std::map iterates sorted,
     // so the report order is deterministic.
     std::map<std::string, std::size_t> reasons;
-    if (!be) {
+    if (!ana) {
         rs = runPoints(points, jobs);
+        if (engine == "analytic") {
+            fellBack = points.size();
+            reasons["--knob " + knob +
+                    " is not an L/o/g/G knob the model re-times"] =
+                points.size();
+        }
     } else {
         rs.resize(points.size());
         std::vector<RunPoint> misses;
@@ -500,21 +509,19 @@ cmdSweep(const Args &a)
             // canServe after run is the health re-check: a model whose
             // validation probe drifted past tolerance refuses further
             // service, and the point falls back to the simulator.
-            std::string why = be->canServe(points[i]);
+            std::string why = ana->canServe(points[i]);
             if (why.empty()) {
-                rs[i] = be->run(points[i]);
-                why = be->canServe(points[i]);
+                rs[i] = ana->run(points[i]);
+                why = ana->canServe(points[i]);
             }
             if (why.empty()) {
                 ++served;
-                if (ana)
+                if (slopes)
                     preds[i] = ana->predict(points[i]);
             } else {
                 ++reasons[why];
-                if (ana) {
-                    misses.push_back(points[i]);
-                    missAt.push_back(i);
-                }
+                misses.push_back(points[i]);
+                missAt.push_back(i);
             }
         }
         if (!misses.empty()) {
@@ -525,11 +532,6 @@ cmdSweep(const Args &a)
         }
     }
 
-    // The analytic engine knows the sweep's local derivative for free
-    // (the LP dual along the binding path); surface it for the LogGP
-    // knobs where it is defined.
-    const bool slopes = ana && (knob == "latency" || knob == "overhead" ||
-                                knob == "gap");
     Table t;
     {
         auto hdr = t.row();
@@ -559,13 +561,13 @@ cmdSweep(const Args &a)
         }
     }
     t.print();
-    if (be && fellBack)
-        std::printf("backend    : %s served %zu/%zu points, %zu fell "
-                    "back to sim\n",
-                    be->name(), served, points.size(), fellBack);
-    else if (be)
-        std::printf("backend    : %s served %zu/%zu points\n",
-                    be->name(), served, points.size());
+    if (fellBack)
+        std::printf("backend    : analytic served %zu/%zu points, %zu "
+                    "fell back to sim\n",
+                    served, points.size(), fellBack);
+    else if (ana)
+        std::printf("backend    : analytic served %zu/%zu points\n",
+                    served, points.size());
     for (const auto &[why, n] : reasons)
         std::printf("  reason   : %s (%zu point%s)\n", why.c_str(), n,
                     n == 1 ? "" : "s");
@@ -1565,42 +1567,79 @@ cmdWavefront(const Args &a)
     return 0;
 }
 
+/**
+ * `nowlab replay --obs FILE`: what-if analysis of a recorded NOWOBS01
+ * trace on the analytic backend's model. The trace is lowered into
+ * the LP under the --machine baseline it was recorded on, calibrated
+ * on its own makespan, and re-solved at the target LogGP knobs. Knobs
+ * the LP cannot re-time, and traces it cannot lower faithfully, exit 1
+ * naming the cause instead of printing a silently wrong answer.
+ */
 int
 cmdReplay(const Args &a)
 {
     const std::string *obs = a.value("obs");
-    fatal_if(!obs, "usage: nowlab replay --obs FILE [--procs N] [knobs]");
-    int nprocs = static_cast<int>(optLong(a, "procs", 0));
-    LogGPParams recorded = machineOf(a).params;
+    fatal_if(!obs, "usage: nowlab replay --obs FILE [--machine M] "
+                   "[--latency US] [--overhead US] [--gap US] [--mbps B]");
+    const MachineConfig machine = machineOf(a);
+    Knobs k;
+    k.overheadUs = optDouble(a, "overhead", -1);
+    k.gapUs = optDouble(a, "gap", -1);
+    k.latencyUs = optDouble(a, "latency", -1);
+    k.bulkMBps = optDouble(a, "mbps", -1);
+    a.rejectUnread("replay re-times a recorded schedule under --latency, "
+                   "--overhead, --gap and --mbps only; trace a new run "
+                   "to change anything else");
+    const LogGPParams recorded = machine.params;
     LogGPParams target = recorded;
-    knobsOf(a).applyTo(target);
-    a.rejectUnread();
+    k.applyTo(target);
 
     SpanTracer trace;
     fatal_if(!readBinaryTrace(trace, *obs),
              "cannot read %s (not a NOWOBS01 trace?)", obs->c_str());
+    fatal_if(trace.lastTick() == 0, "%s is an empty trace", obs->c_str());
+    // The reliability protocol marks each retransmission with an
+    // instant span on the sender's tx track.
+    const std::vector<ObsMessage> &msgs = trace.messages();
+    const auto retx =
+        std::count_if(trace.spans().begin(), trace.spans().end(),
+                      [](const Span &s) {
+                          return s.cat == SpanCat::Retransmit;
+                      }) +
+        std::count_if(msgs.begin(), msgs.end(),
+                      [](const ObsMessage &m) { return m.retx; });
+    fatal_if(retx > 0,
+             "%s records %ld retransmissions: retransmission schedules "
+             "do not re-time linearly",
+             obs->c_str(), static_cast<long>(retx));
+    for (const ObsMessage &m : msgs)
+        fatal_if(m.wireLatency != recorded.totalLatency(),
+                 "%s was recorded at L = %.3f us, but the --machine %s "
+                 "baseline has L = %.3f us: replay re-times from the "
+                 "machine a trace was recorded on",
+                 obs->c_str(), toUsec(m.wireLatency),
+                 machine.name.c_str(), toUsec(recorded.totalLatency()));
 
-    // Infer the processor count from the trace when not given.
-    if (nprocs <= 0) {
-        for (const ObsMessage &m : trace.messages())
-            nprocs = std::max({nprocs, m.src + 1, m.dst + 1});
-    }
-    fatal_if(nprocs <= 0, "empty trace and no --procs given");
+    backend::AnalyticModel model;
+    fatal_if(!model.build(trace, recorded, trace.lastTick()),
+             "%s does not lower to a DAG (no CPU spans, or a dependency "
+             "cycle)",
+             obs->c_str());
+    const Tick base = std::llround(model.runtime(recorded).value_or(0));
+    const backend::AnalyticPrediction p = model.predict(target);
+    const Tick what_if = std::llround(p.runtime);
 
-    ReplaySchedule sched = extractSchedule(trace, nprocs, recorded);
-    ReplayResult base = replaySchedule(sched, recorded);
-    ReplayResult what_if = replaySchedule(sched, target);
-
-    std::printf("replay of %zu records (%llu sends) on %d procs\n",
-                trace.messages().size(),
-                static_cast<unsigned long long>(sched.totalSends()),
-                nprocs);
-    std::printf("  recorded machine : %.3f ms makespan\n",
-                toMsec(base.makespan));
-    std::printf("  with knobs       : %.3f ms makespan (%.2fx)\n",
-                toMsec(what_if.makespan),
-                slowdown(what_if.makespan, base.makespan));
-    return base.ok && what_if.ok ? 0 : 1;
+    const backend::ModelBuildStats &st = model.stats();
+    std::printf("replay of %zu messages and %zu cpu spans (LP %zu nodes, "
+                "%zu edges)\n",
+                msgs.size(), st.cpuSpans, st.lpNodes, st.lpEdges);
+    std::printf("  recorded machine : %.6f ms makespan\n", toMsec(base));
+    std::printf("  with knobs       : %.6f ms makespan (%.2fx)\n",
+                toMsec(what_if), slowdown(what_if, base));
+    std::printf("  slopes at knobs  : dT/dL %.1f, dT/do %.1f, dT/dg %.1f "
+                "(us of runtime per us)\n",
+                p.dTdL, p.dTdO, p.dTdG);
+    return 0;
 }
 
 MachineConfig
@@ -1892,7 +1931,7 @@ main(int argc, char **argv)
             "  nowlab run <app> [--procs N] [--scale S] [--seed X]\n"
             "             [--machine M] [knobs] [--matrix] [--pgm F]\n"
             "  nowlab sweep <app> --knob K --values a,b,c [--jobs J]\n"
-            "             [--backend sim|analytic|cache] [...]\n"
+            "             [--backend sim|analytic] [...]\n"
             "  nowlab perf [--app A] [--points K] [--jobs J]\n"
             "             [--events N] [--sim-procs N] [--sim-scale S]\n"
             "             [--out FILE]\n"
@@ -1901,7 +1940,8 @@ main(int argc, char **argv)
             "  nowlab wavefront <app> [--node N] [--at US]\n"
             "             [--delays a,b,c] [--threshold F]\n"
             "             [--out F.json] [--procs N] [--scale S] [knobs]\n"
-            "  nowlab replay --obs FILE [--procs N] [knobs]\n"
+            "  nowlab replay --obs FILE [--machine M] [--latency US]\n"
+            "             [--overhead US] [--gap US] [--mbps B]\n"
             "  nowlab serve [--port P] [--jobs J] [--queue N]\n"
             "             [--cache-dir D] [--cache-only]\n"
             "             [--backend analytic] [--drift-tolerance F]\n"
@@ -1939,11 +1979,12 @@ main(int argc, char **argv)
             "       (NOW_JOBS is the fallback)\n"
             "coll:  --coll-alg naive|tuned|\"bcast=chain,...\"\n"
             "       (NOW_COLL_ALG is the fallback)\n"
-            "backend: --backend sim|analytic|cache (NOW_BACKEND is the\n"
-            "       fallback). analytic answers LogGP sweep points from\n"
-            "       an LP lowered from one traced run -- milliseconds\n"
-            "       per point, with dT/dL-style slopes -- and falls\n"
-            "       back to sim for ineligible or drifted specs.\n");
+            "backend: --backend sim|analytic. analytic answers LogGP\n"
+            "       sweep points from an LP lowered from one traced\n"
+            "       run -- milliseconds per point, with dT/dL-style\n"
+            "       slopes -- and falls back to sim for ineligible or\n"
+            "       drifted specs. replay solves the same LP from a\n"
+            "       NOWOBS01 file (nowlab trace --bin).\n");
         return 0;
     }
     const std::string &cmd = a.positional[0];
