@@ -2,9 +2,8 @@
  * @file
  * Capped jittered exponential backoff.
  *
- * One policy shared by every retry loop in the fleet: the coordinator
- * reconnecting to a dead worker, `nowlab submit` honouring a
- * busy/retry_after_ms reply, and `nowlab storm` riding out
+ * One policy shared by nowlabd's retrying clients: `nowlab submit`
+ * honouring a busy/retry_after_ms reply, and `nowlab storm` riding out
  * backpressure. The delay doubles from `baseMs` up to `capMs`, and
  * each step is jittered uniformly over [delay/2, delay] ("equal
  * jitter") so a thundering herd of retriers decorrelates instead of

@@ -296,43 +296,4 @@ decodeResult(std::string_view payload, RunResult &out)
     return true;
 }
 
-std::string
-hexEncode(std::string_view data)
-{
-    static const char kDigits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(data.size() * 2);
-    for (unsigned char c : data) {
-        out += kDigits[c >> 4];
-        out += kDigits[c & 0xf];
-    }
-    return out;
-}
-
-bool
-hexDecode(std::string_view hex, std::string &out)
-{
-    if (hex.size() % 2 != 0)
-        return false;
-    std::string decoded;
-    decoded.reserve(hex.size() / 2);
-    for (std::size_t i = 0; i < hex.size(); i += 2) {
-        int v = 0;
-        for (int j = 0; j < 2; ++j) {
-            char c = hex[i + static_cast<std::size_t>(j)];
-            int nibble;
-            if (c >= '0' && c <= '9')
-                nibble = c - '0';
-            else if (c >= 'a' && c <= 'f')
-                nibble = c - 'a' + 10;
-            else
-                return false;
-            v = (v << 4) | nibble;
-        }
-        decoded += static_cast<char>(v);
-    }
-    out = std::move(decoded);
-    return true;
-}
-
 } // namespace nowcluster::svc

@@ -30,14 +30,6 @@ std::string encodeResult(const RunResult &r);
 /** Deserialize; false on any malformed input (out untouched then). */
 bool decodeResult(std::string_view payload, RunResult &out);
 
-/** Lowercase hex of arbitrary bytes (store payloads travelling inside
- *  JSON for the fleet's pull/put replication ops). */
-std::string hexEncode(std::string_view data);
-
-/** Inverse of hexEncode; false on odd length or non-hex characters
- *  (out untouched then). */
-bool hexDecode(std::string_view hex, std::string &out);
-
 } // namespace nowcluster::svc
 
 #endif // NOWCLUSTER_SVC_CODEC_HH_

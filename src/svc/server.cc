@@ -82,14 +82,7 @@ readLine(int fd, std::string &buffer, std::string &line,
 
 NowlabServer::NowlabServer(const ServiceConfig &config, int port,
                            const ServerLimits &limits)
-    : ownedCore_(std::make_unique<ServiceCore>(config)),
-      handler_(ownedCore_.get()), limits_(limits), requestedPort_(port)
-{
-}
-
-NowlabServer::NowlabServer(LineHandler &handler, int port,
-                           const ServerLimits &limits)
-    : handler_(&handler), limits_(limits), requestedPort_(port)
+    : core_(config), limits_(limits), requestedPort_(port)
 {
 }
 
@@ -321,11 +314,11 @@ NowlabServer::processInput(Conn &c)
         }
         if (line.empty())
             continue;
-        queueReply(c, handler_->handleLine(line));
+        queueReply(c, core_.handleLine(line));
         // A {"op":"shutdown"} request stops the whole server, not just
         // the core: the reply is queued first, then flushed during the
         // drain window.
-        if (handler_->shuttingDown())
+        if (core_.shuttingDown())
             requestStop();
     }
     // A reader slower than its own request stream gets disconnected
@@ -437,8 +430,8 @@ NowlabServer::wait()
         ::close(epollFd_);
         epollFd_ = -1;
     }
-    handler_->beginShutdown();
-    handler_->drain();
+    core_.beginShutdown();
+    core_.drain();
     if (wakeRead_ >= 0) {
         ::close(wakeRead_);
         ::close(wakeWrite_);

@@ -64,14 +64,9 @@ struct ServerLimits
 class NowlabServer
 {
   public:
-    /** Serve an owned ServiceCore built from `config` (a worker
-     *  nowlabd). @param port TCP port on 127.0.0.1; 0 = ephemeral. */
+    /** Serve a ServiceCore built from `config`.
+     *  @param port TCP port on 127.0.0.1; 0 = ephemeral. */
     NowlabServer(const ServiceConfig &config, int port,
-                 const ServerLimits &limits = {});
-
-    /** Serve an externally owned protocol brain (the fleet
-     *  coordinator). The handler must outlive the server. */
-    NowlabServer(LineHandler &handler, int port,
                  const ServerLimits &limits = {});
     ~NowlabServer();
 
@@ -91,9 +86,7 @@ class NowlabServer
     /** Block until stopped and fully drained. */
     void wait();
 
-    /** The owned core; only valid with the ServiceConfig constructor
-     *  (the coordinator constructor has no ServiceCore to hand out). */
-    ServiceCore &core() { return *ownedCore_; }
+    ServiceCore &core() { return core_; }
 
   private:
     using Clock = std::chrono::steady_clock;
@@ -122,8 +115,7 @@ class NowlabServer
     void closeConn(int fd);
     void sweepTimeouts(Clock::time_point now);
 
-    std::unique_ptr<ServiceCore> ownedCore_; ///< Null for a handler.
-    LineHandler *handler_; ///< Never null; == ownedCore_ when owned.
+    ServiceCore core_;
     ServerLimits limits_;
     int requestedPort_;
     int port_ = -1;
@@ -149,9 +141,8 @@ class Client
 {
   public:
     /** @param timeoutMs When > 0, SO_RCVTIMEO/SO_SNDTIMEO on the
-     *  socket: a wedged or partitioned server surfaces as a failed
-     *  request after this long instead of a hung client. The fleet
-     *  coordinator relies on this to detect dead workers. */
+     *  socket: a wedged server surfaces as a failed request after this
+     *  long instead of a hung client (`nowlab storm` passes 10 s). */
     Client(std::string host, int port, int timeoutMs = 0);
     ~Client();
 
@@ -167,10 +158,6 @@ class Client
 
     /** Drop the connection; the next request() reconnects. */
     void reset();
-
-    bool connected() const { return fd_ >= 0; }
-    const std::string &host() const { return host_; }
-    int port() const { return port_; }
 
   private:
     std::string host_;

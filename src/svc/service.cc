@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "svc/codec.hh"
 #include "svc/spec.hh"
 
 namespace nowcluster::svc {
@@ -39,20 +38,6 @@ stateName(int state)
     return "?";
 }
 
-/** True for a well-formed store key: 64 lowercase hex digits. */
-bool
-validKey(const std::string &key)
-{
-    if (key.size() != 64)
-        return false;
-    for (char c : key) {
-        bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!hex)
-            return false;
-    }
-    return true;
-}
-
 /** A JSON number as an integral field. Values beyond T's range
  *  saturate, where a plain cast would be undefined behaviour. */
 template <typename T>
@@ -68,14 +53,6 @@ narrow(double v)
     return static_cast<T>(v);
 }
 
-/** A knob key of the submit protocol and the Knobs field it sets. */
-struct KnobField
-{
-    const char *key;
-    void (*set)(Knobs &, double);
-};
-
-/** Every knob a submit request may carry; any other key is refused. */
 constexpr KnobField kKnobFields[] = {
     {"overhead", [](Knobs &k, double v) { k.overheadUs = v; }},
     {"gap", [](Knobs &k, double v) { k.gapUs = v; }},
@@ -101,6 +78,46 @@ constexpr KnobField kKnobFields[] = {
     {"topo-hop", [](Knobs &k, double v) { k.topoHopUs = v; }},
 };
 
+/** The {"ok":true,"id":...,"state":...,"cached":...} reply. */
+std::string
+statusReply(std::uint64_t id, const char *state, bool cached)
+{
+    JsonWriter w;
+    w.beginObject()
+        .field("ok", true)
+        .field("id", id)
+        .field("state", state)
+        .field("cached", cached)
+        .endObject();
+    return w.str();
+}
+
+/** The full result reply `get` returns. */
+std::string
+resultReply(std::uint64_t id, const char *state, bool cached,
+            const RunPoint &pt, const RunResult &r)
+{
+    JsonWriter w;
+    w.beginObject()
+        .field("ok", true)
+        .field("id", id)
+        .field("state", state)
+        .field("cached", cached)
+        .field("app", pt.app)
+        .field("procs", pt.config.nprocs)
+        .field("run_ok", r.ok)
+        .field("validated", r.validated)
+        .field("backend", pt.config.origin == 1 ? "analytic" : "sim")
+        .field("runtime_ticks", static_cast<std::int64_t>(r.runtime))
+        .field("runtime_ms", toMsec(r.runtime))
+        .field("avg_msgs_per_proc", r.summary.avgMsgsPerProc)
+        .field("max_msgs_per_proc", r.summary.maxMsgsPerProc)
+        .field("key", cacheKey(pt))
+        .field("fingerprint", fingerprint(r))
+        .endObject();
+    return w.str();
+}
+
 } // namespace
 
 std::string
@@ -109,6 +126,12 @@ errorReply(const std::string &error)
     JsonWriter w;
     w.beginObject().field("ok", false).field("error", error).endObject();
     return w.str();
+}
+
+std::span<const KnobField>
+knobFields()
+{
+    return kKnobFields;
 }
 
 RunPoint
@@ -137,10 +160,6 @@ pointOfRequest(const JsonValue &req)
         for (const KnobField &f : kKnobFields)
             f.set(c.knobs, k->numberOr(f.key, -1));
     }
-    // The result's provenance (0 = simulated, 1 = analytic). Round-
-    // tripped so a coordinator re-forwarding a dead worker's job
-    // names the same canonical spec the original result was keyed by.
-    pt.config.origin = narrow<int>(req.numberOr("origin", 0));
     return pt;
 }
 
@@ -161,96 +180,6 @@ submitComplaint(const JsonValue &req, const RunPoint &pt)
     return validateSpec(pt);
 }
 
-std::string
-submitRequest(const RunPoint &pt)
-{
-    const RunConfig &c = pt.config;
-    const Knobs &k = c.knobs;
-    const char *machine = "now";
-    if (c.machine.name == "Intel Paragon")
-        machine = "paragon";
-    else if (c.machine.name == "Meiko CS-2")
-        machine = "meiko";
-    // max_ms is exact for integer-millisecond budgets (the only kind
-    // the tools emit): integer ms * 1e6 ticks round-trips through a
-    // double without loss below 2^53.
-    JsonWriter w;
-    w.beginObject()
-        .field("op", "submit")
-        .field("app", pt.app)
-        .field("procs", c.nprocs)
-        .field("scale", c.scale)
-        .field("seed", c.seed)
-        .field("validate", c.validate)
-        .field("max_ms", toMsec(c.maxTime))
-        .field("machine", machine)
-        .field("origin", c.origin);
-    w.beginObject("knobs")
-        .field("overhead", k.overheadUs)
-        .field("gap", k.gapUs)
-        .field("latency", k.latencyUs)
-        .field("mbps", k.bulkMBps)
-        .field("occupancy", k.occupancyUs)
-        .field("window", k.window)
-        .field("drop", k.dropRate)
-        .field("dup", k.dupRate)
-        .field("corrupt", k.corruptRate)
-        .field("reorder", k.reorderRate)
-        .field("reorder-delay", k.reorderMaxDelayUs)
-        .field("fault-seed", static_cast<std::int64_t>(k.faultSeed))
-        .field("reliable", k.reliable)
-        .field("rto", k.retxTimeoutUs)
-        .field("delay-node", static_cast<std::int64_t>(k.delayNode))
-        .field("delay-at", k.delayAtUs)
-        .field("delay-us", k.delayUs)
-        .field("topo", k.topo)
-        .field("topo-hosts", k.topoHosts)
-        .field("topo-mbps", k.topoLinkMBps)
-        .field("topo-oversub", k.topoOversub)
-        .field("topo-hop", k.topoHopUs)
-        .endObject();
-    w.endObject();
-    return w.str();
-}
-
-std::string
-statusReply(std::uint64_t id, const char *state, bool cached)
-{
-    JsonWriter w;
-    w.beginObject()
-        .field("ok", true)
-        .field("id", id)
-        .field("state", state)
-        .field("cached", cached)
-        .endObject();
-    return w.str();
-}
-
-std::string
-resultReply(std::uint64_t id, const char *state, bool cached,
-            const RunPoint &pt, const RunResult &r)
-{
-    JsonWriter w;
-    w.beginObject()
-        .field("ok", true)
-        .field("id", id)
-        .field("state", state)
-        .field("cached", cached)
-        .field("app", pt.app)
-        .field("procs", pt.config.nprocs)
-        .field("run_ok", r.ok)
-        .field("validated", r.validated)
-        .field("backend", pt.config.origin == 1 ? "analytic" : "sim")
-        .field("runtime_ticks", static_cast<std::int64_t>(r.runtime))
-        .field("runtime_ms", toMsec(r.runtime))
-        .field("avg_msgs_per_proc", r.summary.avgMsgsPerProc)
-        .field("max_msgs_per_proc", r.summary.maxMsgsPerProc)
-        .field("key", cacheKey(pt))
-        .field("fingerprint", fingerprint(r))
-        .endObject();
-    return w.str();
-}
-
 ServiceCore::ServiceCore(const ServiceConfig &config)
     : config_(config),
       store_(config.cacheDir.empty()
@@ -269,8 +198,6 @@ ServiceCore::ServiceCore(const ServiceConfig &config)
       cacheMisses_(metrics_.counter("svc.cache.misses")),
       jobsDone_(metrics_.counter("svc.jobs.done")),
       jobsFailed_(metrics_.counter("svc.jobs.failed")),
-      pulls_(metrics_.counter("svc.repl.pulls")),
-      puts_(metrics_.counter("svc.repl.puts")),
       analyticServed_(metrics_.counter("svc.backend.analytic_served")),
       backendFallbacks_(metrics_.counter("svc.backend.fallbacks")),
       queueWaitUs_(metrics_.histogram("svc.queue_wait", latencyBounds())),
@@ -316,12 +243,6 @@ ServiceCore::handleLine(const std::string &line)
         return handleGet(req);
     if (op == "stats")
         return handleStats();
-    if (op == "ping")
-        return handlePing();
-    if (op == "pull")
-        return handlePull(req);
-    if (op == "put")
-        return handlePut(req);
     if (op == "shutdown")
         return handleShutdown();
     std::lock_guard<std::mutex> lock(mu_);
@@ -437,11 +358,12 @@ ServiceCore::runJob(std::uint64_t id)
     } catch (...) {
         // Fall through: the job is marked failed below.
     }
-    // The stored origin records how the job was *actually* served, so
-    // the v4 cache key and the get reply never alias a model-derived
-    // number with a measured one.
+    // The origin records how the job was *actually* served, so the get
+    // reply never passes a model-derived number off as a measured one.
+    // Only measured results are stored: submits look the store up at
+    // origin 0, so an analytic entry could never be read back.
     pt.config.origin = viaAnalytic ? 1 : 0;
-    if (completed && cache_)
+    if (completed && cache_ && !viaAnalytic)
         cache_->insert(pt, r);
 
     std::lock_guard<std::mutex> lock(mu_);
@@ -467,7 +389,7 @@ ServiceCore::runJob(std::uint64_t id)
 std::string
 ServiceCore::handleStatus(const JsonValue &req)
 {
-    std::uint64_t id = static_cast<std::uint64_t>(req.numberOr("id", 0));
+    std::uint64_t id = narrow<std::uint64_t>(req.numberOr("id", 0));
     std::lock_guard<std::mutex> lock(mu_);
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
@@ -482,7 +404,7 @@ ServiceCore::handleStatus(const JsonValue &req)
 std::string
 ServiceCore::handleGet(const JsonValue &req)
 {
-    std::uint64_t id = static_cast<std::uint64_t>(req.numberOr("id", 0));
+    std::uint64_t id = narrow<std::uint64_t>(req.numberOr("id", 0));
     std::lock_guard<std::mutex> lock(mu_);
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
@@ -502,80 +424,6 @@ ServiceCore::handleGet(const JsonValue &req)
     }
     return resultReply(id, stateName(static_cast<int>(job.state)),
                        job.cached, job.point, job.result);
-}
-
-std::string
-ServiceCore::handlePing()
-{
-    JsonWriter w;
-    w.beginObject()
-        .field("ok", true)
-        .field("role", "worker")
-        .field("draining", shuttingDown())
-        .endObject();
-    return w.str();
-}
-
-std::string
-ServiceCore::handlePull(const JsonValue &req)
-{
-    std::string key = req.stringOr("key", "");
-    if (!validKey(key)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-key");
-    }
-    if (!store_)
-        return errorReply("no-store");
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++pulls_;
-    }
-    std::string payload;
-    if (!store_->get(key, payload))
-        return errorReply("not-found");
-    JsonWriter w;
-    w.beginObject()
-        .field("ok", true)
-        .field("key", key)
-        .field("payload", hexEncode(payload))
-        .endObject();
-    return w.str();
-}
-
-std::string
-ServiceCore::handlePut(const JsonValue &req)
-{
-    std::string key = req.stringOr("key", "");
-    if (!validKey(key)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-key");
-    }
-    if (!store_)
-        return errorReply("no-store");
-    std::string payload;
-    if (!hexDecode(req.stringOr("payload", ""), payload)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-payload");
-    }
-    // A replica must decode as a RunResult before it is stored: a
-    // corrupt payload is refused at the door, never served later.
-    RunResult check;
-    if (!decodeResult(payload, check)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++reqBad_;
-        return errorReply("bad-payload");
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++puts_;
-    }
-    store_->put(key, payload);
-    JsonWriter w;
-    w.beginObject().field("ok", true).field("key", key).endObject();
-    return w.str();
 }
 
 std::string

@@ -22,22 +22,13 @@
  *            traced run per model identity, ineligible or drifted ones
  *            transparently fall back to a real simulation, and the
  *            get reply's "backend" field says which engine answered.
+ *            Only simulated results enter the store; analytic
+ *            answers are re-solved per submit.
  *   status   {"op":"status","id":N} -> {"ok":true,"state":...}
  *   get      {"op":"get","id":N} -> the measured result, including the
  *            canonical fingerprint (byte-identical cached vs computed).
  *   stats    {"op":"stats"} -> request counters, latency histograms
  *            (MetricsRegistry snapshot), queue/pool and store state.
- *   ping     {"op":"ping"} -> {"ok":true,"role":"worker",
- *            "draining":B}. The fleet coordinator's liveness probe:
- *            answered from memory, no locks on the job table, no disk.
- *   pull     {"op":"pull","key":K} -> {"ok":true,"key":K,
- *            "payload":<hex>}: the raw store entry under K, for
- *            coordinator-driven replication. Errors: "no-store",
- *            "not-found", "bad-key".
- *   put      {"op":"put","key":K,"payload":<hex>} -> {"ok":true}.
- *            Replicates an entry into this worker's store. The payload
- *            must decode as a RunResult (a corrupt replica is refused,
- *            never stored); errors mirror pull's plus "bad-payload".
  *   shutdown {"op":"shutdown"} -> begins graceful drain.
  *
  * Job states: queued -> running -> done | failed. Jobs live forever
@@ -56,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "backend/backend.hh"
@@ -65,31 +57,6 @@
 #include "svc/store.hh"
 
 namespace nowcluster::svc {
-
-/**
- * The brain behind a line-protocol transport. NowlabServer pumps
- * request lines into one of these; ServiceCore (a worker nowlabd) and
- * CoordinatorCore (the fleet front end) both implement it, so the
- * epoll engine, its hostile-client containment, and its graceful-drain
- * contract are written once and shared.
- */
-class LineHandler
-{
-  public:
-    virtual ~LineHandler() = default;
-
-    /** Handle one request line; always returns a JSON reply (no
-     *  trailing newline), never throws, never fatal()s. */
-    virtual std::string handleLine(const std::string &line) = 0;
-
-    /** Stop accepting new work (drain begins). */
-    virtual void beginShutdown() = 0;
-
-    /** Block until every accepted job has completed. */
-    virtual void drain() = 0;
-
-    virtual bool shuttingDown() const = 0;
-};
 
 struct ServiceConfig
 {
@@ -116,13 +83,20 @@ constexpr std::size_t kMaxRequestBytes = 1 << 16;
  *  shared by ServiceCore and the transport's own rejections. */
 std::string errorReply(const std::string &error);
 
-/**
- * The RunPoint a submit request describes (missing fields take the
- * same defaults `nowlab run` applies). Shared by ServiceCore and the
- * coordinator, which must agree byte-for-byte on the canonical spec a
- * request names -- that agreement is what makes failover recomputation
- * correct by construction.
- */
+/** A knob key of the submit protocol and the Knobs field it sets. */
+struct KnobField
+{
+    const char *key;
+    void (*set)(Knobs &, double);
+};
+
+/** Every knob a submit request's "knobs" object may carry, in protocol
+ *  order; submitComplaint() refuses any other key. `nowlab submit`
+ *  renders its knob options from the same table. */
+std::span<const KnobField> knobFields();
+
+/** The RunPoint a submit request describes (missing fields take the
+ *  same defaults `nowlab run` applies). */
 RunPoint pointOfRequest(const JsonValue &req);
 
 /**
@@ -132,46 +106,26 @@ RunPoint pointOfRequest(const JsonValue &req);
  */
 std::string submitComplaint(const JsonValue &req, const RunPoint &pt);
 
-/**
- * The canonical submit line for a RunPoint: the exact inverse of
- * pointOfRequest, i.e. pointOfRequest(parse(submitRequest(pt))) has
- * the same cacheKey as pt (tested in test_fleet.cc). The coordinator
- * uses it to forward and, after a worker death, re-forward work.
- */
-std::string submitRequest(const RunPoint &pt);
-
-/** The {"ok":true,"id":...,"state":...,"cached":...} reply shared by
- *  status handling on the worker and the coordinator. */
-std::string statusReply(std::uint64_t id, const char *state,
-                        bool cached);
-
-/** The full measured-result reply `get` returns, rendered from a
- *  decoded RunResult -- one formatter, so a coordinator serving a
- *  replica read answers byte-identically to the worker it replaced. */
-std::string resultReply(std::uint64_t id, const char *state,
-                        bool cached, const RunPoint &pt,
-                        const RunResult &r);
-
-class ServiceCore : public LineHandler
+class ServiceCore
 {
   public:
     explicit ServiceCore(const ServiceConfig &config);
-    ~ServiceCore() override;
+    ~ServiceCore();
 
     ServiceCore(const ServiceCore &) = delete;
     ServiceCore &operator=(const ServiceCore &) = delete;
 
     /** Handle one request line; always returns a JSON reply (no
      *  trailing newline), never throws, never fatal()s. */
-    std::string handleLine(const std::string &line) override;
+    std::string handleLine(const std::string &line);
 
     /** Stop accepting submits (drain begins; queued jobs still run). */
-    void beginShutdown() override;
+    void beginShutdown();
 
     /** Block until every accepted job has completed. */
-    void drain() override;
+    void drain();
 
-    bool shuttingDown() const override;
+    bool shuttingDown() const;
 
     /** Point-in-time copy of the request counters and histograms. */
     MetricsSnapshot metricsSnapshot() const;
@@ -205,9 +159,6 @@ class ServiceCore : public LineHandler
     std::string handleStatus(const JsonValue &req);
     std::string handleGet(const JsonValue &req);
     std::string handleStats();
-    std::string handlePing();
-    std::string handlePull(const JsonValue &req);
-    std::string handlePut(const JsonValue &req);
     std::string handleShutdown();
     void runJob(std::uint64_t id);
 
@@ -236,8 +187,6 @@ class ServiceCore : public LineHandler
     std::uint64_t &cacheMisses_;
     std::uint64_t &jobsDone_;
     std::uint64_t &jobsFailed_;
-    std::uint64_t &pulls_;
-    std::uint64_t &puts_;
     std::uint64_t &analyticServed_;
     std::uint64_t &backendFallbacks_;
     /** Analytic-backend refusal reason -> count (guarded by mu_).

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -32,8 +33,8 @@
 
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
+#include "svc/backoff.hh"
 #include "svc/codec.hh"
-#include "svc/coordinator.hh"
 #include "svc/hash.hh"
 #include "svc/json.hh"
 #include "svc/server.hh"
@@ -527,8 +528,8 @@ TEST(ServiceCore, BadSubmitsAreAnsweredNotFatal)
 
 // A knob key this build does not define must be refused, not dropped:
 // a client still sending a retired key would otherwise get (and cache)
-// a result computed without it. The worker and the coordinator parse
-// submits alike, so both refuse it before any work is queued.
+// a result computed without it. It is refused before any work is
+// queued, and every key of the protocol's knob table is accepted.
 TEST(ServiceCore, UnknownKnobsAreRefusedByWorkerAndCoordinator)
 {
     const std::string line =
@@ -546,16 +547,20 @@ TEST(ServiceCore, UnknownKnobsAreRefusedByWorkerAndCoordinator)
     EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 1);
     EXPECT_EQ(v.find("counters")->numberOr("svc.submits", -1), 0);
 
-    svc::CoordinatorConfig cc;
-    cc.workers = {"127.0.0.1:1"};
-    cc.local.jobs = 1;
-    svc::CoordinatorCore coord(cc);
-    EXPECT_EQ(coord.handleLine(line), refusal);
-
-    // Every key submitRequest() writes is one the parser knows.
-    RunPoint pt = smallPoint();
-    EXPECT_EQ(svc::submitComplaint(parsed(svc::submitRequest(pt)), pt),
-              "");
+    // A submit carrying every key of the table (the list `nowlab
+    // submit` renders its knob options from) is not refused as an
+    // unknown knob.
+    ASSERT_FALSE(svc::knobFields().empty());
+    svc::JsonWriter w;
+    w.beginObject().field("op", "submit").field("app", "radix");
+    w.beginObject("knobs");
+    for (const svc::KnobField &f : svc::knobFields())
+        w.field(f.key, 1.0);
+    w.endObject().endObject();
+    svc::JsonValue every = parsed(w.str());
+    EXPECT_EQ(svc::submitComplaint(every, svc::pointOfRequest(every))
+                  .rfind("unknown knob", 0),
+              std::string::npos);
 }
 
 // Integral fields arrive as JSON doubles; out-of-range values saturate
@@ -574,6 +579,24 @@ TEST(ServiceCore, OutOfRangeIntegralFieldsSaturate)
     EXPECT_EQ(pt.config.knobs.delayNode, std::numeric_limits<long>::max());
     EXPECT_EQ(pt.config.knobs.topoHosts, std::numeric_limits<int>::max());
     EXPECT_NE(svc::validateSpec(pt), "");
+
+    // Job ids saturate too: a negative or huge id names no job.
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    svc::ServiceCore core(cfg);
+    int bad = 0;
+    for (const char *op : {"status", "get"}) {
+        for (const char *id : {"-1", "1e300"}) {
+            std::string line = std::string("{\"op\":\"") + op +
+                               "\",\"id\":" + id + "}";
+            EXPECT_EQ(core.handleLine(line),
+                      "{\"ok\":false,\"error\":\"unknown id\"}")
+                << line;
+            ++bad;
+        }
+    }
+    svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", -1), bad);
 }
 
 TEST(ServiceCore, FullQueueAnswersBusyWithRetryHint)
@@ -766,6 +789,134 @@ TEST(ServiceCore, PerRequestBackendFieldOverridesSimDefault)
     v = parsed(core.handleLine("{\"op\":\"get\",\"id\":1}"));
     ASSERT_TRUE(v.boolOr("ok", false));
     EXPECT_EQ(v.stringOr("backend", ""), "analytic");
+}
+
+// Submits look the store up with origin 0 (simulated), so an analytic
+// answer stored under origin 1 could never be read back: only
+// simulated results are stored, fall-backs included.
+TEST(ServiceCore, StoreHoldsOnlySimulatedResults)
+{
+    TempDir dir;
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    cfg.cacheDir = dir.path;
+    cfg.backend = "analytic";
+    svc::ServiceCore core(cfg);
+
+    auto storePuts = [&core] {
+        svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+        return v.find("store")->numberOr("puts", -1);
+    };
+
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+        svc::JsonValue v = parsed(core.handleLine(kSubmitRadix));
+        ASSERT_TRUE(v.boolOr("ok", false));
+        EXPECT_FALSE(v.boolOr("cached", true));
+        core.drain();
+        svc::JsonWriter g;
+        g.beginObject().field("op", "get").field("id", id).endObject();
+        v = parsed(core.handleLine(g.str()));
+        EXPECT_EQ(v.stringOr("backend", ""), "analytic") << id;
+    }
+    EXPECT_EQ(storePuts(), 0);
+
+    // Fault injection falls back to sim; that result is stored, and the
+    // same analytic submit later is a cache hit on it.
+    const std::string lossy =
+        "{\"op\":\"submit\",\"app\":\"radix\",\"procs\":4,"
+        "\"scale\":0.1,\"knobs\":{\"drop\":0.01,\"reliable\":1}}";
+    svc::JsonValue v = parsed(core.handleLine(lossy));
+    ASSERT_TRUE(v.boolOr("ok", false));
+    EXPECT_FALSE(v.boolOr("cached", true));
+    core.drain();
+    EXPECT_EQ(storePuts(), 1);
+    v = parsed(core.handleLine(lossy));
+    EXPECT_TRUE(v.boolOr("cached", false));
+    EXPECT_EQ(v.stringOr("state", ""), "done");
+    v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(v.find("counters")->numberOr("svc.cache.hits", -1), 1);
+}
+
+// A crash between a store write's tmp create and its rename leaves a
+// .tmp- file; opening the store reaps it and the service counts it.
+TEST(Fleet, StoreReapsStrayTmpFilesAndCountsThem)
+{
+    auto plantResidue = [](const std::string &dir) {
+        for (const char *name : {".tmp-123-0", ".tmp-999-7"}) {
+            std::FILE *f =
+                std::fopen((dir + "/" + name).c_str(), "w");
+            ASSERT_NE(f, nullptr);
+            std::fputs("crash residue", f);
+            std::fclose(f);
+        }
+    };
+
+    TempDir dir;
+    plantResidue(dir.path);
+    {
+        svc::ResultStore store(dir.path);
+        EXPECT_EQ(store.stats().tmpReaped, 2u);
+        EXPECT_EQ(store.entryCount(), 0u);
+    }
+
+    // The reap is surfaced as a service metric too.
+    TempDir dir2;
+    plantResidue(dir2.path);
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    cfg.cacheDir = dir2.path;
+    svc::ServiceCore core(cfg);
+    svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    const svc::JsonValue *store = v.find("store");
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->numberOr("tmp_reaped", -1), 2);
+    const svc::JsonValue *counters = v.find("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->numberOr("store_tmp_reaped", -1), 2);
+}
+
+// ---- client backoff -------------------------------------------------
+
+TEST(Backoff, DoublesWithEqualJitterUpToCap)
+{
+    svc::Backoff b(100, 800, 7);
+    int window = 100;
+    for (int step = 0; step < 12; ++step) {
+        int d = b.nextMs();
+        EXPECT_GE(d, window / 2) << step;
+        EXPECT_LE(d, window) << step;
+        window = std::min(800, window * 2);
+    }
+    // Settled at the cap: every further delay is in [cap/2, cap].
+    for (int step = 0; step < 8; ++step) {
+        int d = b.nextMs();
+        EXPECT_GE(d, 400);
+        EXPECT_LE(d, 800);
+    }
+}
+
+TEST(Backoff, ResetReturnsToBase)
+{
+    svc::Backoff b(100, 10'000, 3);
+    for (int i = 0; i < 6; ++i)
+        b.nextMs();
+    b.reset();
+    int d = b.nextMs();
+    EXPECT_GE(d, 50);
+    EXPECT_LE(d, 100);
+}
+
+TEST(Backoff, DeterministicPerSeed)
+{
+    svc::Backoff a(50, 5000, 42), b(50, 5000, 42), c(50, 5000, 43);
+    std::vector<int> sa, sb, sc;
+    for (int i = 0; i < 10; ++i) {
+        sa.push_back(a.nextMs());
+        sb.push_back(b.nextMs());
+        sc.push_back(c.nextMs());
+    }
+    EXPECT_EQ(sa, sb);
+    EXPECT_NE(sa, sc); // Distinct seeds decorrelate retriers.
 }
 
 // ---- the TCP server, end to end -------------------------------------

@@ -17,9 +17,8 @@
  *   nowlab replay --obs FILE [--machine M] [--latency US]
  *                [--overhead US] [--gap US] [--mbps B]
  *   nowlab serve [--port P] [--jobs J] [--queue N] [--cache-dir D]
- *                [--cache-only]
- *   nowlab serve --coordinator --workers H:P,H:P,... [--replicas R]
- *                [--heartbeat-ms N] [--port P] [--cache-dir D]
+ *                [--cache-only] [--backend analytic]
+ *                [--drift-tolerance F]
  *   nowlab submit <app> [knobs] [--host H] [--port P] [--wait]
  *                [--max-retries N]
  *   nowlab get --id N [--host H] [--port P]
@@ -69,7 +68,6 @@
 #include "sim/simulator.hh"
 #include "svc/backoff.hh"
 #include "svc/codec.hh"
-#include "svc/coordinator.hh"
 #include "svc/hash.hh"
 #include "svc/json.hh"
 #include "svc/server.hh"
@@ -627,47 +625,6 @@ cmdServe(const Args &a)
     const int port =
         static_cast<int>(optLong(a, "port", svc::kDefaultPort));
 
-    const std::string *workers = a.value("workers");
-    if (a.flag("coordinator") || workers) {
-        // Fleet front end: same protocol, same transport, but the
-        // brain shards submits across worker nowlabds.
-        svc::CoordinatorConfig cc;
-        fatal_if(!workers,
-                 "--coordinator needs --workers host:port,host:port,...");
-        cc.workers = splitCsv(*workers);
-        fatal_if(cc.workers.empty(), "--workers: empty list");
-        for (const std::string &addr : cc.workers) {
-            std::string host;
-            int p;
-            fatal_if(!svc::parseHostPort(addr, host, p),
-                     "--workers: '%s' is not host:port", addr.c_str());
-        }
-        cc.replicas = static_cast<int>(optLong(a, "replicas", 2));
-        cc.heartbeatMs =
-            static_cast<int>(optLong(a, "heartbeat-ms", 250));
-        cc.rpcTimeoutMs =
-            static_cast<int>(optLong(a, "rpc-timeout-ms", 2000));
-        cc.backoffSeed = static_cast<std::uint64_t>(::getpid());
-        cc.local = cfg; // Degraded-mode fallback shares the flags.
-        a.rejectUnread();
-
-        svc::CoordinatorCore coord(cc);
-        svc::NowlabServer server(coord, port);
-        if (!server.start())
-            fatal("cannot bind 127.0.0.1:%d", port);
-        gServer = &server;
-        std::signal(SIGTERM, handleStopSignal);
-        std::signal(SIGINT, handleStopSignal);
-        std::printf("nowlabd on 127.0.0.1:%d (coordinator, %zu workers,"
-                    " %d replicas)\n",
-                    server.port(), cc.workers.size(), cc.replicas);
-        std::fflush(stdout);
-        server.wait();
-        gServer = nullptr;
-        std::printf("nowlabd drained, bye\n");
-        return 0;
-    }
-
     a.rejectUnread();
     svc::NowlabServer server(cfg, port);
     if (!server.start())
@@ -730,23 +687,15 @@ submitRequestOf(const Args &a)
     if (a.flag("no-validate"))
         w.field("validate", false);
 
-    static const char *kKnobKeys[] = {
-        "overhead", "gap",     "latency",       "mbps",
-        "occupancy", "window",
-        "drop",      "dup",    "corrupt",       "reorder",
-        "reorder-delay", "fault-seed", "reliable", "rto",
-        "delay-node", "delay-at", "delay-us",
-        "topo",      "topo-hosts", "topo-mbps", "topo-oversub",
-        "topo-hop",
-    };
-    // --topo as a bare flag enables the fat-tree, as in knobsOf().
+    // Each protocol knob key is also the option that sets it. --topo
+    // as a bare flag enables the fat-tree, as in knobsOf().
     const bool topoFlag = a.flag("topo");
     std::vector<std::pair<const char *, double>> knobs;
-    for (const char *k : kKnobKeys) {
-        if (std::strcmp(k, "topo") == 0 && topoFlag)
-            knobs.emplace_back(k, 1.0);
-        else if (a.value(k))
-            knobs.emplace_back(k, optDouble(a, k, -1));
+    for (const svc::KnobField &f : svc::knobFields()) {
+        if (std::strcmp(f.key, "topo") == 0 && topoFlag)
+            knobs.emplace_back(f.key, 1.0);
+        else if (a.value(f.key))
+            knobs.emplace_back(f.key, optDouble(a, f.key, -1));
     }
     if (!knobs.empty()) {
         w.beginObject("knobs");
@@ -771,7 +720,7 @@ cmdSubmit(const Args &a)
     a.rejectUnread();
 
     // Backpressure: a busy reply is retried (one-shot and --wait mode
-    // alike) on the fleet-wide jittered backoff policy, never shorter
+    // alike) on the shared jittered backoff policy, never shorter
     // than the server's own retry_after_ms hint, and bounded by
     // --max-retries so scripts fail fast instead of spinning forever.
     svc::Backoff backoff(50, 5000,
@@ -898,15 +847,14 @@ percentileMs(const std::vector<double> &sorted, double q)
 }
 
 /**
- * `nowlab storm`: the fleet load generator behind BENCH_svc.json and
- * the CI fleet smoke. Opens --conns concurrent connections and drives
- * --ops requests of mixed submit/status/get traffic at a nowlabd (or a
- * coordinator -- same protocol), honouring busy backpressure with the
- * shared jittered backoff. After the load phase every submitted job is
- * polled to completion, so a storm that returns 0 proves the service
- * lost nothing -- the property the fleet smoke asserts while a worker
- * is SIGKILLed mid-storm. Latency percentiles (per op) and saturation
- * throughput go to stdout and, with --out, to a benchmark JSON.
+ * `nowlab storm`: the nowlabd load generator behind BENCH_svc.json and
+ * scripts/storm_smoke.sh. Opens --conns concurrent connections and
+ * drives --ops requests of mixed submit/status/get traffic at a
+ * nowlabd, honouring busy backpressure with the shared jittered
+ * backoff. After the load phase every submitted job is polled to
+ * completion, so a storm that returns 0 proves the service lost
+ * nothing. Latency percentiles (per op) and saturation throughput go
+ * to stdout and, with --out, to a benchmark JSON.
  */
 int
 cmdStorm(const Args &a)
@@ -1045,7 +993,7 @@ cmdStorm(const Args &a)
         std::chrono::duration<double>(Clock::now() - t0).count();
 
     // Drain: every accepted submit must reach done (or failed) -- a
-    // job the fleet lost would poll forever, so it is the exit status.
+    // job the service lost would poll forever, so it is the exit status.
     std::atomic<long> completed{0}, failedJobs{0}, lost{0};
     auto drainLane = [&](int t) {
         Lane &lane = lanes[static_cast<std::size_t>(t)];
@@ -1945,8 +1893,6 @@ main(int argc, char **argv)
             "  nowlab serve [--port P] [--jobs J] [--queue N]\n"
             "             [--cache-dir D] [--cache-only]\n"
             "             [--backend analytic] [--drift-tolerance F]\n"
-            "  nowlab serve --coordinator --workers H:P,H:P,...\n"
-            "             [--port P] [--replicas R] [--heartbeat-ms N]\n"
             "  nowlab submit <app> [knobs] [--host H] [--port P]\n"
             "             [--wait] [--max-retries N]\n"
             "  nowlab storm [--conns C] [--ops N] [--host H] [--port P]\n"
