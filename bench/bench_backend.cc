@@ -155,9 +155,9 @@ benchApp(const std::string &app, double scale,
     rep.dtdlAna = (ticksAt(rep.points, kLs[4], false) -
                    ticksAt(rep.points, kLs[0], false)) /
                   dl;
-    backend::AnalyticPrediction pred =
-        be.predict(pointFor(app, scale, kLs[4], kOs[0]));
-    rep.dtdlModel = pred.ok ? pred.dTdL : -1;
+    const backend::AnalyticSlopes slope =
+        be.slopes(pointFor(app, scale, kLs[4], kOs[0]));
+    rep.dtdlModel = slope.ok ? slope.dTdL : -1;
 
     const bool sign_ok =
         (rep.dtdlSim >= 0) == (rep.dtdlAna >= 0) && rep.dtdlModel >= 0;
@@ -195,7 +195,7 @@ printReport(const AppReport &rep)
     t.print();
     std::printf("%s: model build %.0f ms (%zu LP nodes, %zu edges), "
                 "max err %.2f%%, mean speedup %.0fx, dT/dL sim %.2f "
-                "analytic %.2f (path slope %.2f) -> %s\n",
+                "analytic %.2f (one-sided LP slope %.2f) -> %s\n",
                 rep.app.c_str(), rep.buildMs, rep.stats.lpNodes,
                 rep.stats.lpEdges, rep.maxErrPct, rep.meanSpeedup,
                 rep.dtdlSim, rep.dtdlAna, rep.dtdlModel,

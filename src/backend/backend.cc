@@ -84,12 +84,9 @@ resolvedParams(const RunConfig &c)
 } // namespace
 
 std::string
-AnalyticBackend::canServe(const RunPoint &pt)
+retimeRefusal(const RunConfig &c)
 {
-    const RunConfig &c = pt.config;
     const Knobs &k = c.knobs;
-    if (c.obs)
-        return "trace sinks need a real simulation";
     if (k.dropRate >= 0 || k.dupRate >= 0 || k.corruptRate >= 0 ||
         k.reorderRate >= 0 || c.machine.params.fault.enabled)
         return "fault injection is stochastic per parameter point";
@@ -97,6 +94,16 @@ AnalyticBackend::canServe(const RunPoint &pt)
         return "retransmission schedules do not re-time linearly";
     if (k.delayNode >= 0 || !c.machine.params.fault.delays.empty())
         return "one-off delay injection needs a real simulation";
+    return "";
+}
+
+std::string
+AnalyticBackend::canServe(const RunPoint &pt)
+{
+    if (pt.config.obs)
+        return "trace sinks need a real simulation";
+    if (std::string why = retimeRefusal(pt.config); !why.empty())
+        return why;
 
     // A model already built but poisoned by probe drift refuses
     // loudly so the caller falls back to sim instead of trusting it.
@@ -158,14 +165,14 @@ AnalyticBackend::buildLocked(const RunPoint &pt, ModelEntry &e)
         e.reason = "validation probe run failed";
         return;
     }
-    AnalyticPrediction pred =
-        e.model.predict(resolvedParams(probe.config));
-    if (!pred.ok) {
+    std::optional<double> pred =
+        e.model.runtime(resolvedParams(probe.config));
+    if (!pred) {
         e.reason = "model failed to evaluate the probe";
         return;
     }
     e.probeDrift =
-        std::fabs(pred.runtime - static_cast<double>(sim.runtime)) /
+        std::fabs(*pred - static_cast<double>(sim.runtime)) /
         static_cast<double>(sim.runtime);
     if (e.probeDrift > opts_.driftTolerance) {
         char buf[96];
@@ -189,19 +196,35 @@ AnalyticBackend::ready(const RunPoint &pt)
     return it->second->built && it->second->healthy;
 }
 
-AnalyticPrediction
-AnalyticBackend::predict(const RunPoint &pt)
+template <typename T, typename F>
+T
+AnalyticBackend::withModel(const RunPoint &pt, F answer)
 {
-    AnalyticPrediction none;
     if (!canServe(pt).empty())
-        return none;
+        return T{};
     std::shared_ptr<ModelEntry> e = entryOf(pt);
     std::lock_guard<std::mutex> lock(e->mu);
     if (!e->built)
         buildLocked(pt, *e);
     if (!e->healthy)
-        return none;
-    return e->model.predict(resolvedParams(pt.config));
+        return T{};
+    return answer(*e);
+}
+
+AnalyticPrediction
+AnalyticBackend::predict(const RunPoint &pt)
+{
+    return withModel<AnalyticPrediction>(pt, [&](const ModelEntry &e) {
+        return e.model.predict(resolvedParams(pt.config));
+    });
+}
+
+AnalyticSlopes
+AnalyticBackend::slopes(const RunPoint &pt)
+{
+    return withModel<AnalyticSlopes>(pt, [&](const ModelEntry &e) {
+        return e.model.slopes(resolvedParams(pt.config));
+    });
 }
 
 ModelBuildStats
@@ -218,33 +241,26 @@ AnalyticBackend::modelStats(const RunPoint &pt)
 RunResult
 AnalyticBackend::run(const RunPoint &pt)
 {
-    RunResult fail;
-    if (!canServe(pt).empty())
-        return fail;
-    std::shared_ptr<ModelEntry> e = entryOf(pt);
-    std::lock_guard<std::mutex> lock(e->mu);
-    if (!e->built)
-        buildLocked(pt, *e);
-    if (!e->healthy)
-        return fail;
-    // Only the runtime is served: the makespan-only solve skips the
-    // dual that predict() computes for the slopes.
-    std::optional<double> runtime =
-        e->model.runtime(resolvedParams(pt.config));
-    if (!runtime)
-        return fail;
+    return withModel<RunResult>(pt, [&](const ModelEntry &e) {
+        // Only the runtime is served: the makespan-only solve skips
+        // the dual that predict() walks for the binding path.
+        std::optional<double> runtime =
+            e.model.runtime(resolvedParams(pt.config));
+        if (!runtime)
+            return RunResult{};
 
-    // The result carries the traced run's measurements (the message
-    // counts and matrix are knob-independent) under the re-timed
-    // runtime; validated=false marks it model-derived, and the run
-    // budget applies to the predicted time exactly as it would to a
-    // simulated one (the paper's "N/A" entries).
-    RunResult r = e->baseResult;
-    r.runtime = static_cast<Tick>(std::llround(*runtime));
-    r.ok = r.runtime <= pt.config.maxTime;
-    r.validated = false;
-    r.simEvents = 0;
-    return r;
+        // The result carries the traced run's measurements (the
+        // message counts and matrix are knob-independent) under the
+        // re-timed runtime; validated=false marks it model-derived,
+        // and the run budget applies to the predicted time exactly as
+        // it would to a simulated one (the paper's "N/A" entries).
+        RunResult r = e.baseResult;
+        r.runtime = static_cast<Tick>(std::llround(*runtime));
+        r.ok = r.runtime <= pt.config.maxTime;
+        r.validated = false;
+        r.simEvents = 0;
+        return r;
+    });
 }
 
 } // namespace nowcluster::backend

@@ -32,6 +32,11 @@
 
 namespace nowcluster::backend {
 
+/** Why the LP cannot re-time runs configured like `c` (fault
+ *  injection, the reliability protocol, a one-off delay), or "".
+ *  canServe refuses such points; `nowlab trace` withholds slopes. */
+std::string retimeRefusal(const RunConfig &c);
+
 /** Knobs common to backend construction. */
 struct BackendOptions
 {
@@ -95,10 +100,13 @@ class AnalyticBackend : public ExperimentBackend
      *  answer without simulating. */
     bool ready(const RunPoint &pt);
 
-    /** Full prediction (runtime + dT/dL, dT/do, dT/dg, dT/dG slopes)
-     *  for sweep tables and validation, from the LP solve with the
-     *  dual; builds like run(). */
+    /** The runtime and binding path from the LP solve with the dual,
+     *  for validation; builds like run(). */
     AnalyticPrediction predict(const RunPoint &pt);
+
+    /** The one-sided slopes (AnalyticModel::slopes) for sweep tables;
+     *  builds like run(). */
+    AnalyticSlopes slopes(const RunPoint &pt);
 
     /** Lowering statistics of the point's model (ok=false prediction
      *  if absent). */
@@ -119,6 +127,10 @@ class AnalyticBackend : public ExperimentBackend
 
     std::shared_ptr<ModelEntry> entryOf(const RunPoint &pt);
     void buildLocked(const RunPoint &pt, ModelEntry &e);
+    /** `answer(entry)` under the entry's lock, its model built on
+     *  first use; a default T when the point cannot be served. */
+    template <typename T, typename F>
+    T withModel(const RunPoint &pt, F answer);
 
     BackendOptions opts_;
     std::mutex mu_;

@@ -71,7 +71,10 @@ struct LpSolution
     double makespan = 0;
     /** Coefficient sums along the binding (critical) path: the dual.
      *  gradient.perL is dT/dL, gradient.perO is dT/do, and so on;
-     *  gradient.fixed is the path's parameter-independent time. */
+     *  gradient.fixed is the path's parameter-independent time. Where
+     *  paths tie, the binding one is the first strict maximum (see
+     *  prepare()), whose coefficients are one slope among several;
+     *  AnalyticModel::slopes solves one tick up each knob instead. */
     LinCost gradient;
     /** Edges on the critical path. */
     std::size_t pathEdges = 0;

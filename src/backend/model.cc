@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/table.hh"
+
 namespace nowcluster::backend {
 
 LpParams
@@ -90,10 +92,10 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
     }
 
     // Message spans: the first OSend / ORecv leaf tagged with each id,
-    // plus each span's predecessor-end on its own timeline -- the
-    // critpath analyzer's test for whether an arrival was *binding*
-    // (the CPU was waiting on the wire) or the message merely sat in
-    // the receive queue while the CPU did other work.
+    // plus each span's predecessor-end on its own timeline -- the test
+    // for whether an arrival was *binding* (the CPU was waiting on the
+    // wire) or the message merely sat in the receive queue while the
+    // CPU did other work.
     std::unordered_map<std::uint64_t, std::size_t> sendSpan, recvSpan;
     std::unordered_map<std::size_t, Tick> prevEnd;
     for (auto &[node, idxs] : timeline) {
@@ -360,11 +362,69 @@ AnalyticModel::predict(const LogGPParams &target) const
         return p;
     p.ok = true;
     p.runtime = calibrated(sol.makespan);
-    p.dTdL = sol.gradient.perL;
-    p.dTdO = sol.gradient.perO;
-    p.dTdG = sol.gradient.perG;
-    p.dTdGb = sol.gradient.perGb;
+    p.path = sol.gradient;
+    p.pathEdges = sol.pathEdges;
     return p;
+}
+
+AnalyticSlopes
+AnalyticModel::slopes(const LogGPParams &at) const
+{
+    AnalyticSlopes s;
+    if (!ok_)
+        return s;
+    const LpParams point = pointOf(at);
+    auto up = [&](double LpParams::*knob, double step) {
+        LpParams p = point;
+        p.*knob += step;
+        return dag_.solve(p).gradient;
+    };
+    s.dTdL = up(&LpParams::L, 1).perL;
+    s.dTdO = up(&LpParams::o, 1).perO;
+    s.dTdG = up(&LpParams::g, 1).perG;
+    s.dTdGb = up(&LpParams::Gb, 1e-3).perGb; // one tick per kilobyte
+    s.ok = true;
+    return s;
+}
+
+std::string
+AnalyticModel::report(const LogGPParams &at,
+                      const std::string &noSlopes) const
+{
+    const AnalyticPrediction p = predict(at);
+    if (!p.ok)
+        return "critical path: the trace did not lower to an LP\n";
+    const LpParams x = pointOf(at);
+    Table t;
+    t.row().cell("term").cell("coefficient").cell("knob").cell("ms");
+    auto sum = [&](const char *name, double ticks) {
+        t.row().cell(name).cell("").cell("").cell(ticks / kMsec, 6);
+    };
+    // `value` is the knob in ticks, `per` ticks to one printed `unit`.
+    auto term = [&](const char *name, double coef, double value,
+                    double per, const char *unit) {
+        t.row()
+            .cell(name)
+            .cell(coef, 1)
+            .cell(fmtDouble(value / per, 3) + unit)
+            .cell(coef * value / kMsec, 6);
+    };
+    sum("fixed", p.path.fixed);
+    term("perL*L", p.path.perL, x.L, kUsec, " us");
+    term("perO*o", p.path.perO, x.o, kUsec, " us added");
+    term("perG*g", p.path.perG, x.g, kUsec, " us");
+    term("perGb*G", p.path.perGb, x.Gb, 1, " ns/byte");
+    sum("residual", residual_);
+    sum("runtime", p.runtime);
+    std::string out = "critical path: the LP's binding path, " +
+                      std::to_string(p.pathEdges) + " edges\n" + t.str();
+    if (!noSlopes.empty())
+        return out + "slopes: withheld: " + noSlopes + "\n";
+    const AnalyticSlopes s = slopes(at);
+    return out + "slopes, one tick up each knob: dT/dL " +
+           fmtDouble(s.dTdL, 1) + ", dT/do " + fmtDouble(s.dTdO, 1) +
+           ", dT/dg " + fmtDouble(s.dTdG, 1) + " (us per us), dT/dG " +
+           fmtDouble(s.dTdGb, 1) + " (ns per ns/byte)\n";
 }
 
 std::optional<double>

@@ -25,10 +25,9 @@
  * at its own base point and the error budget is spent only on the
  * *change* in runtime.
  *
- * Two entry points evaluate it: predict() solves with the LP dual for
- * the sensitivity slopes, runtime() solves for the makespan alone
- * (what a served point needs). Both give the same runtime, bit for
- * bit.
+ * runtime() solves for the makespan alone (what a served point needs);
+ * predict() gives the same runtime, bit for bit, plus the binding
+ * path from the LP dual; slopes() gives the one-sided slopes.
  */
 
 #ifndef NOWCLUSTER_BACKEND_MODEL_HH_
@@ -36,6 +35,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <string>
 
 #include "backend/lp.hh"
 #include "net/loggp.hh"
@@ -43,16 +43,28 @@
 
 namespace nowcluster::backend {
 
-/** One evaluated sweep point: predicted runtime plus the closed-form
- *  sensitivity slopes from the LP dual (critical-path crossings). */
+/** One evaluated point: the predicted runtime and the path that binds
+ *  it in the LP's dual solve. */
 struct AnalyticPrediction
 {
     bool ok = false;
     double runtime = 0; ///< Predicted end-to-end ticks.
-    double dTdL = 0;    ///< Ticks of runtime per tick of L.
-    double dTdO = 0;    ///< Ticks of runtime per tick of added o.
-    double dTdG = 0;    ///< Ticks of runtime per tick of g.
-    double dTdGb = 0;   ///< Ticks of runtime per ns/byte of G.
+    /** The binding path's coefficient sums: fixed + perL*L + ... +
+     *  perGb*G is the runtime less the residual. Where paths tie it is
+     *  the first of them, so these are not the slopes; slopes() is. */
+    LinCost path;
+    std::size_t pathEdges = 0; ///< Edges on the binding path.
+};
+
+/** The runtime's one-sided slopes at a point: how fast it grows as
+ *  each knob grows from there. */
+struct AnalyticSlopes
+{
+    bool ok = false;
+    double dTdL = 0;  ///< Ticks of runtime per tick of L.
+    double dTdO = 0;  ///< Ticks of runtime per tick of added o.
+    double dTdG = 0;  ///< Ticks of runtime per tick of g.
+    double dTdGb = 0; ///< Ticks of runtime per tick-per-byte of G.
 };
 
 /** How the lowering went (surfaced by `nowlab backend validate`). */
@@ -84,8 +96,20 @@ class AnalyticModel
                Tick measuredRuntime);
 
     /** Evaluate the model at a target operating point: the runtime
-     *  and the dual's slopes. */
+     *  and the binding path, from one solve with the dual. */
     AnalyticPrediction predict(const LogGPParams &target) const;
+
+    /** The one-sided slopes at `at`: per knob, the binding path's
+     *  coefficient one tick up it (one tick per kilobyte for G), where
+     *  ties at the point are broken by growth, so it is the runtime's
+     *  finite difference over that tick. One dual solve per knob. */
+    AnalyticSlopes slopes(const LogGPParams &at) const;
+
+    /** What `nowlab trace` and `nowlab replay` print at `at`: the
+     *  binding path's terms plus the residual, which sum to the
+     *  runtime, then slopes(), or `noSlopes` as the reason why not. */
+    std::string report(const LogGPParams &at,
+                       const std::string &noSlopes = "") const;
 
     /** predict()'s runtime alone, bit for bit, from the makespan-only
      *  solve (no dual): what AnalyticBackend::run serves. nullopt if

@@ -88,9 +88,9 @@ struct RunConfig
      */
     int origin = 0;
     /** Optional span tracer (not owned): records per-track timelines
-     *  and per-message flights for the Perfetto exporter, the
-     *  critical-path analyzer, the LP lowering (analytic backend and
-     *  replay) and the burstiness stats. */
+     *  and per-message flights for the Perfetto exporter, the LP
+     *  lowering (analytic backend, replay and the critical path
+     *  `nowlab trace` prints) and the burstiness stats. */
     SpanTracer *obs = nullptr;
 };
 

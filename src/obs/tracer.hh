@@ -14,11 +14,10 @@
  *
  * The recorded data feeds every trace consumer: the Chrome/Perfetto
  * trace_event exporter and the compact binary format `nowlab replay
- * --obs` loads (src/obs/export.hh), the LogGP critical-path analyzer
- * (src/obs/critpath.hh), the wavefront analyzer, the analytic
- * backend's LP lowering (src/backend/model.hh, which is also what
- * `nowlab replay` solves), and the message statistics at the end of
- * this header.
+ * --obs` loads (src/obs/export.hh), the wavefront analyzer, the
+ * analytic backend's LP lowering (src/backend/model.hh: what `nowlab
+ * replay` solves, and the critical path `nowlab trace` prints), and
+ * the message statistics at the end of this header.
  */
 
 #ifndef NOWCLUSTER_OBS_TRACER_HH_
@@ -69,9 +68,9 @@ struct Span
     SpanCat cat = SpanCat::Compute;
     /**
      * Container spans (barrier-wait, credit-wait) cover an interval in
-     * which nested leaf spans (polling, handler work) also appear; the
-     * critical-path walk skips them and uses them only to label
-     * otherwise-unattributed waiting.
+     * which nested leaf spans (polling, handler work) also appear. The
+     * exporters show them; the LP lowering and the wavefront analyzer
+     * skip them and read the leaf spans.
      */
     bool container = false;
     /** Message this span serves (0 = none). */

@@ -31,6 +31,7 @@ namespace {
 using backend::AnalyticBackend;
 using backend::AnalyticModel;
 using backend::AnalyticPrediction;
+using backend::AnalyticSlopes;
 using backend::BackendOptions;
 using backend::LinCost;
 using backend::LpDag;
@@ -268,11 +269,11 @@ checkAgreement(const std::string &app, AnalyticBackend &be,
         0.10 * static_cast<double>(s2.runtime) / dl;
     EXPECT_NEAR(analytic, measured, bound) << app;
 
-    AnalyticPrediction pred = be.predict(at(55.0));
-    ASSERT_TRUE(pred.ok) << app;
-    EXPECT_GE(pred.dTdL, 0.0) << app;
+    const AnalyticSlopes slope = be.slopes(at(55.0));
+    ASSERT_TRUE(slope.ok) << app;
+    EXPECT_GE(slope.dTdL, 0.0) << app;
     if (dtdl_out)
-        *dtdl_out = pred.dTdL;
+        *dtdl_out = slope.dTdL;
 }
 
 TEST(Analytic, AgreesWithSimAcrossTheGridForRadixAndEm3dRead)
@@ -282,9 +283,8 @@ TEST(Analytic, AgreesWithSimAcrossTheGridForRadixAndEm3dRead)
     checkAgreement("radix", be, &radix_dtdl);
     checkAgreement("em3d-read", be, &em3d_dtdl);
 
-    // The model must order the apps the way the paper (and the
-    // critpath analyzer) does: read round trips are latency bound,
-    // write-based radix much less so.
+    // The model must order the apps the way the paper does: read
+    // round trips are latency bound, write-based radix much less so.
     EXPECT_GT(em3d_dtdl, radix_dtdl);
 }
 
@@ -633,9 +633,12 @@ TEST(Analytic, ConcurrentAnswersMatchASerialRun)
                 }
     auto answer = [](AnalyticBackend &be, const RunPoint &pt) {
         const AnalyticPrediction p = be.predict(pt);
+        const AnalyticSlopes s = be.slopes(pt);
         return fingerprint(be.run(pt)) + " " + hexOf(p.runtime) + " " +
-               hexOf(p.dTdL) + " " + hexOf(p.dTdO) + " " +
-               hexOf(p.dTdG) + " " + hexOf(p.dTdGb);
+               hexOf(p.path.fixed) + " " + hexOf(p.path.perL) + " " +
+               std::to_string(p.pathEdges) + " " + hexOf(s.dTdL) + " " +
+               hexOf(s.dTdO) + " " + hexOf(s.dTdG) + " " +
+               hexOf(s.dTdGb);
     };
 
     AnalyticBackend serial(opts);

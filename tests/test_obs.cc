@@ -2,20 +2,21 @@
  * @file
  * Tests for the observability subsystem (src/obs/): the metrics
  * registry, the span tracer and its zero-perturbation guarantee, the
- * Perfetto/binary exporters, and the LogGP critical-path analyzer --
- * including the cross-check of predicted dT/dL against measured
- * latency-sweep slopes that the paper's Figure 7 methodology implies.
+ * Perfetto/binary exporters, the critical-path report `nowlab trace`
+ * prints from the analytic LP (backend/model.hh), and the wavefront
+ * analyzer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
 #include "am/cluster.hh"
+#include "backend/model.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
-#include "obs/critpath.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
@@ -294,152 +295,46 @@ TEST(Export, CorruptBinaryTracesAreRejected)
 }
 
 // ----------------------------------------------------------------------
-// Critical-path analyzer.
+// The critical path: the analytic LP's report on a recorded trace.
 // ----------------------------------------------------------------------
 
-TEST(CritPath, PingPongPathCrossesTheWireEveryRound)
+TEST(AnalyticReport, PingPongPathCrossesTheWireEveryRound)
 {
+    // What `nowlab trace` reports on: the trace lowered into the LP at
+    // the run's parameters and calibrated on its runtime.
     const int kRounds = 10;
     SpanTracer tracer;
-    Tick runtime = pingPong(kRounds, &tracer);
-    CritPathReport cp = analyzeCriticalPath(tracer);
-    ASSERT_TRUE(cp.ok);
-    EXPECT_EQ(cp.endTick, tracer.lastTick());
+    const Tick runtime = pingPong(kRounds, &tracer);
+    const LogGPParams params = MachineConfig::berkeleyNow().params;
+    backend::AnalyticModel m;
+    ASSERT_TRUE(m.build(tracer, params, runtime));
+    const backend::AnalyticPrediction p = m.predict(params);
+    ASSERT_TRUE(p.ok);
 
     // Serialized request/reply: every round is two wire crossings, and
     // the trailing stop message adds at most one more.
-    EXPECT_GE(cp.lCrossings, static_cast<std::uint64_t>(2 * kRounds));
-    EXPECT_LE(cp.lCrossings,
-              static_cast<std::uint64_t>(2 * kRounds + 1));
-    EXPECT_GT(cp.perCat[static_cast<int>(SpanCat::LWire)], 0);
-    EXPECT_GT(cp.perCat[static_cast<int>(SpanCat::OSend)], 0);
-    EXPECT_GT(cp.perCat[static_cast<int>(SpanCat::ORecv)], 0);
+    EXPECT_GE(p.path.perL, 2 * kRounds);
+    EXPECT_LE(p.path.perL, 2 * kRounds + 1);
 
-    // The decomposition accounts for the whole run.
-    Tick accounted = cp.waitOther;
-    for (int i = 0; i < kNumSpanCats; ++i)
-        accounted += cp.perCat[i];
-    EXPECT_LE(accounted, runtime);
-    EXPECT_GE(accounted, runtime * 9 / 10);
+    // The binding path's terms plus the residual are the runtime.
+    const backend::LpParams x = backend::AnalyticModel::pointOf(params);
+    const double terms = p.path.fixed + p.path.perL * x.L +
+                         p.path.perO * x.o + p.path.perG * x.g +
+                         p.path.perGb * x.Gb + m.stats().residual;
+    EXPECT_NEAR(terms, static_cast<double>(runtime), 1e-5 * runtime);
+    EXPECT_EQ(std::llround(p.runtime), runtime);
 
-    std::string text = cp.render();
-    EXPECT_NE(text.find("wire crossings"), std::string::npos);
-    EXPECT_NE(text.find("dT/dL"), std::string::npos);
-}
-
-TEST(CritPath, EmptyTraceReportsNotOkInsteadOfWalking)
-{
-    SpanTracer empty;
-    CritPathReport cp = analyzeCriticalPath(empty);
-    EXPECT_FALSE(cp.ok);
-    EXPECT_EQ(cp.endTick, 0);
-    EXPECT_EQ(cp.segments, 0u);
-    EXPECT_NE(cp.render().find("no CPU spans"), std::string::npos);
-}
-
-TEST(CritPath, SingleSpanTraceIsAPureComputePath)
-{
-    // No message edges at all: the path is the one span plus idle
-    // time back to t=0, with zero wire crossings.
-    SpanTracer t;
-    t.span(0, TrackKind::Cpu, SpanCat::Compute, usec(2), usec(7));
-    CritPathReport cp = analyzeCriticalPath(t);
-    ASSERT_TRUE(cp.ok);
-    EXPECT_EQ(cp.endTick, usec(7));
-    EXPECT_EQ(cp.segments, 1u);
-    EXPECT_EQ(cp.lCrossings, 0u);
-    EXPECT_EQ(cp.perCat[static_cast<int>(SpanCat::Compute)], usec(5));
-    EXPECT_EQ(cp.waitOther, usec(2)); // Idle before the span.
-}
-
-TEST(CritPath, ContainerOnlyTraceReportsNotOk)
-{
-    // Container spans label waits; without leaf CPU spans there is no
-    // path to walk.
-    SpanTracer t;
-    t.containerSpan(0, SpanCat::BarrierWait, 0, usec(10));
-    EXPECT_FALSE(analyzeCriticalPath(t).ok);
-}
-
-TEST(CritPath, MessageHopToSpanlessSenderTerminatesCleanly)
-{
-    // A partial trace can record a receive whose sender contributed no
-    // CPU spans; the walk must stop there, not grow its map or loop.
-    SpanTracer t;
-    std::uint64_t id = t.newMsgId();
-    t.span(1, TrackKind::Cpu, SpanCat::ORecv, usec(20), usec(24), id);
-    ObsMessage m;
-    m.id = id;
-    m.src = 0;
-    m.dst = 1;
-    m.issued = usec(1);
-    m.inject = usec(2);
-    m.wire = usec(3);
-    m.ready = usec(19);
-    m.wireLatency = usec(16);
-    t.message(m);
-    CritPathReport cp = analyzeCriticalPath(t);
-    ASSERT_TRUE(cp.ok);
-    EXPECT_EQ(cp.lCrossings, 1u);
-    EXPECT_EQ(cp.segments, 1u);
-}
-
-/** Traced baseline + measured latency sweep for one app. */
-struct SlopeCheck
-{
-    double predicted; ///< Crossings on the critical path (dT/dL).
-    double measured;  ///< (T(L2) - T(L1)) / (L2 - L1), ticks per tick.
-};
-
-SlopeCheck
-latencySlope(const std::string &key)
-{
-    RunConfig base;
-    base.nprocs = 4;
-    base.scale = 0.1;
-    SpanTracer tracer;
-    RunConfig traced = base;
-    traced.obs = &tracer;
-    RunResult b = runApp(key, traced);
-    EXPECT_TRUE(b.ok) << key;
-
-    const double l1 = 5.0, l2 = 55.0;
-    RunConfig slow = base;
-    slow.knobs.latencyUs = l2;
-    slow.validate = false;
-    RunResult s = runApp(key, slow);
-    EXPECT_TRUE(s.ok) << key;
-
-    SlopeCheck r;
-    CritPathReport cp = analyzeCriticalPath(tracer);
-    EXPECT_TRUE(cp.ok) << key;
-    r.predicted = cp.predictedDTdL();
-    r.measured = static_cast<double>(s.runtime - b.runtime) /
-                 static_cast<double>(usec(l2 - l1));
-    return r;
-}
-
-TEST(CritPath, PredictedDTdLMatchesMeasuredSlopesForRadixAndEm3d)
-{
-    // The Figure 7 cross-check: the analyzer's dT/dL (wire crossings
-    // on the critical path) must agree in sign with the measured
-    // latency sensitivity, and must order the apps the same way the
-    // measured slopes do -- reads (em3d-read round trips) are latency
-    // bound, write-based radix much less so.
-    SlopeCheck radix = latencySlope("radix");
-    SlopeCheck em3d = latencySlope("em3d-read");
-
-    // Sign: both apps cross the wire on the path, and added latency
-    // never speeds a run up.
-    EXPECT_GT(radix.predicted, 0.0);
-    EXPECT_GT(em3d.predicted, 0.0);
-    EXPECT_GE(radix.measured, 0.0);
-    EXPECT_GT(em3d.measured, 0.0);
-
-    // Ordering: predicted and measured sensitivity agree on which app
-    // suffers more from latency.
-    EXPECT_EQ(radix.predicted < em3d.predicted,
-              radix.measured < em3d.measured);
+    // The report names every term and slope; withheld slopes give way
+    // to the reason.
+    const std::string text = m.report(params);
+    for (const char *name : {"fixed", "perL*L", "perO*o", "perG*g",
+                             "perGb*G", "residual", "dT/dL", "dT/do",
+                             "dT/dg", "dT/dG"})
+        EXPECT_NE(text.find(name), std::string::npos) << name;
+    const std::string withheld = m.report(params, "no such rule");
+    EXPECT_NE(withheld.find("residual"), std::string::npos);
+    EXPECT_NE(withheld.find("no such rule"), std::string::npos);
+    EXPECT_EQ(withheld.find("dT/dL"), std::string::npos);
 }
 
 // ----------------------------------------------------------------------

@@ -93,7 +93,7 @@ TEST(Replay, KnobsStretchReplayedTraces)
     auto slow_params = base;
     slow_params.setDesiredGapUsec(55.0);
     EXPECT_GT(replayedRuntime(m, slow_params), replayedRuntime(m, base));
-    EXPECT_GT(m.predict(slow_params).dTdG, 0.0);
+    EXPECT_GT(m.slopes(slow_params).dTdG, 0.0);
 }
 
 TEST(Replay, BinaryRoundTripFeedsReplay)
@@ -112,14 +112,17 @@ TEST(Replay, BinaryRoundTripFeedsReplay)
     auto target = params;
     target.setDesiredOverheadUsec(12.9);
     target.setDesiredLatencyUsec(30.0);
-    const AnalyticPrediction pa = a.predict(target);
-    const AnalyticPrediction pb = b.predict(target);
-    ASSERT_TRUE(pa.ok && pb.ok);
-    const double want[] = {pa.runtime, pa.dTdL, pa.dTdO, pa.dTdG,
-                           pa.dTdGb};
-    const double got[] = {pb.runtime, pb.dTdL, pb.dTdO, pb.dTdG,
-                          pb.dTdGb};
-    for (std::size_t i = 0; i < std::size(want); ++i)
+    auto answer = [&](const AnalyticModel &m) {
+        const AnalyticPrediction p = m.predict(target);
+        const backend::AnalyticSlopes s = m.slopes(target);
+        EXPECT_TRUE(p.ok && s.ok);
+        return std::vector<double>{
+            p.runtime, p.path.fixed, p.path.perL, p.path.perO,
+            p.path.perG, p.path.perGb, static_cast<double>(p.pathEdges),
+            s.dTdL, s.dTdO, s.dTdG, s.dTdGb};
+    };
+    const std::vector<double> want = answer(a), got = answer(b);
+    for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
                   std::bit_cast<std::uint64_t>(want[i]))
             << "field " << i;
@@ -163,6 +166,32 @@ TEST(Replay, LatencyBoundAppFromAFileTracksTheSimulator)
     EXPECT_GT(sim.runtime, 5 * r.runtime);
 }
 
+// At a traced point many paths tie, and the dual there is whichever of
+// them binds first. One tick up a knob, the path that binds is the one
+// that grows with it: the one-sided slope is the LP runtime's own
+// finite difference over that tick.
+TEST(Replay, OneSidedSlopesAreTheRuntimesOneTickDifference)
+{
+    auto [trace, r] = capture("em3d-read", 8, 0.1);
+    ASSERT_TRUE(r.ok);
+    const LogGPParams base = MachineConfig::berkeleyNow().params;
+    const AnalyticModel m = lower(trace, base);
+    const backend::AnalyticSlopes s = m.slopes(base);
+    ASSERT_TRUE(s.ok);
+    for (auto [slope, knob] : {std::pair{s.dTdL, &LogGPParams::latency},
+                               {s.dTdO, &LogGPParams::addedO},
+                               {s.dTdG, &LogGPParams::gap}}) {
+        LogGPParams up = base;
+        up.*knob += 1;
+        EXPECT_GT(slope, 0);
+        // Equal up to the float rounding of the LP's edge weights.
+        EXPECT_NEAR(slope, *m.runtime(up) - *m.runtime(base), 1e-6 * slope);
+    }
+    // The dual at the point undercounts o: 1905 overhead phases against
+    // the 2219 the runtime grows by.
+    EXPECT_GT(s.dTdO, m.predict(base).path.perO);
+}
+
 /** Span and message builders for hand-made traces. */
 void
 cpuSpan(SpanTracer &t, NodeId node, SpanCat cat, Tick b, Tick e,
@@ -188,6 +217,23 @@ flight(SpanTracer &t, std::uint64_t id, NodeId src, NodeId dst,
     m.retx = retx;
     m.bytes = 32;
     t.message(m);
+}
+
+TEST(Replay, SingleSpanTraceIsFixedTimePlusResidual)
+{
+    // No message edges at all: the path is the span's 5 us of fixed
+    // time, no wire crossing, and the idle 2 us before it is the
+    // residual.
+    SpanTracer t;
+    cpuSpan(t, 0, SpanCat::Compute, usec(2), usec(7));
+    const auto params = MachineConfig::berkeleyNow().params;
+    const AnalyticModel m = lower(t, params);
+    const AnalyticPrediction p = m.predict(params);
+    ASSERT_TRUE(p.ok);
+    EXPECT_EQ(p.path.fixed, usec(5));
+    EXPECT_EQ(p.path.perL, 0);
+    EXPECT_EQ(m.stats().residual, usec(2));
+    EXPECT_EQ(p.runtime, usec(7));
 }
 
 // Replay reads files from outside the program. Whatever a NOWOBS01
@@ -216,6 +262,13 @@ TEST(Replay, HostileTracesAreRefusedOrFinite)
         cpuSpan(t, 2, SpanCat::ORecv, 50, 90, 9);   // no record for 9
         flight(t, 42, 3, 4, 10, 20);                // no spans for 42
         flight(t, 43, kFar, 0, 10, 20);
+        cpuSpan(t, 0, SpanCat::ORecv, 20, 30, 43);  // spanless sender
+    }
+    {
+        // Container spans label waits; without leaf CPU spans there is
+        // nothing to lower.
+        SpanTracer &t = add("container spans only");
+        t.containerSpan(0, SpanCat::BarrierWait, 0, 100);
     }
     {
         SpanTracer &t = add("timestamps near 2^62");
@@ -263,9 +316,10 @@ TEST(Replay, HostileTracesAreRefusedOrFinite)
         EXPECT_GE(p.runtime, 0.0) << name;
         EXPECT_EQ(m.runtime(target).value_or(-1), p.runtime) << name;
     }
-    // Only the cycle cannot lower; `nowlab replay` refuses the
-    // retransmissions before it builds.
-    EXPECT_EQ(refused, std::vector<std::string>{"a dependency cycle"});
+    // Only the container spans and the cycle cannot lower; `nowlab
+    // replay` refuses the retransmissions before it builds.
+    EXPECT_EQ(refused, (std::vector<std::string>{"container spans only",
+                                                 "a dependency cycle"}));
 }
 
 } // namespace

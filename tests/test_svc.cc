@@ -526,6 +526,30 @@ TEST(ServiceCore, BadSubmitsAreAnsweredNotFatal)
     EXPECT_EQ(v.find("counters")->numberOr("svc.requests.bad", 0), 6);
 }
 
+// Every microsecond knob is bounded before anything converts it to
+// ticks. Unbounded, an occupancy of 1e300 reached the worker and
+// aborted the server ("scheduling event in the past").
+TEST(ServiceCore, HugeMicrosecondKnobsAreRefusedByName)
+{
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    svc::ServiceCore core(cfg);
+    for (const char *knob : {"overhead", "gap", "latency", "occupancy",
+                             "reorder-delay", "rto", "delay-at",
+                             "delay-us", "topo-hop"}) {
+        const std::string line =
+            std::string("{\"op\":\"submit\",\"app\":\"radix\","
+                        "\"procs\":4,\"scale\":0.1,\"knobs\":{\"") +
+            knob + "\":1e300}}";
+        svc::JsonValue v = parsed(core.handleLine(line));
+        EXPECT_FALSE(v.boolOr("ok", true)) << knob;
+        EXPECT_NE(v.stringOr("error", "").find(knob), std::string::npos)
+            << knob << ": " << v.stringOr("error", "");
+    }
+    svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(v.find("counters")->numberOr("svc.submits", -1), 0);
+}
+
 // A knob key this build does not define must be refused, not dropped:
 // a client still sending a retired key would otherwise get (and cache)
 // a result computed without it. It is refused before any work is

@@ -59,7 +59,6 @@
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "model/models.hh"
-#include "obs/critpath.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
@@ -478,13 +477,13 @@ cmdSweep(const Args &a)
         points.push_back(RunPoint{key, c});
     }
 
-    // The analytic engine knows the sweep's local derivative for free
-    // (the LP dual along the binding path); surface it for the LogGP
-    // knobs where it is defined.
+    // The analytic engine knows the sweep's local derivative (the
+    // LP's one-sided slope); surface it for the LogGP knobs where it
+    // is defined.
     const bool slopes = ana && (knob == "latency" || knob == "overhead" ||
                                 knob == "gap");
     std::vector<RunResult> rs;
-    std::vector<backend::AnalyticPrediction> preds(points.size());
+    std::vector<backend::AnalyticSlopes> slopeAt(points.size());
     std::size_t served = 0, fellBack = 0;
     // Every refusal reason with its count: a sweep can mix refusals
     // (window too small here, fault injection there) and reporting
@@ -515,7 +514,7 @@ cmdSweep(const Args &a)
             if (why.empty()) {
                 ++served;
                 if (slopes)
-                    preds[i] = ana->predict(points[i]);
+                    slopeAt[i] = ana->slopes(points[i]);
             } else {
                 ++reasons[why];
                 misses.push_back(points[i]);
@@ -548,7 +547,7 @@ cmdSweep(const Args &a)
         else
             row.cell(std::string("N/A")).cell(std::string("N/A"));
         if (slopes) {
-            const backend::AnalyticPrediction &p = preds[i];
+            const backend::AnalyticSlopes &p = slopeAt[i];
             double s = knob == "latency"
                            ? p.dTdL
                            : knob == "overhead" ? p.dTdO : p.dTdG;
@@ -1329,10 +1328,11 @@ cmdPerf(const Args &a)
 
 /**
  * `nowlab trace <app>`: run one application with the span tracer
- * attached, print the LogGP critical-path decomposition and the metrics
- * snapshot, and optionally export the timeline as Perfetto JSON
- * (--out, loadable in ui.perfetto.dev / chrome://tracing) and/or the
- * compact binary form (--bin, loadable by `nowlab replay --obs`).
+ * attached, print the LP's critical-path report on the trace
+ * (AnalyticModel::report) and the metrics snapshot, and optionally
+ * export the timeline as Perfetto JSON (--out, loadable in
+ * ui.perfetto.dev / chrome://tracing) and/or the compact binary form
+ * (--bin, loadable by `nowlab replay --obs`).
  */
 int
 cmdTrace(const Args &a)
@@ -1368,8 +1368,12 @@ cmdTrace(const Args &a)
                 tracer.messages().size(), meanFlightUs(tracer),
                 burstFraction(tracer, usec(10)));
 
-    CritPathReport cp = analyzeCriticalPath(tracer);
-    std::fputs(cp.render().c_str(), stdout);
+    LogGPParams params = c.machine.params;
+    c.knobs.applyTo(params);
+    backend::AnalyticModel model;
+    model.build(tracer, params, r.runtime);
+    std::fputs(model.report(params, backend::retimeRefusal(c)).c_str(),
+               stdout);
 
     std::printf("metrics:\n%s", r.metrics.render().c_str());
 
@@ -1574,8 +1578,7 @@ cmdReplay(const Args &a)
              "cycle)",
              obs->c_str());
     const Tick base = std::llround(model.runtime(recorded).value_or(0));
-    const backend::AnalyticPrediction p = model.predict(target);
-    const Tick what_if = std::llround(p.runtime);
+    const Tick what_if = std::llround(model.runtime(target).value_or(0));
 
     const backend::ModelBuildStats &st = model.stats();
     std::printf("replay of %zu messages and %zu cpu spans (LP %zu nodes, "
@@ -1584,9 +1587,7 @@ cmdReplay(const Args &a)
     std::printf("  recorded machine : %.6f ms makespan\n", toMsec(base));
     std::printf("  with knobs       : %.6f ms makespan (%.2fx)\n",
                 toMsec(what_if), slowdown(what_if, base));
-    std::printf("  slopes at knobs  : dT/dL %.1f, dT/do %.1f, dT/dg %.1f "
-                "(us of runtime per us)\n",
-                p.dTdL, p.dTdO, p.dTdG);
+    std::fputs(model.report(target).c_str(), stdout);
     return 0;
 }
 
@@ -1927,10 +1928,12 @@ main(int argc, char **argv)
             "       (NOW_COLL_ALG is the fallback)\n"
             "backend: --backend sim|analytic. analytic answers LogGP\n"
             "       sweep points from an LP lowered from one traced\n"
-            "       run -- milliseconds per point, with dT/dL-style\n"
-            "       slopes -- and falls back to sim for ineligible or\n"
-            "       drifted specs. replay solves the same LP from a\n"
-            "       NOWOBS01 file (nowlab trace --bin).\n");
+            "       run -- milliseconds per point, with one-sided\n"
+            "       dT/dL-style slopes -- and falls back to sim for\n"
+            "       ineligible or drifted specs. trace prints the LP's\n"
+            "       critical path and slopes for the run it records;\n"
+            "       replay solves the same LP from a NOWOBS01 file\n"
+            "       (nowlab trace --bin).\n");
         return 0;
     }
     const std::string &cmd = a.positional[0];
