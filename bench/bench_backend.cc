@@ -6,14 +6,20 @@
  * agreement into BENCH_backend.json. The acceptance bar is the
  * subsystem's reason to exist: every grid point within 10% of the
  * simulated runtime, matching latency-slope sign, and at least 100x
- * lower wall-clock per answered point once the model is built.
+ * lower wall-clock per answered point once the model is built. The
+ * lowering (AnalyticModel::build on the traced base run) is timed on
+ * its own too, over several repetitions, and the file records the
+ * host it was measured on.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.hh"
@@ -27,6 +33,7 @@ namespace {
 
 constexpr double kTolerance = 0.10; ///< Runtime error bound per point.
 constexpr double kMinSpeedup = 100; ///< Wall-clock factor per point.
+constexpr int kLowerReps = 7;       ///< Timed lowerings per app.
 
 double
 wallMs(std::chrono::steady_clock::time_point t0)
@@ -54,6 +61,9 @@ struct AppReport
 {
     std::string app;
     double buildMs = 0; ///< Traced base run + probe, amortized once.
+    /** AnalyticModel::build alone on the traced base run: the median,
+     *  fastest and slowest of kLowerReps. */
+    double lowerMs = 0, lowerMinMs = 0, lowerMaxMs = 0;
     backend::ModelBuildStats stats;
     std::vector<PointRow> points;
     double maxErrPct = 0, meanErrPct = 0;
@@ -97,6 +107,30 @@ benchApp(const std::string &app, double scale,
              app.c_str(),
              be.canServe(pointFor(app, scale, 0, 0)).c_str());
     rep.stats = be.modelStats(pointFor(app, scale, 0, 0));
+
+    // The lowering alone, on a traced run of the base point: the same
+    // run the backend lowered, since the simulator is deterministic.
+    {
+        RunPoint base = pointFor(app, scale, 0, 0);
+        LogGPParams params = base.config.machine.params;
+        base.config.knobs.applyTo(params);
+        SpanTracer tracer;
+        base.config.obs = &tracer;
+        const RunResult traced = runApp(base.app, base.config);
+        std::vector<double> ms;
+        for (int r = 0; r < kLowerReps; r++) {
+            backend::AnalyticModel model;
+            t0 = std::chrono::steady_clock::now();
+            const bool built = model.build(tracer, params, traced.runtime);
+            ms.push_back(wallMs(t0));
+            fatal_if(!built, "%s: the traced run did not lower",
+                     app.c_str());
+        }
+        std::sort(ms.begin(), ms.end());
+        rep.lowerMs = ms[ms.size() / 2];
+        rep.lowerMinMs = ms.front();
+        rep.lowerMaxMs = ms.back();
+    }
 
     // Answer the whole grid with each engine in its own pass, the way
     // a real sweep runs: the simulator streams through its points, the
@@ -193,13 +227,45 @@ printReport(const AppReport &rep)
             .cell(r.speedup(), 0);
     }
     t.print();
-    std::printf("%s: model build %.0f ms (%zu LP nodes, %zu edges), "
+    std::printf("%s: model build %.0f ms, of which lowering %.1f ms "
+                "(%zu LP nodes, %zu edges), "
                 "max err %.2f%%, mean speedup %.0fx, dT/dL sim %.2f "
                 "analytic %.2f (one-sided LP slope %.2f) -> %s\n",
-                rep.app.c_str(), rep.buildMs, rep.stats.lpNodes,
-                rep.stats.lpEdges, rep.maxErrPct, rep.meanSpeedup,
+                rep.app.c_str(), rep.buildMs, rep.lowerMs,
+                rep.stats.lpNodes, rep.stats.lpEdges, rep.maxErrPct,
+                rep.meanSpeedup,
                 rep.dtdlSim, rep.dtdlAna, rep.dtdlModel,
                 rep.pass ? "pass" : "FAIL");
+}
+
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos &&
+            colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
+/** `git describe --always --dirty` of the working directory. */
+std::string
+revision()
+{
+    std::string rev;
+    if (FILE *p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, p))
+            rev += buf;
+        pclose(p);
+    }
+    while (!rev.empty() && rev.back() == '\n')
+        rev.pop_back();
+    return rev.empty() ? "unknown" : rev;
 }
 
 } // namespace
@@ -231,13 +297,25 @@ main(int argc, char **argv)
     svc::JsonWriter w;
     w.beginObject();
     w.field("bench", "backend");
+    w.beginObject("host");
+    w.field("cores",
+            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    w.field("cpu", cpuModel());
+    w.field("compiler", NOW_BENCH_COMPILER);
+    w.field("buildType", NOW_BENCH_BUILD_TYPE);
+    w.field("revision", revision());
+    w.endObject();
     w.field("tolerance", kTolerance);
     w.field("minSpeedup", kMinSpeedup);
+    w.field("lowerReps", kLowerReps);
     w.beginArray("apps");
     for (const AppReport &r : reports) {
         w.beginObject();
         w.field("app", r.app);
         w.field("buildMs", r.buildMs);
+        w.field("lowerMs", r.lowerMs);
+        w.field("lowerMinMs", r.lowerMinMs);
+        w.field("lowerMaxMs", r.lowerMaxMs);
         w.field("lpNodes", static_cast<std::uint64_t>(r.stats.lpNodes));
         w.field("lpEdges", static_cast<std::uint64_t>(r.stats.lpEdges));
         w.field("residualMs", toMsec(static_cast<Tick>(

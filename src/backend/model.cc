@@ -6,12 +6,102 @@
 #include "backend/model.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/table.hh"
 
 namespace nowcluster::backend {
+
+namespace {
+
+/** "No span" / "no message" in lower()'s 32-bit index arrays. */
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+/** Items grouped by node id: bucket k holds the items of node[k], and
+ *  node ids ascend. */
+struct Buckets
+{
+    std::vector<std::uint32_t> items;
+    std::vector<std::uint32_t> first; ///< Bucket k: [first[k], first[k + 1]).
+    std::vector<NodeId> node;
+
+    std::pair<std::uint32_t, std::uint32_t>
+    range(std::size_t k) const
+    {
+        return {first[k], first[k + 1]};
+    }
+};
+
+/**
+ * Group `items` by `nodeOf(item)`, keeping their given order within a
+ * node: a radix sort of the ids, least significant byte first, that
+ * skips every byte all ids share (one counting pass for up to 256
+ * nodes). No id indexes an array: a NOWOBS01 file may carry any id.
+ */
+template <typename NodeOf>
+Buckets
+bucketByNode(std::vector<std::uint32_t> items, NodeOf nodeOf)
+{
+    // (id with its sign bit flipped) << 32 | item: unsigned order of
+    // the high word is id order.
+    constexpr std::uint32_t kFlip = 0x80000000u;
+    std::vector<std::uint64_t> keyed(items.size());
+    std::array<std::array<std::size_t, 256>, 4> count{};
+    for (std::size_t k = 0; k < items.size(); k++) {
+        const std::uint32_t key =
+            static_cast<std::uint32_t>(nodeOf(items[k])) ^ kFlip;
+        keyed[k] = std::uint64_t{key} << 32 | items[k];
+        for (int d = 0; d < 4; d++)
+            count[d][key >> (8 * d) & 0xff]++;
+    }
+    std::vector<std::uint64_t> sorted(keyed.size());
+    for (int d = 0; d < 4; d++) {
+        std::array<std::size_t, 256> &c = count[d];
+        if (std::find(c.begin(), c.end(), keyed.size()) != c.end())
+            continue; // every id shares this byte
+        std::size_t next = 0;
+        for (std::size_t &n : c)
+            next += std::exchange(n, next);
+        for (std::uint64_t v : keyed)
+            sorted[c[v >> (32 + 8 * d) & 0xff]++] = v;
+        keyed.swap(sorted);
+    }
+
+    Buckets b;
+    b.items = std::move(items);
+    for (std::size_t k = 0; k < keyed.size(); k++) {
+        b.items[k] = static_cast<std::uint32_t>(keyed[k]);
+        const auto node =
+            static_cast<NodeId>(static_cast<std::uint32_t>(keyed[k] >> 32) ^
+                                kFlip);
+        if (k == 0 || node != b.node.back()) {
+            b.first.push_back(static_cast<std::uint32_t>(k));
+            b.node.push_back(node);
+        }
+    }
+    b.first.push_back(static_cast<std::uint32_t>(keyed.size()));
+    return b;
+}
+
+/** Put bucket k in `less` order, sorting only where the recording left
+ *  it unsorted. */
+template <typename Less>
+void
+sortBucket(Buckets &b, std::size_t k, Less less)
+{
+    const auto lo = b.items.begin() + b.first[k];
+    const auto hi = b.items.begin() + b.first[k + 1];
+    if (!std::is_sorted(lo, hi, less))
+        std::sort(lo, hi, less);
+}
+
+} // namespace
 
 LpParams
 AnalyticModel::pointOf(const LogGPParams &p)
@@ -67,55 +157,117 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
     residual_ = 0;
     stats_ = {};
     dag_ = LpDag();
-
-    // Collect the leaf CPU spans, grouped per node in timeline order.
-    const std::vector<Span> &spans = tracer.spans();
-    std::unordered_map<NodeId, std::vector<std::size_t>> timeline;
-    for (std::size_t i = 0; i < spans.size(); i++) {
-        const Span &s = spans[i];
-        if (s.container || s.track != TrackKind::Cpu)
-            continue;
-        if (s.end <= s.begin)
-            continue; // instant Retransmit markers
-        timeline[s.node].push_back(i);
-    }
-    if (timeline.empty())
+    // lower()'s scratch arrays are freed before prepare() lays out the
+    // solve form, the step that needs the most memory.
+    if (!lower(tracer))
         return false;
-    for (auto &[node, idxs] : timeline) {
-        std::sort(idxs.begin(), idxs.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (spans[a].begin != spans[b].begin)
-                          return spans[a].begin < spans[b].begin;
-                      return spans[a].end < spans[b].end;
-                  });
-        stats_.cpuSpans += idxs.size();
-    }
+    stats_.lpNodes = dag_.nodeCount();
+    stats_.lpEdges = dag_.edgeCount();
+    if (!dag_.prepare())
+        return false;
 
-    // Message spans: the first OSend / ORecv leaf tagged with each id,
-    // plus each span's predecessor-end on its own timeline -- the test
-    // for whether an arrival was *binding* (the CPU was waiting on the
-    // wire) or the message merely sat in the receive queue while the
-    // CPU did other work.
-    std::unordered_map<std::uint64_t, std::size_t> sendSpan, recvSpan;
-    std::unordered_map<std::size_t, Tick> prevEnd;
-    for (auto &[node, idxs] : timeline) {
-        for (std::size_t k = 0; k < idxs.size(); k++) {
-            const std::size_t i = idxs[k];
+    // Calibrate: the LP explains the dependency structure; whatever is
+    // left (untraced waits) is constant slack charged at every point.
+    std::optional<double> atBase = dag_.makespan(pointOf(base_));
+    if (!atBase)
+        return false;
+    residual_ = static_cast<double>(measuredRuntime) - *atBase;
+    stats_.residual = residual_;
+    ok_ = true;
+    return true;
+}
+
+bool
+AnalyticModel::lower(const SpanTracer &tracer)
+{
+    const std::vector<Span> &spans = tracer.spans();
+    const std::vector<ObsMessage> &msgs = tracer.messages();
+    // Span and message indices are stored in 32 bits; kNone is free.
+    if (spans.size() >= kNone || msgs.size() >= kNone)
+        return false;
+
+    // The leaf CPU spans, per node in ascending node id, each node's
+    // in timeline order. A span's *position* is its place in this
+    // concatenation; per-span state below is indexed by position.
+    Buckets timeline;
+    {
+        std::vector<std::uint32_t> leaves;
+        for (std::size_t i = 0; i < spans.size(); i++) {
             const Span &s = spans[i];
-            prevEnd[i] = k > 0 ? spans[idxs[k - 1]].end : 0;
-            if (s.msg == 0)
+            if (s.container || s.track != TrackKind::Cpu)
                 continue;
-            if (s.cat == SpanCat::OSend)
-                sendSpan.emplace(s.msg, i);
-            else if (s.cat == SpanCat::ORecv) {
-                auto [it, fresh] = recvSpan.emplace(s.msg, i);
-                if (!fresh && s.begin < spans[it->second].begin)
-                    it->second = i;
+            if (s.end <= s.begin)
+                continue; // instant Retransmit markers
+            leaves.push_back(static_cast<std::uint32_t>(i));
+        }
+        if (leaves.empty())
+            return false;
+        timeline = bucketByNode(std::move(leaves), [&](std::uint32_t i) {
+            return spans[i].node;
+        });
+    }
+    const std::vector<std::uint32_t> &at = timeline.items;
+    const std::size_t nodes = timeline.node.size();
+    for (std::size_t k = 0; k < nodes; k++) {
+        sortBucket(timeline, k, [&](std::uint32_t a, std::uint32_t b) {
+            const Span &x = spans[a], &y = spans[b];
+            if (x.begin != y.begin)
+                return x.begin < y.begin;
+            if (x.end != y.end)
+                return x.end < y.end;
+            return a < b;
+        });
+    }
+    stats_.cpuSpans = at.size();
+
+    // One map turns a message id into the first message carrying it;
+    // spans (and repeated records) reach their message through it.
+    std::unordered_map<std::uint64_t, std::uint32_t> byId;
+    byId.reserve(msgs.size());
+    std::vector<std::uint32_t> idOf(msgs.size());
+    for (std::size_t mi = 0; mi < msgs.size(); mi++)
+        idOf[mi] = byId.try_emplace(msgs[mi].id,
+                                    static_cast<std::uint32_t>(mi))
+                       .first->second;
+
+    // Per id: the first OSend leaf tagged with it and the earliest
+    // ORecv leaf, plus that receive's predecessor-end on its own
+    // timeline -- the test for whether an arrival was *binding* (the
+    // CPU was waiting on the wire) or the message merely sat in the
+    // receive queue while the CPU did other work. Along the way, the
+    // least span end from each position to the end of its timeline:
+    // it never falls along a timeline, so the last span to end by a
+    // time is one binary search away.
+    std::vector<std::uint32_t> sendAt(msgs.size(), kNone);
+    std::vector<std::uint32_t> recvAt(msgs.size(), kNone);
+    std::vector<Tick> recvPrevEnd(msgs.size(), 0);
+    std::vector<Tick> minEndFrom(at.size());
+    for (std::size_t k = 0; k < nodes; k++) {
+        const auto [lo, hi] = timeline.range(k);
+        Tick minEnd = std::numeric_limits<Tick>::max();
+        for (std::uint32_t p = hi; p-- > lo;) {
+            minEnd = std::min(minEnd, spans[at[p]].end);
+            minEndFrom[p] = minEnd;
+        }
+        for (std::uint32_t p = lo; p < hi; p++) {
+            const Span &s = spans[at[p]];
+            if (s.msg == 0 ||
+                (s.cat != SpanCat::OSend && s.cat != SpanCat::ORecv))
+                continue;
+            auto it = byId.find(s.msg);
+            if (it == byId.end())
+                continue;
+            const std::uint32_t id = it->second;
+            if (s.cat == SpanCat::OSend) {
+                if (sendAt[id] == kNone)
+                    sendAt[id] = p;
+            } else if (recvAt[id] == kNone ||
+                       s.begin < spans[at[recvAt[id]]].begin) {
+                recvAt[id] = p;
+                recvPrevEnd[id] = p > lo ? spans[at[p - 1]].end : 0;
             }
         }
     }
-
-    const std::vector<ObsMessage> &msgs = tracer.messages();
 
     // Only spans that cross-node edges attach to need their own LP
     // event: send overheads (they gate an injection), *binding*
@@ -124,32 +276,35 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
     // spans is private to its CPU, so the whole run coalesces into one
     // accumulated chain edge -- the solve cost per sweep point drops
     // with the graph, and the LP's feasible region is unchanged.
-    std::vector<char> needNode(spans.size(), 0);
-    std::vector<std::ptrdiff_t> anchorOf(msgs.size(), -1);
+    std::vector<char> needNode(at.size(), 0);
+    std::vector<std::uint32_t> anchorOf(msgs.size(), kNone);
     std::vector<char> bindingOf(msgs.size(), 0);
     for (std::size_t mi = 0; mi < msgs.size(); mi++) {
         const ObsMessage &m = msgs[mi];
-        auto su = sendSpan.find(m.id);
-        if (su != sendSpan.end()) {
-            needNode[su->second] = 1;
+        const std::uint32_t id = idOf[mi];
+        if (sendAt[id] != kNone) {
+            needNode[sendAt[id]] = 1;
         } else {
-            auto tl = timeline.find(m.src);
-            if (tl != timeline.end()) {
-                const std::vector<std::size_t> &idxs = tl->second;
-                for (std::size_t k = idxs.size(); k-- > 0;) {
-                    if (spans[idxs[k]].end <= m.issued) {
-                        anchorOf[mi] =
-                            static_cast<std::ptrdiff_t>(idxs[k]);
-                        needNode[idxs[k]] = 1;
-                        break;
-                    }
+            // An untraced send anchors on its sender's last span
+            // ending by `issued`.
+            auto node = std::lower_bound(timeline.node.begin(),
+                                         timeline.node.end(), m.src);
+            if (node != timeline.node.end() && *node == m.src) {
+                const auto [lo, hi] = timeline.range(
+                    static_cast<std::size_t>(node - timeline.node.begin()));
+                const auto first = minEndFrom.begin() + lo;
+                const auto past = std::upper_bound(
+                    first, minEndFrom.begin() + hi, m.issued);
+                if (past != first) {
+                    anchorOf[mi] = static_cast<std::uint32_t>(
+                        past - 1 - minEndFrom.begin());
+                    needNode[anchorOf[mi]] = 1;
                 }
             }
         }
-        auto rv = recvSpan.find(m.id);
-        if (rv != recvSpan.end() && m.ready >= prevEnd[rv->second]) {
+        if (recvAt[id] != kNone && m.ready >= recvPrevEnd[id]) {
             bindingOf[mi] = 1;
-            needNode[rv->second] = 1;
+            needNode[recvAt[id]] = 1;
         }
     }
 
@@ -157,21 +312,23 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
     // the cost of everything in between (compute, buffered handlers,
     // stalls -- they occupy the CPU regardless of handler order) into
     // the connecting edge.
-    std::vector<int> lpOf(spans.size(), -1);
+    std::vector<int> lpOf(at.size(), -1);
     const int sink = dag_.addNode();
-    for (auto &[node, idxs] : timeline) {
+    for (std::size_t k = 0; k < nodes; k++) {
+        const auto [lo, hi] = timeline.range(k);
         int prev = LpDag::kSource;
         LinCost acc;
-        for (std::size_t i : idxs) {
-            if (needNode[i]) {
-                lpOf[i] = dag_.addNode();
+        for (std::uint32_t p = lo; p < hi; p++) {
+            const Span &s = spans[at[p]];
+            if (needNode[p]) {
+                lpOf[p] = dag_.addNode();
                 if (prev != LpDag::kSource || acc.fixed > 0 ||
                     acc.perO > 0 || acc.perG > 0 || acc.perGb > 0)
-                    dag_.addEdge(prev, lpOf[i], acc);
-                prev = lpOf[i];
-                acc = spanCost(spans[i]);
+                    dag_.addEdge(prev, lpOf[p], acc);
+                prev = lpOf[p];
+                acc = spanCost(s);
             } else {
-                acc += spanCost(spans[i]);
+                acc += spanCost(s);
             }
         }
         dag_.addEdge(prev, sink, acc);
@@ -187,29 +344,37 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
     // operating point the chain is satisfied by the recorded
     // timestamps and never distorts the calibrated makespan.
     std::vector<int> injNode(msgs.size(), -1);
-    std::unordered_map<NodeId, std::vector<std::size_t>> bySrc;
-    for (std::size_t i = 0; i < msgs.size(); i++)
-        bySrc[msgs[i].src].push_back(i);
-    for (auto &[src, order] : bySrc) {
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (msgs[a].inject != msgs[b].inject)
-                          return msgs[a].inject < msgs[b].inject;
-                      return msgs[a].id < msgs[b].id;
-                  });
-        for (std::size_t k = 0; k < order.size(); k++) {
-            injNode[order[k]] = dag_.addNode();
-            if (k == 0)
+    Buckets bySrc;
+    {
+        std::vector<std::uint32_t> all(msgs.size());
+        std::iota(all.begin(), all.end(), 0u);
+        bySrc = bucketByNode(std::move(all), [&](std::uint32_t i) {
+            return msgs[i].src;
+        });
+    }
+    const std::vector<std::uint32_t> &order = bySrc.items;
+    for (std::size_t k = 0; k < bySrc.node.size(); k++) {
+        sortBucket(bySrc, k, [&](std::uint32_t a, std::uint32_t b) {
+            const ObsMessage &x = msgs[a], &y = msgs[b];
+            if (x.inject != y.inject)
+                return x.inject < y.inject;
+            if (x.id != y.id)
+                return x.id < y.id;
+            return a < b;
+        });
+        const auto [lo, hi] = bySrc.range(k);
+        for (std::uint32_t q = lo; q < hi; q++) {
+            injNode[order[q]] = dag_.addNode();
+            if (q == lo)
                 continue;
-            const ObsMessage &prev = msgs[order[k - 1]];
+            const ObsMessage &prev = msgs[order[q - 1]];
             LinCost occ;
             occ.perG = 1;
             if (base_.gPerByte > 0)
                 occ.perGb =
                     static_cast<double>(prev.wire - prev.inject) /
                     base_.gPerByte;
-            dag_.addEdge(injNode[order[k - 1]], injNode[order[k]],
-                         occ);
+            dag_.addEdge(injNode[order[q - 1]], injNode[order[q]], occ);
         }
     }
 
@@ -218,22 +383,20 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
     std::vector<char> sinkBound(msgs.size(), 0);
     for (std::size_t mi = 0; mi < msgs.size(); mi++) {
         const ObsMessage &m = msgs[mi];
+        const std::uint32_t id = idOf[mi];
 
         // The host side: the injection cannot happen before the send
         // overhead that issued the descriptor completes. Untraced
         // protocol messages anchor on the sender's last span ending by
         // `issued`, or virtual time zero.
-        auto su = sendSpan.find(m.id);
-        if (su != sendSpan.end()) {
-            dag_.addEdge(lpOf[su->second], injNode[mi],
-                         spanCost(spans[su->second]));
-        } else if (anchorOf[mi] >= 0) {
-            const Span &a = spans[static_cast<std::size_t>(
-                anchorOf[mi])];
+        if (sendAt[id] != kNone) {
+            dag_.addEdge(lpOf[sendAt[id]], injNode[mi],
+                         spanCost(spans[at[sendAt[id]]]));
+        } else if (anchorOf[mi] != kNone) {
+            const Span &a = spans[at[anchorOf[mi]]];
             LinCost c = spanCost(a);
             c.fixed += static_cast<double>(m.issued - a.end);
-            dag_.addEdge(lpOf[static_cast<std::size_t>(anchorOf[mi])],
-                         injNode[mi], c);
+            dag_.addEdge(lpOf[anchorOf[mi]], injNode[mi], c);
         } else {
             LinCost c;
             c.fixed = static_cast<double>(m.issued);
@@ -253,8 +416,7 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
         flight.fixed += static_cast<double>(m.ready - m.wire) -
                         static_cast<double>(base_.totalLatency());
 
-        auto rv = recvSpan.find(m.id);
-        if (rv == recvSpan.end()) {
+        if (recvAt[id] == kNone) {
             // Bulk intermediate fragments bypass the receive queue by
             // design; only the closing fragment is handled. They still
             // occupy the tx chain above, and the transfer must finish
@@ -280,11 +442,11 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
         // in the paper: their arrival edges only matter once L grows
         // past the compute they overlap with.
         if (bindingOf[mi]) {
-            dag_.addEdge(injNode[mi], lpOf[rv->second], flight);
+            dag_.addEdge(injNode[mi], lpOf[recvAt[id]], flight);
         } else {
             LinCost c = flight;
             // Handler still runs post-arrival.
-            c += spanCost(spans[rv->second]);
+            c += spanCost(spans[at[recvAt[id]]]);
             sinkCost[mi] = c;
             sinkBound[mi] = 1;
         }
@@ -303,11 +465,12 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
                a.perO <= b.perO && a.perG <= b.perG &&
                a.perGb <= b.perGb;
     };
-    for (auto &[src, order] : bySrc) {
+    for (std::size_t k = 0; k < bySrc.node.size(); k++) {
+        const auto [lo, hi] = bySrc.range(k);
         LinCost toKept;
         bool haveKept = false;
-        for (std::size_t k = order.size(); k-- > 0;) {
-            const std::size_t mi = order[k];
+        for (std::uint32_t q = hi; q-- > lo;) {
+            const std::uint32_t mi = order[q];
             if (sinkBound[mi]) {
                 if (haveKept && dominated(sinkCost[mi], toKept)) {
                     // Dropped: the chain successor's join covers it.
@@ -317,8 +480,8 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
                     haveKept = true;
                 }
             }
-            if (k > 0 && haveKept) {
-                const ObsMessage &prev = msgs[order[k - 1]];
+            if (q > lo && haveKept) {
+                const ObsMessage &prev = msgs[order[q - 1]];
                 toKept.perG += 1;
                 if (base_.gPerByte > 0)
                     toKept.perGb +=
@@ -327,20 +490,6 @@ AnalyticModel::build(const SpanTracer &tracer, const LogGPParams &base,
             }
         }
     }
-
-    stats_.lpNodes = dag_.nodeCount();
-    stats_.lpEdges = dag_.edgeCount();
-    if (!dag_.prepare())
-        return false;
-
-    // Calibrate: the LP explains the dependency structure; whatever is
-    // left (untraced waits) is constant slack charged at every point.
-    std::optional<double> atBase = dag_.makespan(pointOf(base_));
-    if (!atBase)
-        return false;
-    residual_ = static_cast<double>(measuredRuntime) - *atBase;
-    stats_.residual = residual_;
-    ok_ = true;
     return true;
 }
 

@@ -126,6 +126,10 @@ class AnalyticModel
     static LpParams pointOf(const LogGPParams &p);
 
   private:
+    /** Add the trace's LP events and edges to dag_, and the span and
+     *  message counts to stats_. False if it has no leaf CPU span, or
+     *  more spans or messages than 32-bit indices hold. */
+    bool lower(const SpanTracer &tracer);
     LinCost spanCost(const Span &s) const;
     /** A raw LP makespan plus the residual, floored at zero. */
     double calibrated(double makespan) const;

@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <cstdlib>
+#include <utility>
 
 #include "apps/app.hh"
 #include "base/logging.hh"
@@ -65,6 +66,27 @@ Knobs::applyTo(LogGPParams &params) const
     }
     if (!collAlg.empty())
         params.collAlg = collAlg;
+}
+
+std::string
+Knobs::boundError() const
+{
+    constexpr double kMaxUs = 1e9;
+    const std::pair<const char *, double> us[] = {
+        {"overhead", overheadUs},
+        {"gap", gapUs},
+        {"latency", latencyUs},
+        {"occupancy", occupancyUs},
+        {"reorder-delay", reorderMaxDelayUs},
+        {"rto", retxTimeoutUs},
+        {"delay-at", delayAtUs},
+        {"delay-us", delayUs},
+        {"topo-hop", topoHopUs},
+    };
+    for (const auto &[name, v] : us)
+        if (!(v <= kMaxUs))
+            return std::string(name) + " above 1e9 us";
+    return "";
 }
 
 RunResult

@@ -66,6 +66,15 @@ struct Knobs
 
     /** Apply to a parameter set. */
     void applyTo(LogGPParams &params) const;
+
+    /**
+     * "" when every microsecond knob is at most 1e9 us (1000 s of
+     * virtual time), else "<knob> above 1e9 us" naming the first that
+     * is not (NaN included). Each knob becomes ticks through usec(),
+     * which is undefined past the Tick range, and a huge one overflows
+     * the simulator's clock, so callers check before applyTo().
+     */
+    std::string boundError() const;
 };
 
 /** Complete configuration of one application run. */

@@ -1,7 +1,6 @@
 #include "svc/spec.hh"
 
 #include <cstring>
-#include <utility>
 
 #include "apps/app.hh"
 #include "svc/hash.hh"
@@ -180,26 +179,11 @@ validateSpec(const RunPoint &pt)
     if (c.origin != 0 && c.origin != 1)
         return "origin must be 0 (sim) or 1 (analytic)";
 
-    // Every microsecond knob becomes ticks through usec(), which is
-    // undefined past the Tick range, and a huge one overflows the
-    // simulator's clock: bound them all in double first.
+    // Bound the microsecond knobs in double before any usec() below.
     const LogGPParams &p = c.machine.params;
     const Knobs &k = c.knobs;
-    constexpr double kMaxKnobUs = 1e9; // 1000 s of virtual time
-    const std::pair<const char *, double> usKnobs[] = {
-        {"overhead", k.overheadUs},
-        {"gap", k.gapUs},
-        {"latency", k.latencyUs},
-        {"occupancy", k.occupancyUs},
-        {"reorder-delay", k.reorderMaxDelayUs},
-        {"rto", k.retxTimeoutUs},
-        {"delay-at", k.delayAtUs},
-        {"delay-us", k.delayUs},
-        {"topo-hop", k.topoHopUs},
-    };
-    for (const auto &[name, us] : usKnobs)
-        if (!(us <= kMaxKnobUs))
-            return std::string(name) + " above 1e9 us";
+    if (std::string why = k.boundError(); !why.empty())
+        return why;
 
     // Mirror the fatal_if checks in LogGPParams::setDesired*Usec so a
     // bad knob is a protocol error, not a dead server.

@@ -6,23 +6,30 @@
  * of the subsystem -- analytic-vs-simulated agreement on runtime and
  * dT/dL slope across an L x o grid for radix and em3d-read. An oracle
  * (the solver's former two-pass kernel) pins every solve byte for
- * byte, and concurrent serving must match a serial run.
+ * byte, another (the former hash-map lowering) pins the lowering, and
+ * concurrent serving must match a serial run.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "backend/backend.hh"
 #include "backend/lp.hh"
 #include "backend/model.hh"
 #include "harness/runner.hh"
+#include "obs/export.hh"
 #include "svc/spec.hh"
 
 namespace nowcluster {
@@ -37,6 +44,7 @@ using backend::LinCost;
 using backend::LpDag;
 using backend::LpParams;
 using backend::LpSolution;
+using backend::ModelBuildStats;
 
 // ----------------------------------------------------------------------
 // The LP solver.
@@ -609,6 +617,605 @@ TEST(LpOracle, TracedModelsMatchOverAnLxOxGGrid)
                 }
             }
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The lowering.
+// ----------------------------------------------------------------------
+
+/**
+ * The lowering's oracle: AnalyticModel::build's former body, kept here
+ * as the reference implementation. It groups spans and messages
+ * through hash maps keyed by node id, span index and message id, and
+ * so numbers the LP's nodes in hash-table iteration order where the
+ * model numbers them by ascending node id: the two DAGs compare as
+ * edge multisets, and their solves byte for byte. runtime(), predict()
+ * and slopes() evaluate its DAG as AnalyticModel's do.
+ */
+class ReferenceLowering
+{
+  public:
+    ReferenceLowering(const SpanTracer &tracer, const LogGPParams &base,
+                      Tick measuredRuntime)
+        : base_(base)
+    {
+        ok_ = build(tracer, measuredRuntime);
+    }
+
+    bool ok() const { return ok_; }
+    const LpDag &dag() const { return dag_; }
+    const ModelBuildStats &stats() const { return stats_; }
+
+    std::optional<double>
+    runtime(const LogGPParams &target) const
+    {
+        std::optional<double> m =
+            dag_.makespan(AnalyticModel::pointOf(target));
+        if (!m)
+            return std::nullopt;
+        return calibrated(*m);
+    }
+
+    AnalyticPrediction
+    predict(const LogGPParams &target) const
+    {
+        AnalyticPrediction p;
+        const LpSolution sol = dag_.solve(AnalyticModel::pointOf(target));
+        p.ok = sol.ok;
+        p.runtime = calibrated(sol.makespan);
+        p.path = sol.gradient;
+        p.pathEdges = sol.pathEdges;
+        return p;
+    }
+
+    AnalyticSlopes
+    slopes(const LogGPParams &at) const
+    {
+        const LpParams point = AnalyticModel::pointOf(at);
+        auto up = [&](double LpParams::*knob, double step) {
+            LpParams p = point;
+            p.*knob += step;
+            return dag_.solve(p).gradient;
+        };
+        AnalyticSlopes s;
+        s.dTdL = up(&LpParams::L, 1).perL;
+        s.dTdO = up(&LpParams::o, 1).perO;
+        s.dTdG = up(&LpParams::g, 1).perG;
+        s.dTdGb = up(&LpParams::Gb, 1e-3).perGb;
+        s.ok = true;
+        return s;
+    }
+
+  private:
+    double
+    calibrated(double makespan) const
+    {
+        const double t = makespan + residual_;
+        return t < 0 ? 0 : t;
+    }
+
+    LinCost
+    spanCost(const Span &s) const
+    {
+        LinCost c;
+        const double dur = static_cast<double>(s.end - s.begin);
+        switch (s.cat) {
+          case SpanCat::OSend:
+          case SpanCat::ORecv:
+            c.fixed = dur - static_cast<double>(base_.addedO);
+            c.perO = 1;
+            break;
+          case SpanCat::GapStall:
+            if (base_.gap > 0)
+                c.perG = dur / static_cast<double>(base_.gap);
+            else
+                c.fixed = dur;
+            break;
+          case SpanCat::GStall:
+            if (base_.gPerByte > 0)
+                c.perGb = dur / base_.gPerByte;
+            else
+                c.fixed = dur;
+            break;
+          default:
+            c.fixed = dur;
+            break;
+        }
+        return c;
+    }
+
+    bool
+    build(const SpanTracer &tracer, Tick measuredRuntime)
+    {
+        const std::vector<Span> &spans = tracer.spans();
+        std::unordered_map<NodeId, std::vector<std::size_t>> timeline;
+        for (std::size_t i = 0; i < spans.size(); i++) {
+            const Span &s = spans[i];
+            if (s.container || s.track != TrackKind::Cpu)
+                continue;
+            if (s.end <= s.begin)
+                continue;
+            timeline[s.node].push_back(i);
+        }
+        if (timeline.empty())
+            return false;
+        for (auto &[node, idxs] : timeline) {
+            std::sort(idxs.begin(), idxs.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          if (spans[a].begin != spans[b].begin)
+                              return spans[a].begin < spans[b].begin;
+                          return spans[a].end < spans[b].end;
+                      });
+            stats_.cpuSpans += idxs.size();
+        }
+
+        std::unordered_map<std::uint64_t, std::size_t> sendSpan, recvSpan;
+        std::unordered_map<std::size_t, Tick> prevEnd;
+        for (auto &[node, idxs] : timeline) {
+            for (std::size_t k = 0; k < idxs.size(); k++) {
+                const std::size_t i = idxs[k];
+                const Span &s = spans[i];
+                prevEnd[i] = k > 0 ? spans[idxs[k - 1]].end : 0;
+                if (s.msg == 0)
+                    continue;
+                if (s.cat == SpanCat::OSend)
+                    sendSpan.emplace(s.msg, i);
+                else if (s.cat == SpanCat::ORecv) {
+                    auto [it, fresh] = recvSpan.emplace(s.msg, i);
+                    if (!fresh && s.begin < spans[it->second].begin)
+                        it->second = i;
+                }
+            }
+        }
+
+        const std::vector<ObsMessage> &msgs = tracer.messages();
+        std::vector<char> needNode(spans.size(), 0);
+        std::vector<std::ptrdiff_t> anchorOf(msgs.size(), -1);
+        std::vector<char> bindingOf(msgs.size(), 0);
+        for (std::size_t mi = 0; mi < msgs.size(); mi++) {
+            const ObsMessage &m = msgs[mi];
+            auto su = sendSpan.find(m.id);
+            if (su != sendSpan.end()) {
+                needNode[su->second] = 1;
+            } else {
+                auto tl = timeline.find(m.src);
+                if (tl != timeline.end()) {
+                    const std::vector<std::size_t> &idxs = tl->second;
+                    for (std::size_t k = idxs.size(); k-- > 0;) {
+                        if (spans[idxs[k]].end <= m.issued) {
+                            anchorOf[mi] =
+                                static_cast<std::ptrdiff_t>(idxs[k]);
+                            needNode[idxs[k]] = 1;
+                            break;
+                        }
+                    }
+                }
+            }
+            auto rv = recvSpan.find(m.id);
+            if (rv != recvSpan.end() && m.ready >= prevEnd[rv->second]) {
+                bindingOf[mi] = 1;
+                needNode[rv->second] = 1;
+            }
+        }
+
+        std::vector<int> lpOf(spans.size(), -1);
+        const int sink = dag_.addNode();
+        for (auto &[node, idxs] : timeline) {
+            int prev = LpDag::kSource;
+            LinCost acc;
+            for (std::size_t i : idxs) {
+                if (needNode[i]) {
+                    lpOf[i] = dag_.addNode();
+                    if (prev != LpDag::kSource || acc.fixed > 0 ||
+                        acc.perO > 0 || acc.perG > 0 || acc.perGb > 0)
+                        dag_.addEdge(prev, lpOf[i], acc);
+                    prev = lpOf[i];
+                    acc = spanCost(spans[i]);
+                } else {
+                    acc += spanCost(spans[i]);
+                }
+            }
+            dag_.addEdge(prev, sink, acc);
+        }
+
+        std::vector<int> injNode(msgs.size(), -1);
+        std::unordered_map<NodeId, std::vector<std::size_t>> bySrc;
+        for (std::size_t i = 0; i < msgs.size(); i++)
+            bySrc[msgs[i].src].push_back(i);
+        for (auto &[src, order] : bySrc) {
+            std::sort(order.begin(), order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          if (msgs[a].inject != msgs[b].inject)
+                              return msgs[a].inject < msgs[b].inject;
+                          return msgs[a].id < msgs[b].id;
+                      });
+            for (std::size_t k = 0; k < order.size(); k++) {
+                injNode[order[k]] = dag_.addNode();
+                if (k == 0)
+                    continue;
+                const ObsMessage &prev = msgs[order[k - 1]];
+                LinCost occ;
+                occ.perG = 1;
+                if (base_.gPerByte > 0)
+                    occ.perGb =
+                        static_cast<double>(prev.wire - prev.inject) /
+                        base_.gPerByte;
+                dag_.addEdge(injNode[order[k - 1]], injNode[order[k]],
+                             occ);
+            }
+        }
+
+        std::vector<LinCost> sinkCost(msgs.size());
+        std::vector<char> sinkBound(msgs.size(), 0);
+        for (std::size_t mi = 0; mi < msgs.size(); mi++) {
+            const ObsMessage &m = msgs[mi];
+            auto su = sendSpan.find(m.id);
+            if (su != sendSpan.end()) {
+                dag_.addEdge(lpOf[su->second], injNode[mi],
+                             spanCost(spans[su->second]));
+            } else if (anchorOf[mi] >= 0) {
+                const Span &a = spans[static_cast<std::size_t>(
+                    anchorOf[mi])];
+                LinCost c = spanCost(a);
+                c.fixed += static_cast<double>(m.issued - a.end);
+                dag_.addEdge(
+                    lpOf[static_cast<std::size_t>(anchorOf[mi])],
+                    injNode[mi], c);
+            } else {
+                LinCost c;
+                c.fixed = static_cast<double>(m.issued);
+                dag_.addEdge(LpDag::kSource, injNode[mi], c);
+            }
+
+            LinCost flight;
+            const double serial = static_cast<double>(m.wire - m.inject);
+            if (base_.gPerByte > 0)
+                flight.perGb = serial / base_.gPerByte;
+            else
+                flight.fixed += serial;
+            flight.perL = 1;
+            flight.fixed += static_cast<double>(m.ready - m.wire) -
+                            static_cast<double>(base_.totalLatency());
+
+            auto rv = recvSpan.find(m.id);
+            if (rv == recvSpan.end()) {
+                sinkCost[mi] = flight;
+                sinkBound[mi] = 1;
+                stats_.messagesUnlinked++;
+                continue;
+            }
+            if (bindingOf[mi]) {
+                dag_.addEdge(injNode[mi], lpOf[rv->second], flight);
+            } else {
+                LinCost c = flight;
+                c += spanCost(spans[rv->second]);
+                sinkCost[mi] = c;
+                sinkBound[mi] = 1;
+            }
+            stats_.messagesLinked++;
+        }
+
+        auto dominated = [](const LinCost &a, const LinCost &b) {
+            return a.fixed <= b.fixed && a.perL <= b.perL &&
+                   a.perO <= b.perO && a.perG <= b.perG &&
+                   a.perGb <= b.perGb;
+        };
+        for (auto &[src, order] : bySrc) {
+            LinCost toKept;
+            bool haveKept = false;
+            for (std::size_t k = order.size(); k-- > 0;) {
+                const std::size_t mi = order[k];
+                if (sinkBound[mi]) {
+                    if (haveKept && dominated(sinkCost[mi], toKept)) {
+                        // Dropped: the chain successor's join covers it.
+                    } else {
+                        dag_.addEdge(injNode[mi], sink, sinkCost[mi]);
+                        toKept = sinkCost[mi];
+                        haveKept = true;
+                    }
+                }
+                if (k > 0 && haveKept) {
+                    const ObsMessage &prev = msgs[order[k - 1]];
+                    toKept.perG += 1;
+                    if (base_.gPerByte > 0)
+                        toKept.perGb +=
+                            static_cast<double>(prev.wire - prev.inject) /
+                            base_.gPerByte;
+                }
+            }
+        }
+
+        stats_.lpNodes = dag_.nodeCount();
+        stats_.lpEdges = dag_.edgeCount();
+        if (!dag_.prepare())
+            return false;
+        std::optional<double> atBase =
+            dag_.makespan(AnalyticModel::pointOf(base_));
+        if (!atBase)
+            return false;
+        residual_ = static_cast<double>(measuredRuntime) - *atBase;
+        stats_.residual = residual_;
+        return true;
+    }
+
+    LogGPParams base_;
+    LpDag dag_;
+    ModelBuildStats stats_;
+    double residual_ = 0;
+    bool ok_ = false;
+};
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** A DAG up to node numbering: per edge, whether it leaves kSource and
+ *  the bit patterns of its five costs, sorted. */
+std::vector<std::array<std::uint64_t, 6>>
+edgeMultiset(const LpDag &dag)
+{
+    std::vector<std::array<std::uint64_t, 6>> out;
+    for (const LpDag::Edge &e : dag.edges())
+        out.push_back({e.src == LpDag::kSource, bitsOf(e.cost.fixed),
+                       bitsOf(e.cost.perL), bitsOf(e.cost.perO),
+                       bitsOf(e.cost.perG), bitsOf(e.cost.perGb)});
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** `base` moved to the LP coordinates `p` times `unit`, rounded to
+ *  whole ticks (G is kept exactly). */
+LogGPParams
+paramsAt(const LogGPParams &base, const LpParams &p, double unit)
+{
+    LogGPParams q = base;
+    q.latency = std::llround(p.L * unit);
+    q.addedL = 0;
+    q.addedO = std::llround(p.o * unit);
+    q.gap = std::llround(p.g * unit);
+    q.gPerByte = p.Gb;
+    return q;
+}
+
+/**
+ * "" when the model lowers `tracer` as the oracle does, else the first
+ * difference. Both must agree on the build stats and the edge
+ * multiset, and byte for byte on runtime() and slopes() at the base
+ * point, at kOraclePoints read in ticks and in microseconds, and at
+ * the corners of an L x o x g sweep. With `samePath`, predict()'s
+ * binding path and edge count must match too, at the base point and
+ * the sweep's corners: at a degenerate point such as L = g = 0, ties
+ * run so deep that the path depends on node numbering.
+ */
+std::string
+loweringMismatch(const SpanTracer &tracer, const LogGPParams &base,
+                 Tick measured, bool samePath)
+{
+    AnalyticModel model;
+    const bool built = model.build(tracer, base, measured);
+    const ReferenceLowering ref(tracer, base, measured);
+    if (built != ref.ok())
+        return built ? "only the model lowered" : "only the oracle lowered";
+    if (!built)
+        return "";
+    const ModelBuildStats &a = model.stats(), &b = ref.stats();
+    if (a.cpuSpans != b.cpuSpans || a.messagesLinked != b.messagesLinked ||
+        a.messagesUnlinked != b.messagesUnlinked ||
+        a.lpNodes != b.lpNodes || a.lpEdges != b.lpEdges ||
+        bitsOf(a.residual) != bitsOf(b.residual))
+        return "build stats differ";
+    if (edgeMultiset(model.dag()) != edgeMultiset(ref.dag()))
+        return "edge multisets differ";
+
+    std::vector<std::pair<LogGPParams, bool>> points{{base, true}};
+    for (const LpParams &p : kOraclePoints)
+        for (double unit : {1.0, static_cast<double>(kUsec)})
+            points.push_back({paramsAt(base, p, unit), false});
+    for (double l : {5.0, 105.0}) {
+        for (double o : {2.9, 52.9}) {
+            for (double g : {5.8, 105.0}) {
+                LogGPParams p = base;
+                p.setDesiredLatencyUsec(l);
+                p.setDesiredOverheadUsec(o);
+                p.setDesiredGapUsec(g);
+                points.push_back({p, true});
+            }
+        }
+    }
+    for (const auto &[p, asked] : points) {
+        const std::string at = " at L=" + std::to_string(p.totalLatency()) +
+                               " o=" + std::to_string(p.addedO) +
+                               " g=" + std::to_string(p.gap) +
+                               " G=" + hexOf(p.gPerByte);
+        const std::optional<double> rt = model.runtime(p);
+        const std::optional<double> want = ref.runtime(p);
+        if (!rt || !want || bitsOf(*rt) != bitsOf(*want))
+            return "runtime" + at;
+        const AnalyticSlopes s = model.slopes(p), t = ref.slopes(p);
+        if (bitsOf(s.dTdL) != bitsOf(t.dTdL) ||
+            bitsOf(s.dTdO) != bitsOf(t.dTdO) ||
+            bitsOf(s.dTdG) != bitsOf(t.dTdG) ||
+            bitsOf(s.dTdGb) != bitsOf(t.dTdGb))
+            return "slopes" + at;
+        if (!samePath || !asked)
+            continue;
+        const AnalyticPrediction x = model.predict(p), y = ref.predict(p);
+        if (bitsOf(x.runtime) != bitsOf(y.runtime) ||
+            bitsOf(x.path.fixed) != bitsOf(y.path.fixed) ||
+            bitsOf(x.path.perL) != bitsOf(y.path.perL) ||
+            bitsOf(x.path.perO) != bitsOf(y.path.perO) ||
+            bitsOf(x.path.perG) != bitsOf(y.path.perG) ||
+            bitsOf(x.path.perGb) != bitsOf(y.path.perGb) ||
+            x.pathEdges != y.pathEdges)
+            return "predict() path" + at;
+    }
+    return "";
+}
+
+/**
+ * A hand-built trace over six nodes whose ids differ in every byte,
+ * some sharing their low bytes: sends, binding and buffered receives,
+ * untraced sends (one sharing its twin's injection time), repeated
+ * send and receive spans, bulk fragments, stalls and 64-bit message
+ * ids, with spans and messages recorded in shuffled order, so every
+ * per-node timeline and per-sender injection order must be sorted.
+ */
+SpanTracer
+shuffledTrace(std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    auto pick = [&](std::uint64_t n) { return static_cast<Tick>(rng() % n); };
+    const NodeId ids[] = {0, 7, 256, 65543, 1 << 24,
+                          std::numeric_limits<NodeId>::max()};
+    Tick clock[6] = {};
+    std::vector<Span> spans;
+    std::vector<ObsMessage> msgs;
+    auto cpu = [&](int n, SpanCat cat, Tick len, std::uint64_t msg) {
+        const Tick b = clock[n] + 1 + pick(20);
+        clock[n] = b + len;
+        spans.push_back({b, b + len, ids[n], TrackKind::Cpu, cat, false,
+                         msg});
+        return b + len;
+    };
+    for (std::uint64_t k = 1; k <= 300; k++) {
+        const int src = static_cast<int>(pick(6));
+        const int dst = (src + 1 + static_cast<int>(pick(5))) % 6;
+        cpu(src, SpanCat::Compute, 1 + pick(3000), 0);
+        ObsMessage m;
+        m.id = k * 0x9E3779B97F4A7C15ull;
+        m.src = ids[src];
+        m.dst = ids[dst];
+        const Tick shape = pick(8);
+        m.issued = shape == 0 ? clock[src] + pick(50)
+                              : cpu(src, SpanCat::OSend, 1800 + pick(100),
+                                    m.id);
+        m.inject = m.issued + 100 * pick(3);
+        m.wire = m.inject + (shape == 1 ? 1000 + pick(1000) : 0);
+        m.ready = m.wire + 5000 + pick(200);
+        if (shape != 1) { // a bulk fragment has no receive
+            if (pick(2)) // the receiver waits for it: binding
+                clock[dst] = std::max(clock[dst], m.ready);
+            cpu(dst, SpanCat::ORecv, 4000 + pick(100), m.id);
+        }
+        if (shape == 2) { // an untraced twin, injected alongside
+            ObsMessage twin = m;
+            twin.id = m.id - 1;
+            msgs.push_back(twin);
+        }
+        if (shape == 3) // a second send span: the first one counts
+            cpu(src, SpanCat::OSend, 1800 + pick(100), m.id);
+        if (shape == 4) // a second receive span: the earliest counts
+            cpu(dst, SpanCat::ORecv, 4000 + pick(100), m.id);
+        if (pick(4) == 0)
+            cpu(src, pick(2) ? SpanCat::GapStall : SpanCat::GStall,
+                100 + pick(300), 0);
+        msgs.push_back(m);
+    }
+    std::shuffle(spans.begin(), spans.end(), rng);
+    std::shuffle(msgs.begin(), msgs.end(), rng);
+    SpanTracer t;
+    for (const Span &s : spans)
+        t.span(s.node, s.track, s.cat, s.begin, s.end, s.msg);
+    for (const ObsMessage &m : msgs)
+        t.message(m);
+    return t;
+}
+
+/**
+ * Messages without a send span over overlapping compute timelines
+ * (span ends do not ascend with begins), so each must find the last
+ * span to end by its issue time: some find none, and one sender has no
+ * spans at all. At scale, the former backward rescan made this shape
+ * quadratic.
+ */
+SpanTracer
+sendlessTrace(std::uint64_t seed, std::size_t spans, std::size_t msgs)
+{
+    std::mt19937_64 rng(seed);
+    auto pick = [&](std::uint64_t n) { return static_cast<Tick>(rng() % n); };
+    SpanTracer t;
+    Tick clock[4] = {};
+    for (std::size_t i = 0; i < spans; i++) {
+        const int n = static_cast<int>(i % 4);
+        const Tick b = clock[n] + 1 + pick(50);
+        clock[n] = b;
+        t.span(n, TrackKind::Cpu, SpanCat::Compute, b,
+               b + 1 + (pick(10) == 0 ? 5000 : pick(100)));
+    }
+    const Tick horizon = t.lastTick();
+    for (std::size_t i = 0; i < msgs; i++) {
+        ObsMessage m;
+        m.id = i + 1;
+        m.src = static_cast<NodeId>(pick(5)); // node 4 has no spans
+        m.dst = static_cast<NodeId>(pick(4));
+        m.issued = pick(horizon);
+        m.inject = m.issued;
+        m.wire = m.issued;
+        m.ready = m.issued + 5000;
+        t.message(m);
+    }
+    return t;
+}
+
+/** A traced run of `pt` and the parameters it ran at. */
+std::pair<SpanTracer, RunResult>
+traced(RunPoint pt, LogGPParams &params)
+{
+    params = pt.config.machine.params;
+    pt.config.knobs.applyTo(params);
+    SpanTracer tracer;
+    pt.config.obs = &tracer;
+    RunResult r = runApp(pt.app, pt.config);
+    return {std::move(tracer), r};
+}
+
+TEST(LpOracle, LoweringMatchesTheHashMapLowering)
+{
+    for (const char *app : {"radix", "em3d-read", "sample"}) {
+        LogGPParams base;
+        auto [tracer, r] = traced(smallPoint(app), base);
+        ASSERT_TRUE(r.ok) << app;
+        EXPECT_EQ(loweringMismatch(tracer, base, r.runtime, true), "")
+            << app;
+    }
+
+    // Contention shifts ready times on the fat-tree; the file carries
+    // every field the lowering reads.
+    RunPoint tree = smallPoint("radix");
+    tree.config.nprocs = 16;
+    tree.config.scale = 0.05;
+    tree.config.knobs.topo = 1;
+    tree.config.knobs.topoOversub = 4;
+    tree.config.knobs.topoHosts = 4;
+    LogGPParams base;
+    auto [tracer, r] = traced(tree, base);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(loweringMismatch(tracer, base, r.runtime, true), "")
+        << "fat-tree radix";
+    const std::string path =
+        ::testing::TempDir() + "nowcluster_lowering_oracle.obs";
+    ASSERT_TRUE(writeBinaryTrace(tracer, path));
+    SpanTracer loaded;
+    ASSERT_TRUE(readBinaryTrace(loaded, path));
+    std::remove(path.c_str());
+    EXPECT_EQ(loweringMismatch(loaded, base, r.runtime, true), "")
+        << "fat-tree radix through NOWOBS01";
+
+    const LogGPParams now = MachineConfig::berkeleyNow().params;
+    for (std::uint64_t seed = 1; seed <= 4; seed++) {
+        const SpanTracer shuffled = shuffledTrace(seed);
+        EXPECT_EQ(loweringMismatch(shuffled, now, shuffled.lastTick(),
+                                   false),
+                  "")
+            << "shuffled trace, seed " << seed;
+        const SpanTracer sendless = sendlessTrace(seed, 2000, 300);
+        EXPECT_EQ(loweringMismatch(sendless, now, sendless.lastTick(),
+                                   false),
+                  "")
+            << "send-less trace, seed " << seed;
     }
 }
 

@@ -245,6 +245,8 @@ knobsOf(const Args &a)
     k.topoOversub = optDouble(a, "topo-oversub", -1);
     k.topoHopUs = optDouble(a, "topo-hop", -1);
     k.collAlg = optString(a, "coll-alg", "");
+    const std::string why = k.boundError();
+    fatal_if(!why.empty(), "%s", why.c_str());
     return k;
 }
 
@@ -431,25 +433,9 @@ cmdSweep(const Args &a)
 
     RunConfig base = configOf(a);
     a.rejectUnread();
-    RunPoint basePt{key, base};
-    RunResult b;
-    bool baseViaModel = false;
-    if (ana && ana->canServe(basePt).empty()) {
-        // The baseline doubles as the model build: one traced run plus
-        // one validation probe, after which every point is an LP solve.
-        RunResult mb = ana->run(basePt);
-        if (ana->ready(basePt)) {
-            b = std::move(mb);
-            baseViaModel = true;
-        }
-    }
-    if (!baseViaModel)
-        b = runPointCached(basePt);
-    std::printf("%s baseline: %.3f ms (m = %llu msgs/proc)\n",
-                b.summary.app.c_str(), toMsec(b.runtime),
-                static_cast<unsigned long long>(b.maxMsgsPerProc));
-
-    // Every point is an independent simulation: fan them out.
+    // Every point is an independent simulation: fan them out. They
+    // are built before the baseline run, so an unknown --knob or an
+    // out-of-range value costs a diagnostic, not a simulation.
     std::vector<RunPoint> points;
     points.reserve(xs.size());
     for (double x : xs) {
@@ -472,10 +458,31 @@ cmdSweep(const Args &a)
                 c.knobs.reliable = 1; // Losses need a recovery path.
         } else
             fatal("unknown knob '%s'", knob.c_str());
+        const std::string why = c.knobs.boundError();
+        fatal_if(!why.empty(), "%s", why.c_str());
         c.validate = false;
-        c.maxTime = b.runtime * 200 + kSec;
         points.push_back(RunPoint{key, c});
     }
+
+    RunPoint basePt{key, base};
+    RunResult b;
+    bool baseViaModel = false;
+    if (ana && ana->canServe(basePt).empty()) {
+        // The baseline doubles as the model build: one traced run plus
+        // one validation probe, after which every point is an LP solve.
+        RunResult mb = ana->run(basePt);
+        if (ana->ready(basePt)) {
+            b = std::move(mb);
+            baseViaModel = true;
+        }
+    }
+    if (!baseViaModel)
+        b = runPointCached(basePt);
+    std::printf("%s baseline: %.3f ms (m = %llu msgs/proc)\n",
+                b.summary.app.c_str(), toMsec(b.runtime),
+                static_cast<unsigned long long>(b.maxMsgsPerProc));
+    for (RunPoint &pt : points)
+        pt.config.maxTime = b.runtime * 200 + kSec;
 
     // The analytic engine knows the sweep's local derivative (the
     // LP's one-sided slope); surface it for the LogGP knobs where it
@@ -1539,6 +1546,8 @@ cmdReplay(const Args &a)
     k.gapUs = optDouble(a, "gap", -1);
     k.latencyUs = optDouble(a, "latency", -1);
     k.bulkMBps = optDouble(a, "mbps", -1);
+    const std::string why = k.boundError();
+    fatal_if(!why.empty(), "%s", why.c_str());
     a.rejectUnread("replay re-times a recorded schedule under --latency, "
                    "--overhead, --gap and --mbps only; trace a new run "
                    "to change anything else");
