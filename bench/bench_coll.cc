@@ -219,11 +219,7 @@ main(int argc, char **argv)
     w.field("pass", pass);
     w.endObject();
 
-    FILE *f = std::fopen(out_path, "w");
-    fatal_if(!f, "cannot write %s", out_path);
-    std::fprintf(f, "%s\n", w.str().c_str());
-    std::fclose(f);
-    std::printf("\ncollective numbers written to %s (%s)\n", out_path,
-                pass ? "pass" : "FAIL");
+    std::printf("\ncollective numbers: %s\n", pass ? "pass" : "FAIL");
+    svc::writeJsonFile(w, out_path);
     return pass ? 0 : 1;
 }

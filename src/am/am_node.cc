@@ -132,9 +132,7 @@ AmNode::sendPacket(Packet &&pkt, bool pay_overhead)
         m.inject = a.injectStart;
         m.wire = a.wireAt;
         m.ready = pkt.readyAt; // Refined by the network (topo/fault).
-        m.wireLatency = p.totalLatency();
         m.kind = static_cast<std::uint8_t>(pkt.kind);
-        m.retx = pkt.retx;
         m.bytes = static_cast<std::uint32_t>(
             pkt.isBulk() ? pkt.bulk.size() : kShortMsgBytes);
         obs_->message(m);

@@ -89,7 +89,6 @@ ReliableEndpoint::onTimeout(NodeId dst, std::uint64_t seq,
     ++node_.counters().retransmits;
 
     Packet copy = e.pkt;
-    copy.retx = true;
     // Firmware retransmission: straight from NIC SRAM onto the wire.
     copy.readyAt = cluster_.sim().now() + p.totalLatency();
 

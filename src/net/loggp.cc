@@ -4,6 +4,38 @@
 
 namespace nowcluster {
 
+namespace {
+
+/** Table 1, the one list of machines: each one's key, name and LogGP
+ *  parameters (o split into its send and receive sides). */
+struct MachineRow
+{
+    const char *key;
+    const char *name;
+    double oSendUs, oRecvUs, gapUs, latencyUs, bulkMBps;
+};
+
+constexpr MachineRow kMachines[] = {
+    {"now", "Berkeley NOW", 1.8, 4.0, 5.8, 5.0, 38.0},
+    {"paragon", "Intel Paragon", 1.4, 2.2, 7.6, 6.5, 141.0},
+    {"meiko", "Meiko CS-2", 1.3, 2.1, 13.6, 7.5, 47.0},
+};
+
+MachineConfig
+machineOf(const MachineRow &row)
+{
+    MachineConfig m;
+    m.name = row.name;
+    m.params.oSend = usec(row.oSendUs);
+    m.params.oRecv = usec(row.oRecvUs);
+    m.params.gap = usec(row.gapUs);
+    m.params.latency = usec(row.latencyUs);
+    m.params.setBulkMBps(row.bulkMBps);
+    return m;
+}
+
+} // namespace
+
 void
 LogGPParams::setDesiredOverheadUsec(double o_us)
 {
@@ -45,40 +77,46 @@ LogGPParams::setOccupancyUsec(double o_us)
 MachineConfig
 MachineConfig::berkeleyNow()
 {
-    MachineConfig m;
-    m.name = "Berkeley NOW";
-    m.params.oSend = usec(1.8);
-    m.params.oRecv = usec(4.0);
-    m.params.gap = usec(5.8);
-    m.params.latency = usec(5.0);
-    m.params.setBulkMBps(38.0);
-    return m;
+    return machineOf(kMachines[0]);
 }
 
 MachineConfig
 MachineConfig::intelParagon()
 {
-    MachineConfig m;
-    m.name = "Intel Paragon";
-    m.params.oSend = usec(1.4);
-    m.params.oRecv = usec(2.2);
-    m.params.gap = usec(7.6);
-    m.params.latency = usec(6.5);
-    m.params.setBulkMBps(141.0);
-    return m;
+    return machineOf(kMachines[1]);
 }
 
 MachineConfig
 MachineConfig::meikoCs2()
 {
-    MachineConfig m;
-    m.name = "Meiko CS-2";
-    m.params.oSend = usec(1.3);
-    m.params.oRecv = usec(2.1);
-    m.params.gap = usec(13.6);
-    m.params.latency = usec(7.5);
-    m.params.setBulkMBps(47.0);
-    return m;
+    return machineOf(kMachines[2]);
+}
+
+std::optional<MachineConfig>
+MachineConfig::byKey(std::string_view key)
+{
+    for (const MachineRow &row : kMachines)
+        if (key == row.key)
+            return machineOf(row);
+    return std::nullopt;
+}
+
+std::string
+MachineConfig::keys(const char *sep)
+{
+    std::string out;
+    for (const MachineRow &row : kMachines)
+        out += (out.empty() ? "" : sep) + std::string(row.key);
+    return out;
+}
+
+std::string
+MachineConfig::key() const
+{
+    for (const MachineRow &row : kMachines)
+        if (name == row.name)
+            return row.key;
+    return "";
 }
 
 } // namespace nowcluster

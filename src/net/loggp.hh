@@ -15,7 +15,9 @@
 #define NOWCLUSTER_NET_LOGGP_HH_
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "base/types.hh"
 #include "net/fault.hh"
@@ -169,6 +171,16 @@ struct MachineConfig
     static MachineConfig intelParagon();
     /** Meiko CS-2: o=1.7us g=13.6us L=7.5us 47 MB/s. */
     static MachineConfig meikoCs2();
+
+    /** The machine a key names ("now", "paragon" or "meiko"), or
+     *  nullopt for any other key. */
+    static std::optional<MachineConfig> byKey(std::string_view key);
+
+    /** Every key byKey() knows, in Table-1 order, joined by `sep`. */
+    static std::string keys(const char *sep);
+
+    /** The key byKey() answers with this machine ("" if none). */
+    std::string key() const;
 };
 
 } // namespace nowcluster

@@ -57,8 +57,6 @@ struct Packet
     /** Reliability protocol sequence number, per (src, dst) pair,
      *  starting at 1. 0 when the reliable layer is disabled. */
     std::uint64_t seq = 0;
-    /** True on retransmitted copies (diagnostics/tracing only). */
-    bool retx = false;
 
     /** Observability message id (0 unless a span tracer is attached). */
     std::uint64_t obsMsg = 0;

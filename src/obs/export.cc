@@ -1,10 +1,9 @@
 #include "obs/export.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <set>
+#include <vector>
 
 namespace nowcluster {
 
@@ -145,7 +144,8 @@ writePerfettoJson(const SpanTracer &tracer, const std::string &path)
 
 namespace {
 
-constexpr char kMagic[8] = {'N', 'O', 'W', 'O', 'B', 'S', '0', '1'};
+constexpr char kMagic[8] = {'N', 'O', 'W', 'O', 'B', 'S', '0', '2'};
+constexpr char kMagicV1[8] = {'N', 'O', 'W', 'O', 'B', 'S', '0', '1'};
 
 template <typename T>
 void
@@ -177,10 +177,14 @@ get(const std::string &in, std::size_t &pos, T &v)
 } // namespace
 
 bool
-writeBinaryTrace(const SpanTracer &tracer, const std::string &path)
+writeBinaryTrace(const SpanTracer &tracer, const TraceHeader &header,
+                 const std::string &path)
 {
     std::string out;
     out.append(kMagic, sizeof(kMagic));
+    put<std::uint32_t>(out, header.spec.size());
+    out += header.spec;
+    put<std::int64_t>(out, header.runtime);
     put<std::uint64_t>(out, tracer.spans().size());
     put<std::uint64_t>(out, tracer.messages().size());
     for (const Span &s : tracer.spans()) {
@@ -200,9 +204,7 @@ writeBinaryTrace(const SpanTracer &tracer, const std::string &path)
         put<std::int64_t>(out, m.inject);
         put<std::int64_t>(out, m.wire);
         put<std::int64_t>(out, m.ready);
-        put<std::int64_t>(out, m.wireLatency);
         put<std::uint8_t>(out, m.kind);
-        put<std::uint8_t>(out, m.retx ? 1 : 0);
         put<std::uint32_t>(out, m.bytes);
     }
 
@@ -213,76 +215,77 @@ writeBinaryTrace(const SpanTracer &tracer, const std::string &path)
     return f.good();
 }
 
-bool
-readBinaryTrace(SpanTracer &tracer, const std::string &path)
+std::string
+readBinaryTrace(SpanTracer &tracer, TraceHeader &header,
+                const std::string &path)
 {
     tracer.clear();
+    header = {};
 
     std::ifstream f(path, std::ios::binary);
     if (!f)
-        return false;
-    std::string in((std::istreambuf_iterator<char>(f)),
-                   std::istreambuf_iterator<char>());
+        return "cannot open it";
+    const std::string in((std::istreambuf_iterator<char>(f)),
+                         std::istreambuf_iterator<char>());
+    if (in.compare(0, sizeof(kMagicV1), kMagicV1, sizeof(kMagicV1)) == 0)
+        return "a NOWOBS01 trace records no run; trace it again with "
+               "`nowlab trace --bin`";
+    if (in.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0)
+        return "not a NOWOBS02 trace";
+    std::size_t pos = sizeof(kMagic);
+    std::uint32_t specBytes = 0;
+    if (!get(in, pos, specBytes) || specBytes > in.size() - pos)
+        return "its header runs past the end of the file";
+    std::string spec = in.substr(pos, specBytes);
+    pos += specBytes;
 
-    std::size_t pos = 0;
-    if (in.size() < sizeof(kMagic) ||
-        std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0)
-        return false;
-    pos += sizeof(kMagic);
-
-    std::uint64_t nspans = 0, nmsgs = 0;
-    if (!get(in, pos, nspans) || !get(in, pos, nmsgs))
-        return false;
     // Per-record sizes as written above; reject truncated files before
-    // allocating anything.
+    // allocating anything (the counts are bounded first, so the
+    // products cannot wrap).
     const std::size_t spanBytes = 8 + 8 + 4 + 1 + 1 + 1 + 8;
-    const std::size_t msgBytes = 8 + 4 + 4 + 8 * 5 + 1 + 1 + 4;
-    if (in.size() - pos != nspans * spanBytes + nmsgs * msgBytes)
-        return false;
+    const std::size_t msgBytes = 8 + 4 + 4 + 8 * 4 + 1 + 4;
+    Tick runtime = 0;
+    std::uint64_t nspans = 0, nmsgs = 0;
+    if (!get(in, pos, runtime) || runtime < 0 || !get(in, pos, nspans) ||
+        !get(in, pos, nmsgs) || nspans > (in.size() - pos) / spanBytes ||
+        nmsgs > (in.size() - pos) / msgBytes ||
+        in.size() - pos != nspans * spanBytes + nmsgs * msgBytes)
+        return "truncated or corrupt";
 
-    std::uint64_t maxId = 0;
-    tracer.spans_.reserve(nspans);
-    for (std::uint64_t i = 0; i < nspans; ++i) {
-        Span s;
+    // Node ids index per-node state in every consumer, and the largest
+    // PacketKind value is BulkFrag (3).
+    const char *badRecord = "a record with an unknown track, category or "
+                            "kind, or a negative node id";
+    std::vector<Span> spans(nspans);
+    for (Span &s : spans) {
         std::uint8_t track = 0, cat = 0, container = 0;
         if (!get(in, pos, s.begin) || !get(in, pos, s.end) ||
             !get(in, pos, s.node) || !get(in, pos, track) ||
             !get(in, pos, cat) || !get(in, pos, container) ||
-            !get(in, pos, s.msg))
-            return false;
-        if (track >= kNumTrackKinds || cat >= kNumSpanCats ||
-            s.node < 0) {
-            tracer.clear();
-            return false;
-        }
+            !get(in, pos, s.msg) || track >= kNumTrackKinds ||
+            cat >= kNumSpanCats || s.node < 0)
+            return badRecord;
         s.track = static_cast<TrackKind>(track);
         s.cat = static_cast<SpanCat>(cat);
         s.container = container != 0;
-        tracer.spans_.push_back(s);
     }
-    tracer.msgs_.reserve(nmsgs);
-    for (std::uint64_t i = 0; i < nmsgs; ++i) {
-        ObsMessage m;
-        std::uint8_t retx = 0;
+    std::vector<ObsMessage> msgs(nmsgs);
+    std::uint64_t maxId = 0;
+    for (ObsMessage &m : msgs) {
         if (!get(in, pos, m.id) || !get(in, pos, m.src) ||
             !get(in, pos, m.dst) || !get(in, pos, m.issued) ||
             !get(in, pos, m.inject) || !get(in, pos, m.wire) ||
-            !get(in, pos, m.ready) || !get(in, pos, m.wireLatency) ||
-            !get(in, pos, m.kind) || !get(in, pos, retx) ||
-            !get(in, pos, m.bytes))
-            return false;
-        // Largest PacketKind value is BulkFrag (3); node ids index
-        // per-node state in every consumer.
-        if (m.kind > 3 || m.src < 0 || m.dst < 0) {
-            tracer.clear();
-            return false;
-        }
-        m.retx = retx != 0;
+            !get(in, pos, m.ready) || !get(in, pos, m.kind) ||
+            !get(in, pos, m.bytes) || m.kind > 3 || m.src < 0 ||
+            m.dst < 0)
+            return badRecord;
         maxId = m.id > maxId ? m.id : maxId;
-        tracer.msgs_.push_back(m);
     }
+    tracer.spans_ = std::move(spans);
+    tracer.msgs_ = std::move(msgs);
     tracer.lastMsgId_ = maxId;
-    return true;
+    header = {std::move(spec), runtime};
+    return "";
 }
 
 } // namespace nowcluster

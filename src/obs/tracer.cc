@@ -60,13 +60,9 @@ double
 meanFlightUs(const SpanTracer &tracer)
 {
     double sum = 0;
-    std::uint64_t n = 0;
-    for (const ObsMessage &m : tracer.messages()) {
-        if (m.retx)
-            continue;
+    for (const ObsMessage &m : tracer.messages())
         sum += toUsec(m.ready - m.issued);
-        ++n;
-    }
+    const std::size_t n = tracer.messages().size();
     return n ? sum / static_cast<double>(n) : 0.0;
 }
 
@@ -76,10 +72,8 @@ burstFraction(const SpanTracer &tracer, Tick threshold)
     // Group issue times by source, then count consecutive gaps below
     // the threshold.
     std::map<NodeId, std::vector<Tick>> by_src;
-    for (const ObsMessage &m : tracer.messages()) {
-        if (!m.retx)
-            by_src[m.src].push_back(m.issued);
-    }
+    for (const ObsMessage &m : tracer.messages())
+        by_src[m.src].push_back(m.issued);
     std::uint64_t close = 0, total = 0;
     for (auto &[src, times] : by_src) {
         std::sort(times.begin(), times.end());

@@ -92,11 +92,11 @@ struct ObsMessage
     Tick inject = 0; ///< Tx context began injecting.
     Tick wire = 0;   ///< Payload fully left the NIC.
     Tick ready = 0;  ///< Presence bit at the receiver.
-    Tick wireLatency = 0; ///< The L term (latency + addedL).
     std::uint8_t kind = 0; ///< PacketKind as an integer.
-    bool retx = false;
     std::uint32_t bytes = 0;
 };
+
+struct TraceHeader;
 
 /** Human-readable category / track names (used by the exporters). */
 const char *spanCatName(SpanCat cat);
@@ -179,7 +179,8 @@ class SpanTracer
     }
 
   private:
-    friend bool readBinaryTrace(SpanTracer &, const std::string &);
+    friend std::string readBinaryTrace(SpanTracer &, TraceHeader &,
+                                       const std::string &);
 
     std::vector<Span> spans_;
     std::vector<ObsMessage> msgs_;
@@ -187,12 +188,12 @@ class SpanTracer
     std::uint64_t lastMsgId_ = 0;
 };
 
-/** Mean in-flight time (issue to presence bit) of a trace's first
- *  flights, in microseconds; 0 when it has none. */
+/** Mean in-flight time (issue to presence bit) of a trace's messages,
+ *  in microseconds; 0 when it has none. */
 double meanFlightUs(const SpanTracer &tracer);
 
 /**
- * Fraction of consecutive same-source first flights issued closer
+ * Fraction of consecutive same-source messages issued closer
  * together than `threshold` -- the burstiness measure behind the
  * paper's reading of its gap results (Section 5.2). 0 when no source
  * sent twice.

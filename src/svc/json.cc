@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "base/logging.hh"
+
 namespace nowcluster::svc {
 
 // ---- value helpers --------------------------------------------------
@@ -456,6 +458,16 @@ JsonWriter::element(std::int64_t value)
     comma();
     out_ += std::to_string(value);
     return *this;
+}
+
+void
+writeJsonFile(const JsonWriter &w, const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    fatal_if(!f || std::fprintf(f, "%s\n", w.str().c_str()) < 0 ||
+                 std::fclose(f) != 0,
+             "cannot write %s", path.c_str());
+    std::printf("wrote %s\n", path.c_str());
 }
 
 } // namespace nowcluster::svc

@@ -102,6 +102,11 @@ class JsonWriter
     bool needComma_ = false;
 };
 
+/** Write `w`'s document and a newline to `path`, then print "wrote
+ *  <path>"; exit 1 naming `path` if it cannot be written. The tail of
+ *  every `--out` JSON file. */
+void writeJsonFile(const JsonWriter &w, const std::string &path);
+
 } // namespace nowcluster::svc
 
 #endif // NOWCLUSTER_SVC_JSON_HH_

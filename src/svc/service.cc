@@ -1,8 +1,11 @@
 #include "svc/service.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "svc/spec.hh"
 
@@ -53,29 +56,47 @@ narrow(double v)
     return static_cast<T>(v);
 }
 
+/** The table entry of the Knobs field `Field`: set from a JSON number
+ *  (integral fields saturate) and read back as one. */
+template <auto Field>
+constexpr KnobField
+knob(const char *key)
+{
+    using T = std::remove_cvref_t<decltype(std::declval<Knobs &>().*Field)>;
+    return {key,
+            [](Knobs &k, double v) {
+                if constexpr (std::is_integral_v<T>)
+                    k.*Field = narrow<T>(v);
+                else
+                    k.*Field = v;
+            },
+            [](const Knobs &k) { return static_cast<double>(k.*Field); },
+            std::is_integral_v<T>};
+}
+
 constexpr KnobField kKnobFields[] = {
-    {"overhead", [](Knobs &k, double v) { k.overheadUs = v; }},
-    {"gap", [](Knobs &k, double v) { k.gapUs = v; }},
-    {"latency", [](Knobs &k, double v) { k.latencyUs = v; }},
-    {"mbps", [](Knobs &k, double v) { k.bulkMBps = v; }},
-    {"occupancy", [](Knobs &k, double v) { k.occupancyUs = v; }},
-    {"window", [](Knobs &k, double v) { k.window = narrow<int>(v); }},
-    {"drop", [](Knobs &k, double v) { k.dropRate = v; }},
-    {"dup", [](Knobs &k, double v) { k.dupRate = v; }},
-    {"corrupt", [](Knobs &k, double v) { k.corruptRate = v; }},
-    {"reorder", [](Knobs &k, double v) { k.reorderRate = v; }},
-    {"reorder-delay", [](Knobs &k, double v) { k.reorderMaxDelayUs = v; }},
-    {"fault-seed", [](Knobs &k, double v) { k.faultSeed = narrow<long>(v); }},
-    {"reliable", [](Knobs &k, double v) { k.reliable = narrow<int>(v); }},
-    {"rto", [](Knobs &k, double v) { k.retxTimeoutUs = v; }},
-    {"delay-node", [](Knobs &k, double v) { k.delayNode = narrow<long>(v); }},
-    {"delay-at", [](Knobs &k, double v) { k.delayAtUs = v; }},
-    {"delay-us", [](Knobs &k, double v) { k.delayUs = v; }},
-    {"topo", [](Knobs &k, double v) { k.topo = narrow<int>(v); }},
-    {"topo-hosts", [](Knobs &k, double v) { k.topoHosts = narrow<int>(v); }},
-    {"topo-mbps", [](Knobs &k, double v) { k.topoLinkMBps = v; }},
-    {"topo-oversub", [](Knobs &k, double v) { k.topoOversub = v; }},
-    {"topo-hop", [](Knobs &k, double v) { k.topoHopUs = v; }},
+    knob<&Knobs::overheadUs>("overhead"),
+    knob<&Knobs::gapUs>("gap"),
+    knob<&Knobs::latencyUs>("latency"),
+    knob<&Knobs::bulkMBps>("mbps"),
+    knob<&Knobs::occupancyUs>("occupancy"),
+    knob<&Knobs::window>("window"),
+    knob<&Knobs::dropRate>("drop"),
+    knob<&Knobs::dupRate>("dup"),
+    knob<&Knobs::corruptRate>("corrupt"),
+    knob<&Knobs::reorderRate>("reorder"),
+    knob<&Knobs::reorderMaxDelayUs>("reorder-delay"),
+    knob<&Knobs::faultSeed>("fault-seed"),
+    knob<&Knobs::reliable>("reliable"),
+    knob<&Knobs::retxTimeoutUs>("rto"),
+    knob<&Knobs::delayNode>("delay-node"),
+    knob<&Knobs::delayAtUs>("delay-at"),
+    knob<&Knobs::delayUs>("delay-us"),
+    knob<&Knobs::topo>("topo"),
+    knob<&Knobs::topoHosts>("topo-hosts"),
+    knob<&Knobs::topoLinkMBps>("topo-mbps"),
+    knob<&Knobs::topoOversub>("topo-oversub"),
+    knob<&Knobs::topoHopUs>("topo-hop"),
 };
 
 /** The {"ok":true,"id":...,"state":...,"cached":...} reply. */
@@ -144,17 +165,14 @@ pointOfRequest(const JsonValue &req)
     c.scale = req.numberOr("scale", 1.0);
     c.seed = narrow<std::uint64_t>(req.numberOr("seed", 1));
     c.validate = req.boolOr("validate", true);
+    // Rounded, so a budget rendered by submitRequest reads back exact.
     double max_ms = req.numberOr("max_ms", 0);
     if (max_ms > 0)
-        c.maxTime = narrow<Tick>(max_ms * kMsec);
+        c.maxTime = narrow<Tick>(std::round(max_ms * kMsec));
 
-    std::string machine = req.stringOr("machine", "now");
-    if (machine == "paragon")
-        c.machine = MachineConfig::intelParagon();
-    else if (machine == "meiko")
-        c.machine = MachineConfig::meikoCs2();
-    else
-        c.machine = MachineConfig::berkeleyNow();
+    // An unknown machine keeps the default; submitComplaint refuses it.
+    if (auto m = MachineConfig::byKey(req.stringOr("machine", "now")))
+        c.machine = *m;
 
     if (const JsonValue *k = req.find("knobs")) {
         for (const KnobField &f : kKnobFields)
@@ -164,8 +182,36 @@ pointOfRequest(const JsonValue &req)
 }
 
 std::string
+submitRequest(const RunPoint &pt)
+{
+    const RunConfig &c = pt.config;
+    JsonWriter w;
+    w.beginObject()
+        .field("op", "submit")
+        .field("app", pt.app)
+        .field("procs", c.nprocs)
+        .field("scale", c.scale)
+        .field("seed", c.seed)
+        .field("machine", c.machine.key())
+        .field("max_ms", toMsec(c.maxTime))
+        .field("validate", c.validate);
+    // A knob left at -1 is absent, which pointOfRequest reads as -1.
+    w.beginObject("knobs");
+    for (const KnobField &f : kKnobFields)
+        if (f.get(c.knobs) != -1)
+            w.field(f.key, f.get(c.knobs));
+    w.endObject().endObject();
+    return w.str();
+}
+
+std::string
 submitComplaint(const JsonValue &req, const RunPoint &pt)
 {
+    // An unknown machine would otherwise run (and be cached) as NOW.
+    const std::string machine = req.stringOr("machine", "now");
+    if (!MachineConfig::byKey(machine))
+        return "unknown machine '" + machine + "' (" +
+               MachineConfig::keys("|") + ")";
     // A knob this build does not know would otherwise be dropped and
     // the point run (and cached) without it.
     if (const JsonValue *k = req.find("knobs"); k && k->isObject()) {

@@ -5,39 +5,11 @@
  * One line-delimited JSON request in, one JSON reply out -- the TCP
  * server (svc/server.hh) is a thin socket pump around handleLine(), so
  * the whole protocol (including its fuzz surface) is testable without
- * a socket in sight.
- *
- * Requests ({"op": ...}):
- *   submit   {"op":"submit","app":"radix","procs":32,"scale":1,
- *             "seed":1,"machine":"now","knobs":{"overhead":12.9,...}}
- *            -> {"ok":true,"id":N,"state":"queued"|"done","cached":B}
- *            A knobs key the protocol does not define is refused with
- *            {"ok":false,"error":"unknown knob 'K'"}, never dropped.
- *            Cache hits complete instantly; cache misses are queued on
- *            the Runner pool. A full queue is answered with
- *            {"ok":false,"error":"busy","retry_after_ms":N}: bounded
- *            memory, clients retry. An optional "backend":"analytic"
- *            field (or serving with --backend analytic) asks for the
- *            LogGP-model engine: eligible jobs are answered from one
- *            traced run per model identity, ineligible or drifted ones
- *            transparently fall back to a real simulation, and the
- *            get reply's "backend" field says which engine answered.
- *            Only simulated results enter the store; analytic
- *            answers are re-solved per submit.
- *   status   {"op":"status","id":N} -> {"ok":true,"state":...}
- *   get      {"op":"get","id":N} -> the measured result, including the
- *            canonical fingerprint (byte-identical cached vs computed).
- *   stats    {"op":"stats"} -> request counters, latency histograms
- *            (MetricsRegistry snapshot), queue/pool and store state.
- *   shutdown {"op":"shutdown"} -> begins graceful drain.
- *
- * Job states: queued -> running -> done | failed. Jobs live forever
- * (the job table is append-only per process); ids are never reused.
- *
- * Cache-only mode (offline laboratory): submits that miss the store
- * are answered with {"ok":false,"error":"cache-miss"} instead of
- * simulating, so a store snapshot can be queried on a machine with no
- * cycles to spare.
+ * a socket in sight. docs/INTERNALS.md §9 specifies the ops (submit,
+ * status, get, stats, shutdown), their fields and their replies,
+ * including the analytic engine ("backend":"analytic", which falls back
+ * to a simulation) and cache-only mode. Jobs go queued -> running ->
+ * done | failed and live for the process; ids are never reused.
  */
 
 #ifndef NOWCLUSTER_SVC_SERVICE_HH_
@@ -83,26 +55,36 @@ constexpr std::size_t kMaxRequestBytes = 1 << 16;
  *  shared by ServiceCore and the transport's own rejections. */
 std::string errorReply(const std::string &error);
 
-/** A knob key of the submit protocol and the Knobs field it sets. */
+/** A knob key of the submit protocol and the Knobs field it names. */
 struct KnobField
 {
     const char *key;
     void (*set)(Knobs &, double);
+    double (*get)(const Knobs &);
+    bool integral; ///< An int or long field (set() saturates).
 };
 
 /** Every knob a submit request's "knobs" object may carry, in protocol
- *  order; submitComplaint() refuses any other key. `nowlab submit`
- *  renders its knob options from the same table. */
+ *  order; submitComplaint() refuses any other key. `nowlab` reads its
+ *  knob options, under the same keys, from this table. */
 std::span<const KnobField> knobFields();
 
 /** The RunPoint a submit request describes (missing fields take the
  *  same defaults `nowlab run` applies). */
 RunPoint pointOfRequest(const JsonValue &req);
 
+/** The submit request describing `pt` (what `nowlab submit` sends and
+ *  a NOWOBS02 trace header carries). pointOfRequest() reads it back to
+ *  `pt`'s canonicalSpec, save what the request has no field for:
+ *  Knobs::collAlg, the origin, and params off the named machine's. */
+std::string submitRequest(const RunPoint &pt);
+
 /**
- * Why a submit request must be refused, "" when it may run: a `knobs`
- * key the protocol does not define ("unknown knob 'K'"), else
- * validateSpec()'s complaint about `pt`, its pointOfRequest() point.
+ * Why a submit request must be refused, "" when it may run: a machine
+ * key MachineConfig::byKey() does not know ("unknown machine 'M'
+ * (now|paragon|meiko)"), a `knobs` key the protocol does not define
+ * ("unknown knob 'K'"), else validateSpec()'s complaint about `pt`,
+ * its pointOfRequest() point.
  */
 std::string submitComplaint(const JsonValue &req, const RunPoint &pt);
 

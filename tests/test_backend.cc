@@ -1197,12 +1197,13 @@ TEST(LpOracle, LoweringMatchesTheHashMapLowering)
         << "fat-tree radix";
     const std::string path =
         ::testing::TempDir() + "nowcluster_lowering_oracle.obs";
-    ASSERT_TRUE(writeBinaryTrace(tracer, path));
+    ASSERT_TRUE(writeBinaryTrace(tracer, {"", r.runtime}, path));
     SpanTracer loaded;
-    ASSERT_TRUE(readBinaryTrace(loaded, path));
+    TraceHeader header;
+    ASSERT_EQ(readBinaryTrace(loaded, header, path), "");
     std::remove(path.c_str());
-    EXPECT_EQ(loweringMismatch(loaded, base, r.runtime, true), "")
-        << "fat-tree radix through NOWOBS01";
+    EXPECT_EQ(loweringMismatch(loaded, base, header.runtime, true), "")
+        << "fat-tree radix through NOWOBS02";
 
     const LogGPParams now = MachineConfig::berkeleyNow().params;
     for (std::uint64_t seed = 1; seed <= 4; seed++) {

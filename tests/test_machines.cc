@@ -17,16 +17,6 @@ namespace {
 
 using Case = std::tuple<std::string, std::string>;
 
-MachineConfig
-machineByName(const std::string &name)
-{
-    if (name == "paragon")
-        return MachineConfig::intelParagon();
-    if (name == "meiko")
-        return MachineConfig::meikoCs2();
-    return MachineConfig::berkeleyNow();
-}
-
 class AppOnMachine : public ::testing::TestWithParam<Case>
 {};
 
@@ -36,7 +26,7 @@ TEST_P(AppOnMachine, CompletesAndValidates)
     RunConfig c;
     c.nprocs = 8;
     c.scale = 0.2;
-    c.machine = machineByName(machine);
+    c.machine = MachineConfig::byKey(machine).value();
     RunResult r = runApp(app, c);
     EXPECT_TRUE(r.ok) << app << " on " << machine;
     EXPECT_TRUE(r.validated) << app << " on " << machine;

@@ -157,13 +157,15 @@ TEST(Tracer, RecordsAllThreeTrackKindsAndOrderedMessages)
     EXPECT_TRUE(seen[static_cast<int>(TrackKind::NicTx)]);
     EXPECT_TRUE(seen[static_cast<int>(TrackKind::NicRx)]);
 
-    // 5 requests + 5 replies + the stop one-way.
+    // 5 requests + 5 replies + the stop one-way, each crossing the
+    // wire in the run's L (no fabric to queue on).
     EXPECT_EQ(tracer.messages().size(), 11u);
+    const Tick wireL = MachineConfig::berkeleyNow().params.totalLatency();
     for (const ObsMessage &m : tracer.messages()) {
         EXPECT_LE(m.issued, m.inject);
         EXPECT_LE(m.inject, m.wire);
         EXPECT_LE(m.wire, m.ready);
-        EXPECT_EQ(m.ready - m.wire, m.wireLatency);
+        EXPECT_EQ(m.ready - m.wire, wireL);
     }
 }
 
@@ -218,11 +220,15 @@ TEST(Export, BinaryRoundTripPreservesEverything)
 {
     const std::string path = "/tmp/nowcluster_obs_rt.bin";
     SpanTracer tracer;
-    pingPong(4, &tracer);
-    ASSERT_TRUE(writeBinaryTrace(tracer, path));
+    const Tick runtime = pingPong(4, &tracer);
+    const TraceHeader header{"{\"op\":\"submit\",\"app\":\"ping\"}", runtime};
+    ASSERT_TRUE(writeBinaryTrace(tracer, header, path));
 
     SpanTracer back;
-    ASSERT_TRUE(readBinaryTrace(back, path));
+    TraceHeader backHeader;
+    ASSERT_EQ(readBinaryTrace(back, backHeader, path), "");
+    EXPECT_EQ(backHeader.spec, header.spec);
+    EXPECT_EQ(backHeader.runtime, runtime);
     ASSERT_EQ(back.spans().size(), tracer.spans().size());
     ASSERT_EQ(back.messages().size(), tracer.messages().size());
     for (std::size_t i = 0; i < tracer.spans().size(); ++i) {
@@ -239,7 +245,11 @@ TEST(Export, BinaryRoundTripPreservesEverything)
         const ObsMessage &a = tracer.messages()[i];
         const ObsMessage &b = back.messages()[i];
         EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.src, b.src);
+        EXPECT_EQ(a.dst, b.dst);
         EXPECT_EQ(a.issued, b.issued);
+        EXPECT_EQ(a.inject, b.inject);
+        EXPECT_EQ(a.wire, b.wire);
         EXPECT_EQ(a.ready, b.ready);
         EXPECT_EQ(a.kind, b.kind);
         EXPECT_EQ(a.bytes, b.bytes);
@@ -251,8 +261,9 @@ TEST(Export, CorruptBinaryTracesAreRejected)
 {
     const std::string path = "/tmp/nowcluster_obs_corrupt.bin";
     SpanTracer tracer;
-    pingPong(2, &tracer);
-    ASSERT_TRUE(writeBinaryTrace(tracer, path));
+    const Tick runtime = pingPong(2, &tracer);
+    const std::string spec = "{\"app\":\"ping\"}";
+    ASSERT_TRUE(writeBinaryTrace(tracer, {spec, runtime}, path));
 
     // Read the good bytes back so each corruption starts clean.
     std::ifstream f(path, std::ios::binary);
@@ -260,37 +271,64 @@ TEST(Export, CorruptBinaryTracesAreRejected)
                      std::istreambuf_iterator<char>());
     f.close();
 
-    auto writeAndExpectReject = [&](std::string bytes) {
+    auto writeAndExpectReject = [&](std::string bytes, const char *why) {
         std::ofstream o(path, std::ios::binary);
         o.write(bytes.data(),
                 static_cast<std::streamsize>(bytes.size()));
         o.close();
         SpanTracer t;
-        EXPECT_FALSE(readBinaryTrace(t, path));
+        TraceHeader h;
+        EXPECT_NE(readBinaryTrace(t, h, path).find(why), std::string::npos)
+            << why;
         EXPECT_TRUE(t.spans().empty());
         EXPECT_TRUE(t.messages().empty());
+        EXPECT_TRUE(h.spec.empty());
     };
 
-    writeAndExpectReject("");                         // Empty file.
-    writeAndExpectReject("NOTATRACE");                // Bad magic.
-    writeAndExpectReject(good.substr(0, good.size() - 3)); // Truncated.
+    writeAndExpectReject("", "not a NOWOBS02 trace");          // Empty.
+    writeAndExpectReject("NOTATRACE", "not a NOWOBS02 trace"); // Magic.
+    {
+        // The former format, which records no run.
+        std::string v1 = good;
+        v1[7] = '1';
+        writeAndExpectReject(v1, "a NOWOBS01 trace");
+    }
+    {
+        // A header length one byte longer than the whole file.
+        std::string bad = good;
+        const std::uint32_t n = static_cast<std::uint32_t>(good.size()) - 11;
+        for (std::size_t i = 0; i < 4; ++i)
+            bad[8 + i] = static_cast<char>((n >> (8 * i)) & 0xff);
+        writeAndExpectReject(bad, "runs past the end of the file");
+    }
+    writeAndExpectReject(good.substr(0, good.size() - 3), // Truncated.
+                         "truncated or corrupt");
     {
         std::string bad = good;
-        bad[8 + 8 + 8 + 8 + 8 + 4] = 77; // First span's track byte.
-        writeAndExpectReject(bad);
+        bad[8 + 4 + spec.size() + 7] = static_cast<char>(0x80); // Runtime.
+        writeAndExpectReject(bad, "truncated or corrupt");
+    }
+    // Offsets: magic, spec length, spec, runtime, two counts; then
+    // 31-byte spans (begin, end, node, track, ...) and messages (id
+    // precedes src and dst).
+    const std::size_t first_span = 8 + 4 + spec.size() + 8 + 8 + 8;
+    const std::size_t first_msg = first_span + tracer.spans().size() * 31;
+    {
+        std::string bad = good;
+        bad[first_span + 8 + 8 + 4] = 77; // First span's track byte.
+        writeAndExpectReject(bad, "an unknown track");
     }
     // Negative node ids: the first span's node, then the first
-    // message's src and dst (31-byte spans; id precedes src).
-    auto negate = [&](std::size_t at) {
+    // message's src and dst.
+    auto negate = [&](std::size_t at, const char *why) {
         std::string bad = good;
         for (std::size_t i = 0; i < 4; ++i)
             bad[at + i] = static_cast<char>(0xff);
-        writeAndExpectReject(bad);
+        writeAndExpectReject(bad, why);
     };
-    const std::size_t first_msg = 8 + 8 + 8 + tracer.spans().size() * 31;
-    negate(8 + 8 + 8 + 8 + 8);
-    negate(first_msg + 8);
-    negate(first_msg + 8 + 4);
+    negate(first_span + 8 + 8, "a negative node id");
+    negate(first_msg + 8, "a negative node id");
+    negate(first_msg + 8 + 4, "a negative node id");
     std::remove(path.c_str());
 }
 

@@ -2,9 +2,10 @@
  * @file
  * Tests for trace replay, which answers what-if questions by lowering
  * a recorded span trace into the analytic backend's LP
- * (backend::AnalyticModel) calibrated on the trace's own makespan:
- * exactness on the recorded machine, sensitivity of replayed traces to
- * the knobs, the NOWOBS01 round trip the CLI uses, the paper's
+ * (backend::AnalyticModel) at the parameters it was recorded under,
+ * calibrated on the recorded runtime: exactness on the recorded
+ * machine, sensitivity of replayed traces to the knobs, the NOWOBS02
+ * round trip the CLI uses (its header names the run), the paper's
  * latency-bound app replayed from a file, and hostile traces that must
  * be refused or answered with a finite runtime.
  */
@@ -23,6 +24,8 @@
 #include "harness/experiment.hh"
 #include "net/packet.hh"
 #include "obs/export.hh"
+#include "svc/json.hh"
+#include "svc/service.hh"
 
 namespace nowcluster {
 namespace {
@@ -43,13 +46,13 @@ capture(const std::string &key, int nprocs, double scale)
     return {std::move(trace), r};
 }
 
-/** What `nowlab replay` builds: the trace lowered under the machine
- *  baseline and calibrated on its own last tick. */
+/** What `nowlab replay` builds: the trace lowered at the parameters it
+ *  was recorded under and calibrated on the recorded runtime. */
 AnalyticModel
-lower(const SpanTracer &trace, const LogGPParams &recorded)
+lower(const SpanTracer &trace, const LogGPParams &recorded, Tick runtime)
 {
     AnalyticModel m;
-    EXPECT_TRUE(m.build(trace, recorded, trace.lastTick()));
+    EXPECT_TRUE(m.build(trace, recorded, runtime));
     return m;
 }
 
@@ -59,14 +62,19 @@ replayedRuntime(const AnalyticModel &m, const LogGPParams &target)
     return std::llround(m.runtime(target).value_or(-1));
 }
 
-/** Write `trace` as NOWOBS01 and read it back, as the CLI does. */
+/** Write `trace` as NOWOBS02 under `header` and read it back, as the
+ *  CLI does; the header must come back unchanged. */
 SpanTracer
-throughFile(const SpanTracer &trace, const std::string &name)
+throughFile(const SpanTracer &trace, const TraceHeader &header,
+            const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
-    EXPECT_TRUE(writeBinaryTrace(trace, path));
+    EXPECT_TRUE(writeBinaryTrace(trace, header, path));
     SpanTracer loaded;
-    EXPECT_TRUE(readBinaryTrace(loaded, path));
+    TraceHeader back;
+    EXPECT_EQ(readBinaryTrace(loaded, back, path), "");
+    EXPECT_EQ(back.spec, header.spec);
+    EXPECT_EQ(back.runtime, header.runtime);
     std::remove(path.c_str());
     return loaded;
 }
@@ -79,7 +87,7 @@ TEST(Replay, SameParametersReproduceTheRuntimeShape)
     // calibrated on it reproduces it to the tick.
     EXPECT_EQ(trace.lastTick(), r.runtime);
     auto params = MachineConfig::berkeleyNow().params;
-    AnalyticModel m = lower(trace, params);
+    AnalyticModel m = lower(trace, params, r.runtime);
     EXPECT_EQ(replayedRuntime(m, params), r.runtime);
 }
 
@@ -88,7 +96,7 @@ TEST(Replay, KnobsStretchReplayedTraces)
     auto [trace, r] = capture("radix", 4, 0.15);
     ASSERT_TRUE(r.ok);
     auto base = MachineConfig::berkeleyNow().params;
-    AnalyticModel m = lower(trace, base);
+    AnalyticModel m = lower(trace, base, r.runtime);
 
     auto slow_params = base;
     slow_params.setDesiredGapUsec(55.0);
@@ -100,14 +108,15 @@ TEST(Replay, BinaryRoundTripFeedsReplay)
 {
     auto [trace, r] = capture("em3d-write", 4, 0.15);
     ASSERT_TRUE(r.ok);
-    SpanTracer loaded = throughFile(trace, "nowcluster_replay_test.obs");
+    SpanTracer loaded =
+        throughFile(trace, {"", r.runtime}, "nowcluster_replay_test.obs");
     EXPECT_EQ(loaded.messages().size(), trace.messages().size());
 
     // The file carries everything the lowering reads: the models built
     // in memory and from disk predict byte-equal answers.
     auto params = MachineConfig::berkeleyNow().params;
-    AnalyticModel a = lower(trace, params);
-    AnalyticModel b = lower(loaded, params);
+    AnalyticModel a = lower(trace, params, r.runtime);
+    AnalyticModel b = lower(loaded, params, r.runtime);
     EXPECT_EQ(a.stats().lpEdges, b.stats().lpEdges);
     auto target = params;
     target.setDesiredOverheadUsec(12.9);
@@ -145,9 +154,10 @@ TEST(Replay, LatencyBoundAppFromAFileTracksTheSimulator)
 {
     auto [trace, r] = capture("em3d-read", 8, 0.1);
     ASSERT_TRUE(r.ok);
-    SpanTracer loaded = throughFile(trace, "nowcluster_replay_em3d.obs");
+    SpanTracer loaded =
+        throughFile(trace, {"", r.runtime}, "nowcluster_replay_em3d.obs");
     auto params = MachineConfig::berkeleyNow().params;
-    AnalyticModel m = lower(loaded, params);
+    AnalyticModel m = lower(loaded, params, r.runtime);
 
     RunConfig c;
     c.nprocs = 8;
@@ -175,7 +185,7 @@ TEST(Replay, OneSidedSlopesAreTheRuntimesOneTickDifference)
     auto [trace, r] = capture("em3d-read", 8, 0.1);
     ASSERT_TRUE(r.ok);
     const LogGPParams base = MachineConfig::berkeleyNow().params;
-    const AnalyticModel m = lower(trace, base);
+    const AnalyticModel m = lower(trace, base, r.runtime);
     const backend::AnalyticSlopes s = m.slopes(base);
     ASSERT_TRUE(s.ok);
     for (auto [slope, knob] : {std::pair{s.dTdL, &LogGPParams::latency},
@@ -192,6 +202,38 @@ TEST(Replay, OneSidedSlopesAreTheRuntimesOneTickDifference)
     EXPECT_GT(s.dTdO, m.predict(base).path.perO);
 }
 
+// The header names the run, so a file off the NOW baseline lowers at
+// the parameters it was recorded under, read back as nowlabd reads a
+// submit request. Calibrated on the recorded runtime, the LP gives that
+// runtime to the tick, although the trace's last span (a NIC gap after
+// the final send) ends after the run.
+TEST(Replay, AFileOffTheBaselineReplaysItsOwnRuntime)
+{
+    RunPoint pt;
+    pt.app = "em3d-read";
+    pt.config.nprocs = 8;
+    pt.config.scale = 0.1;
+    pt.config.knobs.gapUs = 30;
+    pt.config.knobs.overheadUs = 12.9;
+    SpanTracer trace;
+    pt.config.obs = &trace;
+    RunResult r = runApp(pt.app, pt.config);
+    ASSERT_TRUE(r.ok);
+    EXPECT_GT(trace.lastTick(), r.runtime);
+    const TraceHeader header{svc::submitRequest(pt), r.runtime};
+    SpanTracer loaded =
+        throughFile(trace, header, "nowcluster_replay_offbase.obs");
+
+    svc::JsonValue req;
+    ASSERT_TRUE(svc::parseJson(header.spec, req));
+    const RunPoint recordedPt = svc::pointOfRequest(req);
+    ASSERT_EQ(svc::submitComplaint(req, recordedPt), "");
+    LogGPParams recorded = recordedPt.config.machine.params;
+    recordedPt.config.knobs.applyTo(recorded);
+    const AnalyticModel m = lower(loaded, recorded, header.runtime);
+    EXPECT_EQ(replayedRuntime(m, recorded), r.runtime);
+}
+
 /** Span and message builders for hand-made traces. */
 void
 cpuSpan(SpanTracer &t, NodeId node, SpanCat cat, Tick b, Tick e,
@@ -202,7 +244,7 @@ cpuSpan(SpanTracer &t, NodeId node, SpanCat cat, Tick b, Tick e,
 
 void
 flight(SpanTracer &t, std::uint64_t id, NodeId src, NodeId dst,
-       Tick issued, Tick ready, bool retx = false)
+       Tick issued, Tick ready)
 {
     ObsMessage m;
     m.id = id;
@@ -212,9 +254,7 @@ flight(SpanTracer &t, std::uint64_t id, NodeId src, NodeId dst,
     m.inject = issued;
     m.wire = issued;
     m.ready = ready;
-    m.wireLatency = MachineConfig::berkeleyNow().params.totalLatency();
     m.kind = static_cast<std::uint8_t>(PacketKind::OneWay);
-    m.retx = retx;
     m.bytes = 32;
     t.message(m);
 }
@@ -227,7 +267,7 @@ TEST(Replay, SingleSpanTraceIsFixedTimePlusResidual)
     SpanTracer t;
     cpuSpan(t, 0, SpanCat::Compute, usec(2), usec(7));
     const auto params = MachineConfig::berkeleyNow().params;
-    const AnalyticModel m = lower(t, params);
+    const AnalyticModel m = lower(t, params, t.lastTick());
     const AnalyticPrediction p = m.predict(params);
     ASSERT_TRUE(p.ok);
     EXPECT_EQ(p.path.fixed, usec(5));
@@ -236,7 +276,7 @@ TEST(Replay, SingleSpanTraceIsFixedTimePlusResidual)
     EXPECT_EQ(p.runtime, usec(7));
 }
 
-// Replay reads files from outside the program. Whatever a NOWOBS01
+// Replay reads files from outside the program. Whatever a NOWOBS02
 // file that passes readBinaryTrace holds, the lowering either refuses
 // it or answers with a finite runtime: the LP keys nodes by id, so no
 // node id indexes an array.
@@ -278,11 +318,12 @@ TEST(Replay, HostileTracesAreRefusedOrFinite)
         flight(t, 1, 0, 1, kHuge + 100, kHuge + 400);
     }
     {
-        SpanTracer &t = add("retransmitted flights");
+        // A retransmission's marker, and its message id flying twice.
+        SpanTracer &t = add("a retransmitted flight");
         cpuSpan(t, 0, SpanCat::OSend, 0, 100, 1);
         cpuSpan(t, 1, SpanCat::ORecv, 300, 400, 1);
         flight(t, 1, 0, 1, 100, 200);
-        flight(t, 1, 0, 1, 250, 300, true);
+        flight(t, 1, 0, 1, 250, 300);
         t.span(0, TrackKind::NicTx, SpanCat::Retransmit, 250, 250, 1);
     }
     {
@@ -303,7 +344,8 @@ TEST(Replay, HostileTracesAreRefusedOrFinite)
     target.setDesiredGapUsec(30.0);
     std::vector<std::string> refused;
     for (auto &[name, t] : cases) {
-        SpanTracer loaded = throughFile(t, "nowcluster_replay_hostile.obs");
+        SpanTracer loaded = throughFile(t, {"", t.lastTick()},
+                                        "nowcluster_replay_hostile.obs");
         AnalyticModel m;
         if (!m.build(loaded, params, loaded.lastTick())) {
             refused.push_back(name);
@@ -317,7 +359,8 @@ TEST(Replay, HostileTracesAreRefusedOrFinite)
         EXPECT_EQ(m.runtime(target).value_or(-1), p.runtime) << name;
     }
     // Only the container spans and the cycle cannot lower; `nowlab
-    // replay` refuses the retransmissions before it builds.
+    // replay` refuses a retransmitting run by its header before it
+    // builds.
     EXPECT_EQ(refused, (std::vector<std::string>{"container spans only",
                                                  "a dependency cycle"}));
 }

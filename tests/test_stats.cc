@@ -174,16 +174,6 @@ TEST(Trace, StatsOnEmptyAndSingleRecordTraces)
     EXPECT_DOUBLE_EQ(meanFlightUs(one), 6.0);
     // A single message has no consecutive pair, hence no bursts.
     EXPECT_DOUBLE_EQ(burstFraction(one, usec(10)), 0.0);
-
-    // A retransmitted flight is not a new message.
-    ObsMessage retx = one.messages()[0];
-    retx.id = one.newMsgId();
-    retx.issued = usec(4);
-    retx.ready = usec(40);
-    retx.retx = true;
-    one.message(retx);
-    EXPECT_DOUBLE_EQ(meanFlightUs(one), 6.0);
-    EXPECT_DOUBLE_EQ(burstFraction(one, usec(10)), 0.0);
 }
 
 } // namespace

@@ -192,6 +192,37 @@ TEST(Spec, ValidateSpecAnswersInsteadOfKilling)
     EXPECT_NE(svc::validateSpec(pt), "");
 }
 
+// What a trace header carries: a point rendered as a submit request,
+// every field of the request form away from its default, reads back
+// to the same canonical spec (doubles by bit pattern, the budget to
+// the tick).
+TEST(Spec, SubmitRequestReadsBackToTheSameSpec)
+{
+    RunPoint pt;
+    pt.app = "em3d-read";
+    RunConfig &c = pt.config;
+    c.nprocs = 12;
+    c.scale = 0.3;
+    c.seed = 7;
+    c.maxTime = 2500 * kMsec + 123;
+    c.validate = false;
+    c.machine = MachineConfig::meikoCs2();
+    double v = 0;
+    for (const svc::KnobField &f : svc::knobFields()) {
+        v += 1;
+        f.set(c.knobs, f.integral ? v : v + 0.1);
+        EXPECT_EQ(f.get(c.knobs), f.integral ? v : v + 0.1) << f.key;
+    }
+
+    const std::string line = svc::submitRequest(pt);
+    svc::JsonValue req;
+    ASSERT_TRUE(svc::parseJson(line, req)) << line;
+    const RunPoint back = svc::pointOfRequest(req);
+    EXPECT_EQ(back.config.machine.name, "Meiko CS-2");
+    EXPECT_EQ(back.config.maxTime, c.maxTime);
+    EXPECT_EQ(svc::canonicalSpec(back), svc::canonicalSpec(pt)) << line;
+}
+
 // ---- result codec ----------------------------------------------------
 
 TEST(Codec, RoundTripIsByteIdentical)
@@ -585,6 +616,22 @@ TEST(ServiceCore, UnknownKnobsAreRefusedByWorkerAndCoordinator)
     EXPECT_EQ(svc::submitComplaint(every, svc::pointOfRequest(every))
                   .rfind("unknown knob", 0),
               std::string::npos);
+}
+
+// A machine key the build does not know is refused by name, not run
+// (and cached) as the Berkeley NOW.
+TEST(ServiceCore, UnknownMachineIsRefusedNotRunOnTheDefault)
+{
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    svc::ServiceCore core(cfg);
+    EXPECT_EQ(core.handleLine("{\"op\":\"submit\",\"app\":\"radix\","
+                              "\"procs\":4,\"scale\":0.05,"
+                              "\"machine\":\"paragn\"}"),
+              "{\"ok\":false,\"error\":\"unknown machine 'paragn' "
+              "(now|paragon|meiko)\"}");
+    svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(v.find("counters")->numberOr("svc.submits", -1), 0);
 }
 
 // Integral fields arrive as JSON doubles; out-of-range values saturate

@@ -1,38 +1,8 @@
 /**
  * @file
- * nowlab: command-line front end to the laboratory.
- *
- *   nowlab list
- *   nowlab calibrate [knobs]
- *   nowlab run <app> [knobs] [--procs N] [--scale S] [--seed X]
- *                    [--machine now|paragon|meiko] [--matrix]
- *                    [--pgm FILE]
- *   nowlab sweep <app> --knob K --values a,b,c [--procs N] [--scale S]
- *                [--jobs J] [--backend sim|analytic]
- *   nowlab perf [--app A] [--points K] [--jobs J] [--events N]
- *               [--sim-procs N] [--sim-scale S] [--out FILE]
- *   nowlab trace <app> [--out F.json] [--bin F] [knobs]
- *   nowlab wavefront <app> [--node N] [--at US] [--delays a,b,c]
- *                    [--threshold F] [--out F.json] [knobs]
- *   nowlab replay --obs FILE [--machine M] [--latency US]
- *                [--overhead US] [--gap US] [--mbps B]
- *   nowlab serve [--port P] [--jobs J] [--queue N] [--cache-dir D]
- *                [--cache-only] [--backend analytic]
- *                [--drift-tolerance F]
- *   nowlab submit <app> [knobs] [--host H] [--port P] [--wait]
- *                [--max-retries N]
- *   nowlab get --id N [--host H] [--port P]
- *   nowlab get <app> --cache-dir D [knobs]      (offline store read)
- *   nowlab stats [--host H] [--port P] [--shutdown]
- *   nowlab storm [--host H] [--port P] [--conns C] [--ops N]
- *                [--app A] [--seeds K] [--out BENCH_svc.json]
- *
- * Knobs (all optional): --overhead US --gap US --latency US --mbps B
- *                       --occupancy US --window N
- * Fault knobs:          --drop P --dup P --corrupt P --reorder P
- *                       --reorder-delay US --fault-seed X
- *                       --reliable 0|1 --rto US
- * Delay injection:      --delay-node N --delay-at US --delay-us US
+ * nowlab: command-line front end to the laboratory. Run with no
+ * arguments, it prints every command and option (the usage text in
+ * main()).
  */
 
 #include <chrono>
@@ -43,6 +13,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -202,48 +173,37 @@ optString(const Args &a, const std::string &key,
     return s ? *s : fallback;
 }
 
+/** The machine `key` names; exits 1 on a key no machine answers to. */
+MachineConfig
+machineNamed(const std::string &key)
+{
+    std::optional<MachineConfig> m = MachineConfig::byKey(key);
+    fatal_if(!m, "unknown machine '%s' (%s)", key.c_str(),
+             MachineConfig::keys("|").c_str());
+    return *m;
+}
+
 MachineConfig
 machineOf(const Args &a)
 {
-    std::string m = optString(a, "machine", "now");
-    if (m == "now")
-        return MachineConfig::berkeleyNow();
-    if (m == "paragon")
-        return MachineConfig::intelParagon();
-    if (m == "meiko")
-        return MachineConfig::meikoCs2();
-    fatal("unknown machine '%s' (now|paragon|meiko)", m.c_str());
+    return machineNamed(optString(a, "machine", "now"));
 }
 
+/** The options named by svc::knobFields(), integral ones parsed as
+ *  integers (bare --topo enables the fat-tree with its defaults), and
+ *  --coll-alg, which no submit request carries. */
 Knobs
 knobsOf(const Args &a)
 {
     Knobs k;
-    k.overheadUs = optDouble(a, "overhead", -1);
-    k.gapUs = optDouble(a, "gap", -1);
-    k.latencyUs = optDouble(a, "latency", -1);
-    k.bulkMBps = optDouble(a, "mbps", -1);
-    k.occupancyUs = optDouble(a, "occupancy", -1);
-    k.window = static_cast<int>(optLong(a, "window", -1));
-    k.dropRate = optDouble(a, "drop", -1);
-    k.dupRate = optDouble(a, "dup", -1);
-    k.corruptRate = optDouble(a, "corrupt", -1);
-    k.reorderRate = optDouble(a, "reorder", -1);
-    k.reorderMaxDelayUs = optDouble(a, "reorder-delay", -1);
-    k.faultSeed = optLong(a, "fault-seed", -1);
-    k.reliable = static_cast<int>(optLong(a, "reliable", -1));
-    k.retxTimeoutUs = optDouble(a, "rto", -1);
-    k.delayNode = optLong(a, "delay-node", -1);
-    k.delayAtUs = optDouble(a, "delay-at", -1);
-    k.delayUs = optDouble(a, "delay-us", -1);
-    // --topo as a bare flag enables the fat-tree with defaults; any
-    // --topo-* option implies it too (applyTo handles that).
-    k.topo = a.flag("topo") ? 1
-                            : static_cast<int>(optLong(a, "topo", -1));
-    k.topoHosts = static_cast<int>(optLong(a, "topo-hosts", -1));
-    k.topoLinkMBps = optDouble(a, "topo-mbps", -1);
-    k.topoOversub = optDouble(a, "topo-oversub", -1);
-    k.topoHopUs = optDouble(a, "topo-hop", -1);
+    for (const svc::KnobField &f : svc::knobFields()) {
+        if (std::strcmp(f.key, "topo") == 0 && a.flag("topo"))
+            f.set(k, 1);
+        else if (a.value(f.key))
+            f.set(k, f.integral
+                         ? static_cast<double>(optLong(a, f.key, -1))
+                         : optDouble(a, f.key, -1));
+    }
     k.collAlg = optString(a, "coll-alg", "");
     const std::string why = k.boundError();
     fatal_if(!why.empty(), "%s", why.c_str());
@@ -272,7 +232,7 @@ cmdList()
         std::printf("  %-12s %-12s %s\n", key.c_str(),
                     app->name().c_str(), app->inputDesc().c_str());
     }
-    std::printf("machines: now paragon meiko\n");
+    std::printf("machines: %s\n", MachineConfig::keys(" ").c_str());
     return 0;
 }
 
@@ -660,6 +620,15 @@ clientOf(const Args &a)
         static_cast<int>(optLong(a, "port", svc::kDefaultPort)));
 }
 
+/** The {"op":op,"id":id} request of status and get. */
+std::string
+idRequest(const char *op, std::uint64_t id)
+{
+    svc::JsonWriter w;
+    w.beginObject().field("op", op).field("id", id).endObject();
+    return w.str();
+}
+
 /** One round trip; fatal on transport failure (dead server). */
 svc::JsonValue
 roundTrip(svc::Client &client, const std::string &line)
@@ -679,38 +648,14 @@ roundTrip(svc::Client &client, const std::string &line)
 std::string
 submitRequestOf(const Args &a)
 {
-    svc::JsonWriter w;
-    w.beginObject().field("op", "submit");
-    w.field("app", a.positional[1]);
-    w.field("procs",
-            static_cast<std::int64_t>(optLong(a, "procs", 32)));
-    w.field("scale", optDouble(a, "scale", 1.0));
-    w.field("seed", static_cast<std::int64_t>(optLong(a, "seed", 1)));
-    if (const std::string *m = a.value("machine"))
-        w.field("machine", *m);
-    if (a.value("max-ms"))
-        w.field("max_ms", optDouble(a, "max-ms", 0));
-    if (a.flag("no-validate"))
-        w.field("validate", false);
-
-    // Each protocol knob key is also the option that sets it. --topo
-    // as a bare flag enables the fat-tree, as in knobsOf().
-    const bool topoFlag = a.flag("topo");
-    std::vector<std::pair<const char *, double>> knobs;
-    for (const svc::KnobField &f : svc::knobFields()) {
-        if (std::strcmp(f.key, "topo") == 0 && topoFlag)
-            knobs.emplace_back(f.key, 1.0);
-        else if (a.value(f.key))
-            knobs.emplace_back(f.key, optDouble(a, f.key, -1));
-    }
-    if (!knobs.empty()) {
-        w.beginObject("knobs");
-        for (const auto &[k, v] : knobs)
-            w.field(k, v);
-        w.endObject();
-    }
-    w.endObject();
-    return w.str();
+    RunPoint pt{a.positional[1], configOf(a)};
+    fatal_if(!pt.config.knobs.collAlg.empty(),
+             "submit: a nowlabd request has no field for --coll-alg");
+    const double ms = optDouble(a, "max-ms", toMsec(pt.config.maxTime));
+    fatal_if(!(ms > 0 && ms <= 1e12), "--max-ms must be in (0, 1e12]");
+    pt.config.maxTime = std::llround(ms * kMsec);
+    pt.config.validate = !a.flag("no-validate");
+    return svc::submitRequest(pt);
 }
 
 int
@@ -755,10 +700,8 @@ cmdSubmit(const Args &a)
     std::string state = v.stringOr("state", "");
     while (state == "queued" || state == "running") {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        svc::JsonWriter q;
-        q.beginObject().field("op", "status").field("id", id).endObject();
         std::string reply;
-        fatal_if(!client.request(q.str(), reply),
+        fatal_if(!client.request(idRequest("status", id), reply),
                  "lost nowlabd while waiting on job %llu",
                  static_cast<unsigned long long>(id));
         svc::JsonValue s;
@@ -767,9 +710,7 @@ cmdSubmit(const Args &a)
         state = s.stringOr("state", "failed");
     }
 
-    svc::JsonWriter g;
-    g.beginObject().field("op", "get").field("id", id).endObject();
-    v = roundTrip(client, g.str());
+    v = roundTrip(client, idRequest("get", id));
     return v.boolOr("ok", false) && v.boolOr("run_ok", false) ? 0 : 1;
 }
 
@@ -778,14 +719,10 @@ cmdGet(const Args &a)
 {
     if (a.value("id")) {
         svc::Client client = clientOf(a);
-        svc::JsonWriter g;
-        g.beginObject()
-            .field("op", "get")
-            .field("id",
-                   static_cast<std::uint64_t>(optLong(a, "id", 0)))
-            .endObject();
+        const std::string request = idRequest(
+            "get", static_cast<std::uint64_t>(optLong(a, "id", 0)));
         a.rejectUnread();
-        svc::JsonValue v = roundTrip(client, g.str());
+        svc::JsonValue v = roundTrip(client, request);
         return v.boolOr("ok", false) ? 0 : 1;
     }
 
@@ -922,11 +859,6 @@ cmdStorm(const Args &a)
         w.endObject();
         return w.str();
     };
-    auto idLine = [](const char *op, std::uint64_t id) {
-        svc::JsonWriter w;
-        w.beginObject().field("op", op).field("id", id).endObject();
-        return w.str();
-    };
 
     auto loadLane = [&](int t) {
         Lane &lane = lanes[static_cast<std::size_t>(t)];
@@ -950,8 +882,8 @@ cmdStorm(const Args &a)
                 kind == kSubmit
                     ? submitLine(1 + rng.below(
                                          static_cast<std::uint64_t>(seeds)))
-                    : idLine(kOpName[kind],
-                             lane.ids[rng.below(lane.ids.size())]);
+                    : idRequest(kOpName[kind],
+                                lane.ids[rng.below(lane.ids.size())]);
             auto t0 = Clock::now();
             std::string reply;
             if (!client.request(line, reply)) {
@@ -1010,7 +942,7 @@ cmdStorm(const Args &a)
             bool settled = false;
             for (int tries = 0; tries < 600 && !settled; ++tries) {
                 std::string reply;
-                if (!client.request(idLine("status", id), reply)) {
+                if (!client.request(idRequest("status", id), reply)) {
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(backoff.nextMs()));
                     continue;
@@ -1041,12 +973,7 @@ cmdStorm(const Args &a)
     for (auto &th : threads)
         th.join();
 
-    // Merge lanes into one registry (histograms in microsecond ticks)
-    // and exact per-op percentile vectors.
-    MetricsRegistry reg;
-    std::vector<Tick> bounds = {usec(100),    usec(500),   usec(1000),
-                                usec(5000),   usec(10000), usec(50000),
-                                usec(100000), usec(1000000)};
+    // Merge lanes into exact per-op percentile vectors.
     std::vector<double> merged[kOps];
     long busy = 0, errors = 0, protocolErrors = 0, submitted = 0;
     for (const Lane &lane : lanes) {
@@ -1062,18 +989,7 @@ cmdStorm(const Args &a)
     for (int k = 0; k < kOps; ++k) {
         std::sort(merged[k].begin(), merged[k].end());
         answered += static_cast<long>(merged[k].size());
-        Histogram &h = reg.histogram(
-            std::string("storm.") + kOpName[k] + "_latency", bounds);
-        for (double ms : merged[k])
-            h.observe(usec(ms * 1000));
     }
-    reg.counter("storm.busy") = static_cast<std::uint64_t>(busy);
-    reg.counter("storm.transport_errors") =
-        static_cast<std::uint64_t>(errors);
-    reg.counter("storm.submitted") =
-        static_cast<std::uint64_t>(submitted);
-    reg.counter("storm.completed") =
-        static_cast<std::uint64_t>(completed.load());
 
     double throughput =
         loadSeconds > 0 ? static_cast<double>(answered) / loadSeconds
@@ -1095,44 +1011,37 @@ cmdStorm(const Args &a)
                 lost.load());
 
     if (out) {
-        const std::string &path = *out;
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            warn("cannot write %s", path.c_str());
-            return 1;
-        }
-        std::fprintf(f,
-                     "{\n"
-                     "  \"bench\": \"svc\",\n"
-                     "  \"conns\": %d,\n"
-                     "  \"ops\": %ld,\n"
-                     "  \"backend\": \"%s\",\n"
-                     "  \"app\": \"%s\",\n"
-                     "  \"load_seconds\": %.3f,\n"
-                     "  \"saturation_ops_per_sec\": %.1f,\n"
-                     "  \"busy_replies\": %ld,\n"
-                     "  \"transport_errors\": %ld,\n"
-                     "  \"protocol_errors\": %ld,\n"
-                     "  \"jobs\": {\"submitted\": %ld, \"completed\": "
-                     "%ld, \"failed\": %ld, \"lost\": %ld},\n"
-                     "  \"latency_ms\": {\n",
-                     conns, ops, stormBackend.c_str(), app.c_str(),
-                     loadSeconds, throughput, busy, errors,
-                     protocolErrors, submitted, completed.load(),
-                     failedJobs.load(), lost.load());
-        for (int k = 0; k < kOps; ++k) {
-            std::fprintf(
-                f,
-                "    \"%s\": {\"count\": %zu, \"p50\": %.3f, "
-                "\"p90\": %.3f, \"p99\": %.3f}%s\n",
-                kOpName[k], merged[k].size(),
-                percentileMs(merged[k], 0.50),
-                percentileMs(merged[k], 0.90),
-                percentileMs(merged[k], 0.99), k + 1 < kOps ? "," : "");
-        }
-        std::fprintf(f, "  }\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", path.c_str());
+        svc::JsonWriter w;
+        w.beginObject()
+            .field("bench", "svc")
+            .field("conns", conns)
+            .field("ops", static_cast<std::int64_t>(ops))
+            .field("backend", stormBackend)
+            .field("app", app)
+            .field("load_seconds", loadSeconds)
+            .field("saturation_ops_per_sec", throughput)
+            .field("busy_replies", static_cast<std::int64_t>(busy))
+            .field("transport_errors", static_cast<std::int64_t>(errors))
+            .field("protocol_errors",
+                   static_cast<std::int64_t>(protocolErrors));
+        w.beginObject("jobs")
+            .field("submitted", static_cast<std::int64_t>(submitted))
+            .field("completed",
+                   static_cast<std::int64_t>(completed.load()))
+            .field("failed", static_cast<std::int64_t>(failedJobs.load()))
+            .field("lost", static_cast<std::int64_t>(lost.load()))
+            .endObject();
+        w.beginObject("latency_ms");
+        for (int k = 0; k < kOps; ++k)
+            w.beginObject(kOpName[k])
+                .field("count",
+                       static_cast<std::uint64_t>(merged[k].size()))
+                .field("p50", percentileMs(merged[k], 0.50))
+                .field("p90", percentileMs(merged[k], 0.90))
+                .field("p99", percentileMs(merged[k], 0.99))
+                .endObject();
+        w.endObject().endObject();
+        svc::writeJsonFile(w, *out);
     }
     return lost.load() == 0 && protocolErrors == 0 ? 0 : 1;
 }
@@ -1262,7 +1171,7 @@ cmdPerf(const Args &a)
     pcfg.nprocs = sim_procs;
     pcfg.scale = sim_scale;
     pcfg.seed = 1;
-    pcfg.machine = machineOf(a);
+    pcfg.machine = base.machine;
     pcfg.validate = false;
     pcfg.knobs.topo = 1;
     pcfg.knobs.topoOversub = 4;
@@ -1276,59 +1185,45 @@ cmdPerf(const Args &a)
                 large.ok ? "" : " (FAILED)");
 
     if (out) {
-        const std::string &path = *out;
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            warn("cannot write %s", path.c_str());
-            return 1;
-        }
-        std::fprintf(
-            f,
-            "{\n"
-            "  \"bench\": \"engine\",\n"
-            "  \"hw_concurrency\": %d,\n"
-            "  \"jobs_used\": %d,\n"
-            "  \"event_loop\": {\n"
-            "    \"events\": %ld,\n"
-            "    \"events_per_sec\": %.0f\n"
-            "  },\n"
-            "  \"fiber\": {\n"
-            "    \"create_run_destroy_us\": %.3f,\n"
-            "    \"switch_round_trip_ns\": %.1f,\n"
-            "    \"stack_pool_hits\": %llu,\n"
-            "    \"stack_pool_misses\": %llu\n"
-            "  },\n"
-            "  \"sweep\": {\n"
-            "    \"app\": \"%s\",\n"
-            "    \"points\": %d,\n"
-            "    \"nprocs\": %d,\n"
-            "    \"scale\": %g,\n"
-            "    \"serial_seconds\": %.3f,\n"
-            "    \"jobs\": %d,\n"
-            "    \"parallel_seconds\": %.3f,\n"
-            "    \"parallel_speedup\": %.3f,\n"
-            "    \"results_byte_identical\": %s\n"
-            "  },\n"
-            "  \"large_sim\": {\n"
-            "    \"app\": \"radix\",\n"
-            "    \"nprocs\": %d,\n"
-            "    \"scale\": %g,\n"
-            "    \"topo_oversub\": 4,\n"
-            "    \"seconds\": %.3f,\n"
-            "    \"events\": %llu,\n"
-            "    \"events_per_sec\": %.0f,\n"
-            "    \"ok\": %s\n"
-            "  }\n"
-            "}\n",
-            hardwareJobs(), jobs, events, eps, fiber_us, switch_ns,
-            pool_hits, pool_misses, app.c_str(),
-            npoints, base.nprocs, base.scale, serial_s, jobs, parallel_s,
-            serial_s / parallel_s, identical ? "true" : "false",
-            sim_procs, sim_scale, large_s,
-            static_cast<unsigned long long>(large.simEvents), large_eps,
-            large.ok ? "true" : "false");
-        std::fclose(f);
-        std::printf("wrote %s\n", path.c_str());
+        svc::JsonWriter w;
+        w.beginObject()
+            .field("bench", "engine")
+            .field("hw_concurrency", hardwareJobs())
+            .field("jobs_used", jobs);
+        w.beginObject("event_loop")
+            .field("events", static_cast<std::int64_t>(events))
+            .field("events_per_sec", eps)
+            .endObject();
+        w.beginObject("fiber")
+            .field("create_run_destroy_us", fiber_us)
+            .field("switch_round_trip_ns", switch_ns)
+            .field("stack_pool_hits", static_cast<std::uint64_t>(pool_hits))
+            .field("stack_pool_misses",
+                   static_cast<std::uint64_t>(pool_misses))
+            .endObject();
+        w.beginObject("sweep")
+            .field("app", app)
+            .field("points", npoints)
+            .field("nprocs", base.nprocs)
+            .field("scale", base.scale)
+            .field("serial_seconds", serial_s)
+            .field("jobs", jobs)
+            .field("parallel_seconds", parallel_s)
+            .field("parallel_speedup", serial_s / parallel_s)
+            .field("results_byte_identical", identical)
+            .endObject();
+        w.beginObject("large_sim")
+            .field("app", "radix")
+            .field("nprocs", sim_procs)
+            .field("scale", sim_scale)
+            .field("topo_oversub", 4)
+            .field("seconds", large_s)
+            .field("events", large.simEvents)
+            .field("events_per_sec", large_eps)
+            .field("ok", large.ok)
+            .endObject();
+        w.endObject();
+        svc::writeJsonFile(w, *out);
     }
     return identical && large.ok ? 0 : 1;
 }
@@ -1339,7 +1234,8 @@ cmdPerf(const Args &a)
  * (AnalyticModel::report) and the metrics snapshot, and optionally
  * export the timeline as Perfetto JSON (--out, loadable in
  * ui.perfetto.dev / chrome://tracing) and/or the compact binary form
- * (--bin, loadable by `nowlab replay --obs`).
+ * (--bin, loadable by `nowlab replay --obs`), headed by the run's spec
+ * as a nowlabd submit request and its runtime.
  */
 int
 cmdTrace(const Args &a)
@@ -1352,6 +1248,9 @@ cmdTrace(const Args &a)
     const std::string *out = a.value("out");
     const std::string *bin = a.value("bin");
     a.rejectUnread();
+    fatal_if(bin && !(c.knobs.collAlg.empty() && envConfig().collAlg.empty()),
+             "trace --bin: a trace header (a nowlabd request) has no field "
+             "for --coll-alg or NOW_COLL_ALG");
 
     SpanTracer tracer;
     c.obs = &tracer;
@@ -1392,7 +1291,9 @@ cmdTrace(const Args &a)
             warn("could not write %s", out->c_str());
     }
     if (bin) {
-        if (writeBinaryTrace(tracer, *bin))
+        const TraceHeader header{svc::submitRequest(RunPoint{key, c}),
+                                 r.runtime};
+        if (writeBinaryTrace(tracer, header, *bin))
             std::printf("wrote %s\n", bin->c_str());
         else
             warn("could not write %s", bin->c_str());
@@ -1527,62 +1428,55 @@ cmdWavefront(const Args &a)
 }
 
 /**
- * `nowlab replay --obs FILE`: what-if analysis of a recorded NOWOBS01
- * trace on the analytic backend's model. The trace is lowered into
- * the LP under the --machine baseline it was recorded on, calibrated
- * on its own makespan, and re-solved at the target LogGP knobs. Knobs
- * the LP cannot re-time, and traces it cannot lower faithfully, exit 1
- * naming the cause instead of printing a silently wrong answer.
+ * `nowlab replay --obs FILE`: the analytic backend fed from a NOWOBS02
+ * file. Its header's run is read as nowlabd reads a submit request and
+ * refused by the backend's rule (retimeRefusal); the trace is lowered
+ * at the recorded parameters, calibrated on the recorded runtime, and
+ * re-solved at the recorded knobs with --latency, --overhead, --gap and
+ * --mbps overriding them. Anything else exits 1 naming the cause.
  */
 int
 cmdReplay(const Args &a)
 {
     const std::string *obs = a.value("obs");
-    fatal_if(!obs, "usage: nowlab replay --obs FILE [--machine M] "
-                   "[--latency US] [--overhead US] [--gap US] [--mbps B]");
-    const MachineConfig machine = machineOf(a);
+    fatal_if(!obs, "usage: nowlab replay --obs FILE [--latency US] "
+                   "[--overhead US] [--gap US] [--mbps B]");
     Knobs k;
     k.overheadUs = optDouble(a, "overhead", -1);
     k.gapUs = optDouble(a, "gap", -1);
     k.latencyUs = optDouble(a, "latency", -1);
     k.bulkMBps = optDouble(a, "mbps", -1);
-    const std::string why = k.boundError();
+    std::string why = k.boundError();
     fatal_if(!why.empty(), "%s", why.c_str());
     a.rejectUnread("replay re-times a recorded schedule under --latency, "
                    "--overhead, --gap and --mbps only; trace a new run "
                    "to change anything else");
-    const LogGPParams recorded = machine.params;
+
+    SpanTracer trace;
+    TraceHeader header;
+    why = readBinaryTrace(trace, header, *obs);
+    fatal_if(!why.empty(), "cannot read %s: %s", obs->c_str(), why.c_str());
+    svc::JsonValue req;
+    fatal_if(!svc::parseJson(header.spec, req) || !req.isObject(),
+             "%s records no run spec (a nowlabd submit request)",
+             obs->c_str());
+    const RunPoint pt = svc::pointOfRequest(req);
+    why = svc::submitComplaint(req, pt);
+    fatal_if(!why.empty(), "%s records a run nowlabd refuses: %s",
+             obs->c_str(), why.c_str());
+    why = backend::retimeRefusal(pt.config);
+    fatal_if(!why.empty(), "%s records a run the LP cannot re-time: %s",
+             obs->c_str(), why.c_str());
+
+    LogGPParams recorded = pt.config.machine.params;
+    pt.config.knobs.applyTo(recorded);
+    // Each of the four knobs sets an absolute value: given, it
+    // overrides the recorded one.
     LogGPParams target = recorded;
     k.applyTo(target);
 
-    SpanTracer trace;
-    fatal_if(!readBinaryTrace(trace, *obs),
-             "cannot read %s (not a NOWOBS01 trace?)", obs->c_str());
-    fatal_if(trace.lastTick() == 0, "%s is an empty trace", obs->c_str());
-    // The reliability protocol marks each retransmission with an
-    // instant span on the sender's tx track.
-    const std::vector<ObsMessage> &msgs = trace.messages();
-    const auto retx =
-        std::count_if(trace.spans().begin(), trace.spans().end(),
-                      [](const Span &s) {
-                          return s.cat == SpanCat::Retransmit;
-                      }) +
-        std::count_if(msgs.begin(), msgs.end(),
-                      [](const ObsMessage &m) { return m.retx; });
-    fatal_if(retx > 0,
-             "%s records %ld retransmissions: retransmission schedules "
-             "do not re-time linearly",
-             obs->c_str(), static_cast<long>(retx));
-    for (const ObsMessage &m : msgs)
-        fatal_if(m.wireLatency != recorded.totalLatency(),
-                 "%s was recorded at L = %.3f us, but the --machine %s "
-                 "baseline has L = %.3f us: replay re-times from the "
-                 "machine a trace was recorded on",
-                 obs->c_str(), toUsec(m.wireLatency),
-                 machine.name.c_str(), toUsec(recorded.totalLatency()));
-
     backend::AnalyticModel model;
-    fatal_if(!model.build(trace, recorded, trace.lastTick()),
+    fatal_if(!model.build(trace, recorded, header.runtime),
              "%s does not lower to a DAG (no CPU spans, or a dependency "
              "cycle)",
              obs->c_str());
@@ -1592,7 +1486,8 @@ cmdReplay(const Args &a)
     const backend::ModelBuildStats &st = model.stats();
     std::printf("replay of %zu messages and %zu cpu spans (LP %zu nodes, "
                 "%zu edges)\n",
-                msgs.size(), st.cpuSpans, st.lpNodes, st.lpEdges);
+                trace.messages().size(), st.cpuSpans, st.lpNodes,
+                st.lpEdges);
     std::printf("  recorded machine : %.6f ms makespan\n", toMsec(base));
     std::printf("  with knobs       : %.6f ms makespan (%.2fx)\n",
                 toMsec(what_if), slowdown(what_if, base));
@@ -1600,20 +1495,12 @@ cmdReplay(const Args &a)
     return 0;
 }
 
-MachineConfig
-machineByName(const std::string &m)
-{
-    if (m == "now")
-        return MachineConfig::berkeleyNow();
-    if (m == "paragon")
-        return MachineConfig::intelParagon();
-    if (m == "meiko")
-        return MachineConfig::meikoCs2();
-    fatal("unknown machine '%s' (now|paragon|meiko)", m.c_str());
-}
-
-std::vector<int>
-optIntList(const Args &a, const char *key, std::vector<int> fallback)
+/** --key as a comma-separated list of whole numbers from `min` to 1e9
+ *  (process counts, byte counts), or `fallback` when absent. */
+template <typename T>
+std::vector<T>
+optWholeList(const Args &a, const char *key, std::vector<T> fallback,
+             T min)
 {
     const std::string *s = a.value(key);
     if (!s)
@@ -1622,32 +1509,13 @@ optIntList(const Args &a, const char *key, std::vector<int> fallback)
     std::string err;
     fatal_if(!parseDoubleList(*s, xs, &err), "--%s: %s", key,
              err.c_str());
-    std::vector<int> out;
+    std::vector<T> out;
     for (double x : xs) {
-        fatal_if(x < 1 || x != static_cast<int>(x),
-                 "--%s: '%g' is not a positive integer", key, x);
-        out.push_back(static_cast<int>(x));
-    }
-    fatal_if(out.empty(), "--%s: empty list", key);
-    return out;
-}
-
-std::vector<std::size_t>
-optSizeList(const Args &a, const char *key,
-            std::vector<std::size_t> fallback)
-{
-    const std::string *s = a.value(key);
-    if (!s)
-        return fallback;
-    std::vector<double> xs;
-    std::string err;
-    fatal_if(!parseDoubleList(*s, xs, &err), "--%s: %s", key,
-             err.c_str());
-    std::vector<std::size_t> out;
-    for (double x : xs) {
-        fatal_if(x < 0 || x != static_cast<std::size_t>(x),
-                 "--%s: '%g' is not a byte count", key, x);
-        out.push_back(static_cast<std::size_t>(x));
+        fatal_if(x < static_cast<double>(min) || x > 1e9 ||
+                     x != std::floor(x),
+                 "--%s: '%g' is not a whole number in [%g, 1e9]", key, x,
+                 static_cast<double>(min));
+        out.push_back(static_cast<T>(x));
     }
     fatal_if(out.empty(), "--%s: empty list", key);
     return out;
@@ -1672,9 +1540,9 @@ cmdColl(const Args &a)
         auto machine = machineOf(a);
         LogGPParams params = machine.params;
         knobsOf(a).applyTo(params);
-        auto procs = optIntList(a, "procs", {2, 8, 64, 256, 1024});
-        auto sizes =
-            optSizeList(a, "sizes", {8, 1024, 65536, 1 << 20});
+        auto procs = optWholeList(a, "procs", {2, 8, 64, 256, 1024}, 1);
+        auto sizes = optWholeList<std::size_t>(
+            a, "sizes", {8, 1024, 65536, 1 << 20}, 0);
         a.rejectUnread();
         auto rows =
             coll::decisionTable(pointFromParams(params), procs, sizes);
@@ -1691,8 +1559,8 @@ cmdColl(const Args &a)
         else if (const std::string *m = a.value("machine"))
             machines = {*m};
         fatal_if(machines.empty(), "--machines: empty list");
-        auto procs = optIntList(a, "procs", {4, 8, 16});
-        auto sizes = optSizeList(a, "sizes", {256, 16384});
+        auto procs = optWholeList(a, "procs", {4, 8, 16}, 1);
+        auto sizes = optWholeList<std::size_t>(a, "sizes", {256, 16384}, 0);
         const double tol = optDouble(a, "tolerance", 0.10);
         const double min_hit = optDouble(a, "min-hit", 0.90);
         const Knobs knobs = knobsOf(a);
@@ -1704,7 +1572,7 @@ cmdColl(const Args &a)
         w.beginArray("machines");
         bool pass = true;
         for (const std::string &name : machines) {
-            LogGPParams params = machineByName(name).params;
+            LogGPParams params = machineNamed(name).params;
             knobs.applyTo(params);
             auto report = coll::validateGrid(params, procs, sizes);
             const double hit = report.hitRate(tol);
@@ -1746,13 +1614,8 @@ cmdColl(const Args &a)
             }
         }
         w.endArray().field("pass", pass).endObject();
-        if (out) {
-            FILE *f = std::fopen(out->c_str(), "w");
-            fatal_if(!f, "cannot write %s", out->c_str());
-            std::fprintf(f, "%s\n", w.str().c_str());
-            std::fclose(f);
-            std::printf("wrote %s\n", out->c_str());
-        }
+        if (out)
+            svc::writeJsonFile(w, *out);
         return pass ? 0 : 1;
     }
     fatal("unknown coll subcommand '%s' (table|validate)", sub.c_str());
@@ -1860,13 +1723,8 @@ cmdBackend(const Args &a)
             .endObject();
     }
     w.endArray().field("pass", pass).endObject();
-    if (out) {
-        FILE *f = std::fopen(out->c_str(), "w");
-        fatal_if(!f, "cannot write %s", out->c_str());
-        std::fprintf(f, "%s\n", w.str().c_str());
-        std::fclose(f);
-        std::printf("wrote %s\n", out->c_str());
-    }
+    if (out)
+        svc::writeJsonFile(w, *out);
     std::printf("backend validate: %s\n", pass ? "pass" : "FAIL");
     return pass ? 0 : 1;
 }
@@ -1898,8 +1756,8 @@ main(int argc, char **argv)
             "  nowlab wavefront <app> [--node N] [--at US]\n"
             "             [--delays a,b,c] [--threshold F]\n"
             "             [--out F.json] [--procs N] [--scale S] [knobs]\n"
-            "  nowlab replay --obs FILE [--machine M] [--latency US]\n"
-            "             [--overhead US] [--gap US] [--mbps B]\n"
+            "  nowlab replay --obs FILE [--latency US] [--overhead US]\n"
+            "             [--gap US] [--mbps B]\n"
             "  nowlab serve [--port P] [--jobs J] [--queue N]\n"
             "             [--cache-dir D] [--cache-only]\n"
             "             [--backend analytic] [--drift-tolerance F]\n"
@@ -1941,8 +1799,8 @@ main(int argc, char **argv)
             "       dT/dL-style slopes -- and falls back to sim for\n"
             "       ineligible or drifted specs. trace prints the LP's\n"
             "       critical path and slopes for the run it records;\n"
-            "       replay solves the same LP from a NOWOBS01 file\n"
-            "       (nowlab trace --bin).\n");
+            "       replay solves the same LP from a NOWOBS02 file\n"
+            "       (nowlab trace --bin), which records its run.\n");
         return 0;
     }
     const std::string &cmd = a.positional[0];
