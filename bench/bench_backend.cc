@@ -17,9 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "backend/backend.hh"
@@ -238,36 +236,6 @@ printReport(const AppReport &rep)
                 rep.pass ? "pass" : "FAIL");
 }
 
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t colon = line.find(':');
-        if (line.rfind("model name", 0) == 0 && colon != std::string::npos &&
-            colon + 2 <= line.size())
-            return line.substr(colon + 2);
-    }
-    return "unknown";
-}
-
-/** `git describe --always --dirty` of the working directory. */
-std::string
-revision()
-{
-    std::string rev;
-    if (FILE *p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-        char buf[128];
-        while (std::fgets(buf, sizeof buf, p))
-            rev += buf;
-        pclose(p);
-    }
-    while (!rev.empty() && rev.back() == '\n')
-        rev.pop_back();
-    return rev.empty() ? "unknown" : rev;
-}
-
 } // namespace
 
 int
@@ -297,14 +265,7 @@ main(int argc, char **argv)
     svc::JsonWriter w;
     w.beginObject();
     w.field("bench", "backend");
-    w.beginObject("host");
-    w.field("cores",
-            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-    w.field("cpu", cpuModel());
-    w.field("compiler", NOW_BENCH_COMPILER);
-    w.field("buildType", NOW_BENCH_BUILD_TYPE);
-    w.field("revision", revision());
-    w.endObject();
+    svc::writeHost(w);
     w.field("tolerance", kTolerance);
     w.field("minSpeedup", kMinSpeedup);
     w.field("lowerReps", kLowerReps);

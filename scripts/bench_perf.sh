@@ -4,9 +4,9 @@
 # switch cost, wall-clock for a canonical sweep run serially vs fanned
 # out across --jobs workers (verifying the two produce byte-identical
 # results), and one large run -- radix on a 1024-node oversubscribed
-# fat-tree -- in seconds and events/s. hw_concurrency and jobs_used
-# record the machine the numbers came from -- speedups on a 1-core
-# runner are honest 1.0x.
+# fat-tree -- in seconds and events/s. The host record (cores, CPU,
+# compiler, build type, revision) and jobs_used record the machine the
+# numbers came from -- speedups on a 1-core runner are honest 1.0x.
 #
 # Usage: scripts/bench_perf.sh [out.json] [extra `nowlab perf` args]
 set -eu

@@ -94,15 +94,14 @@ BarnesApp::fetchCached(SplitC &sc, std::int64_t ref, CellCache &cache)
         sc.compute(kCacheHit);
         return nodes_[sc.myProc()].pool[refIdx(ref)];
     }
-    std::size_t slot = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(ref) * 0x9e3779b97f4a7c15ULL) >>
-        40) % cache.size();
-    if (cache[slot].first != ref) {
-        cache[slot] = {ref, fetchFresh(sc, ref)};
+    const std::size_t slot = CellCache::slotOf(ref);
+    if (cache.tag[slot] != ref) {
+        cache.cell[slot] = fetchFresh(sc, ref);
+        cache.tag[slot] = ref;
     } else {
         sc.compute(kCacheHit);
     }
-    return cache[slot].second;
+    return cache.cell[slot];
 }
 
 std::int64_t
@@ -179,10 +178,9 @@ BarnesApp::insertBody(SplitC &sc, int body_idx, CellCache &cache)
     auto fresh_and_cache = [&](std::int64_t ref) {
         Cell c = fetchFresh(sc, ref);
         if (refProc(ref) != me) {
-            std::size_t slot = static_cast<std::size_t>(
-                (static_cast<std::uint64_t>(ref) *
-                 0x9e3779b97f4a7c15ULL) >> 40) % cache.size();
-            cache[slot] = {ref, c};
+            const std::size_t slot = CellCache::slotOf(ref);
+            cache.tag[slot] = ref;
+            cache.cell[slot] = c;
         }
         return c;
     };
@@ -434,7 +432,7 @@ BarnesApp::run(SplitC &sc)
         sc.barrier();
 
         // ---- Cooperative tree build (blocking locks) -----------------
-        cache.assign(kCacheSlots, {-1, Cell{}});
+        cache.clear();
         for (int i = 0; i < bodiesPerProc_; ++i)
             insertBody(sc, i, cache);
         sc.barrier();
@@ -449,7 +447,7 @@ BarnesApp::run(SplitC &sc)
         sc.barrier();
 
         // ---- Force computation with software-cached cells ------------
-        cache.assign(kCacheSlots, {-1, Cell{}});
+        cache.clear();
         std::vector<std::array<double, 3>> accs(self.bodies.size());
         for (std::size_t i = 0; i < self.bodies.size(); ++i) {
             double a[3];

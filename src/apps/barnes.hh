@@ -76,7 +76,26 @@ class BarnesApp : public App
         return r & ((1LL << 40) - 1);
     }
 
-    using CellCache = std::vector<std::pair<std::int64_t, Cell>>;
+    /** The direct-mapped software cell cache: slot s holds cell[s], a
+     *  copy of the cell tag[s] names, unless tag[s] is -1 (no ref is
+     *  negative). Allocated once per run; clear() empties it by its
+     *  tags alone. */
+    struct CellCache
+    {
+        std::vector<std::int64_t> tag =
+            std::vector<std::int64_t>(kCacheSlots, -1);
+        std::vector<Cell> cell = std::vector<Cell>(kCacheSlots);
+
+        void clear() { tag.assign(kCacheSlots, -1); }
+
+        static std::size_t
+        slotOf(std::int64_t ref)
+        {
+            const std::uint64_t h =
+                static_cast<std::uint64_t>(ref) * 0x9e3779b97f4a7c15ULL;
+            return static_cast<std::size_t>(h >> 40) % kCacheSlots;
+        }
+    };
 
     /** Read a cell fresh from its owner (bypasses the cache). */
     Cell fetchFresh(SplitC &sc, std::int64_t ref);

@@ -5,9 +5,7 @@
 
 #include "backend/lp.hh"
 
-#include <array>
 #include <bit>
-#include <unordered_map>
 
 namespace nowcluster::backend {
 
@@ -51,11 +49,46 @@ LpDag::addNode()
     return static_cast<int>(nodeCount_++);
 }
 
+std::size_t
+LpDag::CoefsHash::operator()(const Coefs &c) const
+{
+    std::uint64_t h = 0;
+    for (std::uint64_t v : c) {
+        h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+}
+
 void
 LpDag::addEdge(int src, int dst, const LinCost &cost)
 {
     prepared_ = false;
-    edges_.push_back({src, dst, cost});
+    const Coefs key = {std::bit_cast<std::uint64_t>(cost.perL),
+                       std::bit_cast<std::uint64_t>(cost.perO),
+                       std::bit_cast<std::uint64_t>(cost.perG),
+                       std::bit_cast<std::uint64_t>(cost.perGb)};
+    const auto next = static_cast<std::uint32_t>(coefs_.size());
+    auto [it, fresh] = coefsIndex_.try_emplace(key, next);
+    if (fresh)
+        coefs_.push_back(key);
+    edges_.push_back({src, dst, cost.fixed, it->second});
+}
+
+std::vector<LpDag::Edge>
+LpDag::edges() const
+{
+    std::vector<Edge> out;
+    out.reserve(edges_.size());
+    for (const Stored &e : edges_) {
+        const Coefs &c = coefs_[e.coefs];
+        out.push_back({e.src, e.dst,
+                       {e.fixed, std::bit_cast<double>(c[0]),
+                        std::bit_cast<double>(c[1]),
+                        std::bit_cast<double>(c[2]),
+                        std::bit_cast<double>(c[3])}});
+    }
+    return out;
 }
 
 bool
@@ -70,7 +103,7 @@ LpDag::prepare()
         return false;
     std::vector<int> indeg(nodeCount_, 0);
     std::vector<int> outOff(nodeCount_ + 1, 0);
-    for (const Edge &e : edges_) {
+    for (const Stored &e : edges_) {
         if (e.dst < 0 || e.dst >= n)
             return false;
         if (e.src < kSource || e.src >= n)
@@ -87,7 +120,7 @@ LpDag::prepare()
     std::vector<int> out(outOff[nodeCount_]);
     {
         std::vector<int> at(outOff.begin(), outOff.end() - 1);
-        for (const Edge &e : edges_)
+        for (const Stored &e : edges_)
             if (e.src != kSource)
                 out[at[e.src]++] = e.dst;
     }
@@ -113,29 +146,31 @@ LpDag::prepare()
     for (std::size_t k = 0; k < nodeCount_; k++)
         slot[topo[k]] = static_cast<std::uint32_t>(k + 1);
 
-    // Intern the coefficient tuples by bit pattern, so that the table
-    // holds exactly the floats each edge would have carried.
-    using Bits = std::array<std::uint32_t, 4>;
-    struct BitsHash
-    {
-        std::size_t
-        operator()(const Bits &b) const
-        {
-            const std::uint64_t lo = (std::uint64_t{b[0]} << 32) | b[1];
-            const std::uint64_t hi = (std::uint64_t{b[2]} << 32) | b[3];
-            return static_cast<std::size_t>(
-                (lo * 0x9E3779B97F4A7C15ull) ^
-                ((hi + 0x632BE59BD9B4E019ull) * 0xC2B2AE3D27D4EB4Full));
-        }
-    };
-    std::unordered_map<Bits, std::uint32_t, BitsHash> index;
+    // The float table: the zero tuple of the entries without an edge,
+    // then each exact tuple converted once, interned by bit pattern.
+    // Exact tuples are numbered in the order edges first carry them,
+    // so the table lists exactly the floats the edges carry, in the
+    // order they first appear.
+    std::unordered_map<Coefs, std::uint32_t, CoefsHash> index;
     auto intern = [&](const Tuple &t) {
+        const auto bits = std::bit_cast<std::array<std::uint32_t, 4>>(t);
         const auto next = static_cast<std::uint32_t>(tuples_.size());
-        auto [it, fresh] = index.try_emplace(std::bit_cast<Bits>(t), next);
+        auto [it, fresh] = index.try_emplace(
+            Coefs{bits[0], bits[1], bits[2], bits[3]}, next);
         if (fresh)
             tuples_.push_back(t);
         return it->second << 1;
     };
+    auto toFloat = [](std::uint64_t bits) {
+        return static_cast<float>(std::bit_cast<double>(bits));
+    };
+    const std::uint32_t zero = intern({0, 0, 0, 0});
+    std::vector<std::uint32_t> tupleOf(coefs_.size());
+    for (std::size_t i = 0; i < coefs_.size(); i++) {
+        const Coefs &c = coefs_[i];
+        tupleOf[i] = intern(
+            {toFloat(c[0]), toFloat(c[1]), toFloat(c[2]), toFloat(c[3])});
+    }
 
     // Lay the in-edges out contiguously in *visit* order: the solve
     // loop then streams them front to back, and since sources are
@@ -143,22 +178,17 @@ LpDag::prepare()
     // still-cached distances. A node without in-edges gets one entry
     // from slot 0 at zero cost.
     std::vector<std::uint32_t> off(nodeCount_ + 1, 0); // by slot
-    for (const Edge &e : edges_)
+    for (const Stored &e : edges_)
         off[slot[e.dst]]++;
     for (std::size_t k = 1; k <= nodeCount_; k++)
         off[k] = off[k - 1] + (off[k] > 0 ? off[k] : 1);
     // Node at slot k owns entries [off[k - 1], off[k]).
-    stream_.assign(off[nodeCount_], {0, 0.0f, intern({0, 0, 0, 0})});
+    stream_.assign(off[nodeCount_], {0, 0.0f, zero});
     std::vector<std::uint32_t> at(off.begin(), off.end() - 1);
-    for (const Edge &e : edges_) {
-        const LinCost &c = e.cost;
+    for (const Stored &e : edges_)
         stream_[at[slot[e.dst] - 1]++] = {
             e.src == kSource ? 0 : slot[e.src],
-            static_cast<float>(c.fixed),
-            intern({static_cast<float>(c.perL), static_cast<float>(c.perO),
-                    static_cast<float>(c.perG),
-                    static_cast<float>(c.perGb)})};
-    }
+            static_cast<float>(e.fixed), tupleOf[e.coefs]};
     for (std::size_t k = 1; k <= nodeCount_; k++)
         stream_[off[k] - 1].coef |= kLast;
     prepared_ = true;

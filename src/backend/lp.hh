@@ -25,9 +25,11 @@
 #ifndef NOWCLUSTER_BACKEND_LP_HH_
 #define NOWCLUSTER_BACKEND_LP_HH_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 namespace nowcluster::backend {
@@ -87,6 +89,11 @@ struct LpSolution
  * the graph once; solve() and makespan() then evaluate any operating
  * point without touching the structure, so they are const and safe to
  * call from many threads concurrently.
+ *
+ * An edge is kept as added in 24 bytes: its endpoints, its fixed cost
+ * and the index of its (perL, perO, perG, perGb) in a table of the
+ * distinct tuples, which addEdge interns by bit pattern (a traced
+ * model has a few hundred), so edges() rebuilds every LinCost exactly.
  */
 class LpDag
 {
@@ -107,6 +114,10 @@ class LpDag
     /** Constrain start(dst) >= start(src) + cost(params). */
     void addEdge(int src, int dst, const LinCost &cost);
 
+    /** Make room for `edges` edges in all, so that a caller that knows
+     *  its bound adds them without regrowing the list. */
+    void reserve(std::size_t edges) { edges_.reserve(edges); }
+
     /**
      * Topologically order the graph and lay it out for solving. Must
      * be called (once) before solve(); returns false if the edges form
@@ -118,11 +129,11 @@ class LpDag
      * zero, stands in for kSource and for the implicit start >= 0 of
      * a node without in-edges, which gets one zero-cost entry), the
      * `float` fixed cost, an index into the table of the DAG's
-     * distinct (perL, perO, perG, perGb) tuples, and a mark on its
-     * node's last in-edge. Traced models have a few hundred distinct
-     * tuples against hundreds of thousands of edges, so each solve
-     * multiplies the table by the operating point once and evaluates
-     * every edge inside the propagation loop.
+     * distinct `float` (perL, perO, perG, perGb) tuples, and a mark on
+     * its node's last in-edge. That table is the exact tuples addEdge
+     * interned, each converted once, so each solve multiplies a few
+     * hundred tuples by the operating point and evaluates every edge
+     * inside the propagation loop.
      *
      * Exactness: an edge weighs ((((fixed + perL*L) + perO*o) +
      * perG*g) + perGb*G), computed in float in that order and clamped
@@ -146,11 +157,27 @@ class LpDag
 
     std::size_t nodeCount() const { return nodeCount_; }
     std::size_t edgeCount() const { return edges_.size(); }
-    /** The edges in the order they were added. */
-    const std::vector<Edge> &edges() const { return edges_; }
+    /** The edges in the order they were added, every cost bit for bit
+     *  as added. Rebuilt on each call. */
+    std::vector<Edge> edges() const;
 
   private:
-    /** One (perL, perO, perG, perGb) tuple, or its terms at a point. */
+    /** The bit patterns of one exact (perL, perO, perG, perGb) tuple. */
+    using Coefs = std::array<std::uint64_t, 4>;
+    struct CoefsHash
+    {
+        std::size_t operator()(const Coefs &c) const;
+    };
+    /** One edge as added, its tuple interned in coefs_. */
+    struct Stored
+    {
+        int src;
+        int dst;
+        double fixed;
+        std::uint32_t coefs; ///< coefs_ index.
+    };
+    /** One float (perL, perO, perG, perGb) tuple, or its terms at a
+     *  point. */
     struct Tuple
     {
         float l, o, g, gb;
@@ -175,9 +202,11 @@ class LpDag
     double propagate(const LpParams &params, Scratch &sc) const;
 
     std::size_t nodeCount_ = 0;
-    std::vector<Edge> edges_;
+    std::vector<Stored> edges_;
+    std::vector<Coefs> coefs_; ///< Distinct exact tuples, first added first.
+    std::unordered_map<Coefs, std::uint32_t, CoefsHash> coefsIndex_;
     std::vector<InEdge> stream_; ///< Filled by prepare.
-    std::vector<Tuple> tuples_;  ///< Distinct coefficient tuples.
+    std::vector<Tuple> tuples_;  ///< Distinct float tuples.
     bool prepared_ = false;
 };
 

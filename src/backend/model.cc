@@ -308,6 +308,13 @@ AnalyticModel::lower(const SpanTracer &tracer)
         }
     }
 
+    // The edge list is sized once, at its bound: per timeline a chain
+    // edge into each kept span plus one to the sink, and per message at
+    // most a tx-chain edge, a host edge, and a wire or a join edge.
+    dag_.reserve(static_cast<std::size_t>(
+                     std::count(needNode.begin(), needNode.end(), 1)) +
+                 nodes + 3 * msgs.size());
+
     // Program order, coalesced: chain the kept spans per node, folding
     // the cost of everything in between (compute, buffered handlers,
     // stalls -- they occupy the CPU regardless of handler order) into
@@ -378,9 +385,25 @@ AnalyticModel::lower(const SpanTracer &tracer)
         }
     }
 
-    // Cross-node edges: host issue -> injection -> arrival.
-    std::vector<LinCost> sinkCost(msgs.size());
-    std::vector<char> sinkBound(msgs.size(), 0);
+    // The wire: bulk serialization (scales with G) and one wire
+    // crossing (perL = 1, with any extra contention delay beyond L kept
+    // as fixed time).
+    auto flightOf = [&](const ObsMessage &m) {
+        LinCost flight;
+        const double serial = static_cast<double>(m.wire - m.inject);
+        if (base_.gPerByte > 0)
+            flight.perGb = serial / base_.gPerByte;
+        else
+            flight.fixed += serial;
+        flight.perL = 1;
+        flight.fixed += static_cast<double>(m.ready - m.wire) -
+                        static_cast<double>(base_.totalLatency());
+        return flight;
+    };
+
+    // Cross-node edges: host issue -> injection -> arrival. An arrival
+    // that is not binding constrains only the completion join, whose
+    // edges the pass below adds.
     for (std::size_t mi = 0; mi < msgs.size(); mi++) {
         const ObsMessage &m = msgs[mi];
         const std::uint32_t id = idOf[mi];
@@ -403,26 +426,11 @@ AnalyticModel::lower(const SpanTracer &tracer)
             dag_.addEdge(LpDag::kSource, injNode[mi], c);
         }
 
-        // The wire: bulk serialization (scales with G) and one wire
-        // crossing (perL = 1, with any extra contention delay beyond
-        // L kept as fixed time).
-        LinCost flight;
-        const double serial = static_cast<double>(m.wire - m.inject);
-        if (base_.gPerByte > 0)
-            flight.perGb = serial / base_.gPerByte;
-        else
-            flight.fixed += serial;
-        flight.perL = 1;
-        flight.fixed += static_cast<double>(m.ready - m.wire) -
-                        static_cast<double>(base_.totalLatency());
-
         if (recvAt[id] == kNone) {
             // Bulk intermediate fragments bypass the receive queue by
             // design; only the closing fragment is handled. They still
             // occupy the tx chain above, and the transfer must finish
             // before the run can.
-            sinkCost[mi] = flight;
-            sinkBound[mi] = 1;
             stats_.messagesUnlinked++;
             continue;
         }
@@ -441,15 +449,8 @@ AnalyticModel::lower(const SpanTracer &tracer)
         // based apps latency-tolerant in the model exactly as they are
         // in the paper: their arrival edges only matter once L grows
         // past the compute they overlap with.
-        if (bindingOf[mi]) {
-            dag_.addEdge(injNode[mi], lpOf[recvAt[id]], flight);
-        } else {
-            LinCost c = flight;
-            // Handler still runs post-arrival.
-            c += spanCost(spans[at[recvAt[id]]]);
-            sinkCost[mi] = c;
-            sinkBound[mi] = 1;
-        }
+        if (bindingOf[mi])
+            dag_.addEdge(injNode[mi], lpOf[recvAt[id]], flightOf(m));
         stats_.messagesLinked++;
     }
 
@@ -471,12 +472,17 @@ AnalyticModel::lower(const SpanTracer &tracer)
         bool haveKept = false;
         for (std::uint32_t q = hi; q-- > lo;) {
             const std::uint32_t mi = order[q];
-            if (sinkBound[mi]) {
-                if (haveKept && dominated(sinkCost[mi], toKept)) {
+            if (!bindingOf[mi]) {
+                // Its flight, plus its receive span when the arrival was
+                // buffered: the handler still runs post-arrival.
+                LinCost cost = flightOf(msgs[mi]);
+                if (const std::uint32_t recv = recvAt[idOf[mi]]; recv != kNone)
+                    cost += spanCost(spans[at[recv]]);
+                if (haveKept && dominated(cost, toKept)) {
                     // Dropped: the chain successor's join covers it.
                 } else {
-                    dag_.addEdge(injNode[mi], sink, sinkCost[mi]);
-                    toKept = sinkCost[mi];
+                    dag_.addEdge(injNode[mi], sink, cost);
+                    toKept = cost;
                     haveKept = true;
                 }
             }

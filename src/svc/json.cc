@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
 
 #include "base/logging.hh"
 
@@ -468,6 +470,52 @@ writeJsonFile(const JsonWriter &w, const std::string &path)
                  std::fclose(f) != 0,
              "cannot write %s", path.c_str());
     std::printf("wrote %s\n", path.c_str());
+}
+
+namespace {
+
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos &&
+            colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
+std::string
+revision()
+{
+    std::string rev;
+    if (FILE *p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, p))
+            rev += buf;
+        pclose(p);
+    }
+    while (!rev.empty() && rev.back() == '\n')
+        rev.pop_back();
+    return rev.empty() ? "unknown" : rev;
+}
+
+} // namespace
+
+JsonWriter &
+writeHost(JsonWriter &w)
+{
+    return w.beginObject("host")
+        .field("cores",
+               static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+        .field("cpu", cpuModel())
+        .field("compiler", NOWCLUSTER_COMPILER)
+        .field("buildType", NOWCLUSTER_BUILD_TYPE)
+        .field("revision", revision())
+        .endObject();
 }
 
 } // namespace nowcluster::svc

@@ -107,6 +107,12 @@ class JsonWriter
  *  every `--out` JSON file. */
 void writeJsonFile(const JsonWriter &w, const std::string &path);
 
+/** Add the "host" object every `--out` ledger carries: the machine's
+ *  cores and CPU model, the compiler and build type this binary was
+ *  built with, and `git describe --always --dirty` of the working
+ *  directory ("unknown" where one cannot be read). */
+JsonWriter &writeHost(JsonWriter &w);
+
 } // namespace nowcluster::svc
 
 #endif // NOWCLUSTER_SVC_JSON_HH_

@@ -60,7 +60,7 @@ narrow(double v)
  *  (integral fields saturate) and read back as one. */
 template <auto Field>
 constexpr KnobField
-knob(const char *key)
+knob(const char *key, bool loggp = false)
 {
     using T = std::remove_cvref_t<decltype(std::declval<Knobs &>().*Field)>;
     return {key,
@@ -71,14 +71,14 @@ knob(const char *key)
                     k.*Field = v;
             },
             [](const Knobs &k) { return static_cast<double>(k.*Field); },
-            std::is_integral_v<T>};
+            std::is_integral_v<T>, loggp};
 }
 
 constexpr KnobField kKnobFields[] = {
-    knob<&Knobs::overheadUs>("overhead"),
-    knob<&Knobs::gapUs>("gap"),
-    knob<&Knobs::latencyUs>("latency"),
-    knob<&Knobs::bulkMBps>("mbps"),
+    knob<&Knobs::overheadUs>("overhead", true),
+    knob<&Knobs::gapUs>("gap", true),
+    knob<&Knobs::latencyUs>("latency", true),
+    knob<&Knobs::bulkMBps>("mbps", true),
     knob<&Knobs::occupancyUs>("occupancy"),
     knob<&Knobs::window>("window"),
     knob<&Knobs::dropRate>("drop"),

@@ -62,6 +62,7 @@ struct KnobField
     void (*set)(Knobs &, double);
     double (*get)(const Knobs &);
     bool integral; ///< An int or long field (set() saturates).
+    bool loggp;    ///< L, o, g or G: a knob the analytic model re-times.
 };
 
 /** Every knob a submit request's "knobs" object may carry, in protocol

@@ -145,6 +145,46 @@ TEST(Lp, VirtualSourceAnchorsAndCyclesAreRejected)
     EXPECT_FALSE(cyc.prepare());
 }
 
+TEST(Lp, EdgesRoundTripExactly)
+{
+    // Costs no float holds (2^24 + 1, a tenth, a third), a negative
+    // zero, some edges anchored at the source: edges() gives back the
+    // list as added, bit for bit and in order, after prepare() too.
+    LpDag d;
+    const int a = d.addNode(), b = d.addNode(), c = d.addNode();
+    LinCost big, tenth, third, negZero;
+    big.fixed = 16777217;
+    big.perL = 1;
+    tenth.fixed = -0.5;
+    tenth.perG = 0.1;
+    third.perO = 2;
+    third.perGb = 1.0 / 3;
+    negZero.fixed = 1;
+    negZero.perL = -0.0;
+    const std::vector<LpDag::Edge> added = {
+        {LpDag::kSource, a, big}, {a, b, tenth},  {LpDag::kSource, c, third},
+        {b, c, big},              {a, c, tenth},  {LpDag::kSource, b, negZero},
+        {b, c, third}};
+    for (const LpDag::Edge &e : added)
+        d.addEdge(e.src, e.dst, e.cost);
+    ASSERT_TRUE(d.prepare());
+    const std::vector<LpDag::Edge> got = d.edges();
+    ASSERT_EQ(got.size(), added.size());
+    auto bits = [](const LinCost &c) {
+        return std::array<std::uint64_t, 5>{
+            std::bit_cast<std::uint64_t>(c.fixed),
+            std::bit_cast<std::uint64_t>(c.perL),
+            std::bit_cast<std::uint64_t>(c.perO),
+            std::bit_cast<std::uint64_t>(c.perG),
+            std::bit_cast<std::uint64_t>(c.perGb)};
+    };
+    for (std::size_t i = 0; i < added.size(); i++) {
+        EXPECT_EQ(got[i].src, added[i].src) << i;
+        EXPECT_EQ(got[i].dst, added[i].dst) << i;
+        EXPECT_EQ(bits(got[i].cost), bits(added[i].cost)) << i;
+    }
+}
+
 // ----------------------------------------------------------------------
 // The analytic backend.
 // ----------------------------------------------------------------------
@@ -1217,6 +1257,49 @@ TEST(LpOracle, LoweringMatchesTheHashMapLowering)
                                    false),
                   "")
             << "send-less trace, seed " << seed;
+    }
+}
+
+/** "" when `model`'s edges fit the list lower() reserves, else why
+ *  not. Per timeline a chain edge into each kept span plus one to the
+ *  sink, per message at most a tx-chain, a host, and a wire or a join
+ *  edge; the LP's nodes are the sink, the kept spans and one
+ *  injection per message. */
+std::string
+edgeBoundMiss(const AnalyticModel &model, int nprocs)
+{
+    const ModelBuildStats &s = model.stats();
+    const std::size_t msgs = s.messagesLinked + s.messagesUnlinked;
+    const std::size_t kept = s.lpNodes - 1 - msgs;
+    const std::size_t procs = static_cast<std::size_t>(nprocs);
+    if (s.lpEdges > kept + procs + 3 * msgs)
+        return std::to_string(s.lpEdges) + " edges past the reserved " +
+               std::to_string(kept + procs + 3 * msgs);
+    if (s.lpEdges > s.cpuSpans + procs + 4 * msgs)
+        return "past leaf spans + procs + 4 x messages";
+    return "";
+}
+
+TEST(Analytic, LoweringFitsItsReservedEdgeList)
+{
+    std::vector<RunPoint> pts;
+    for (const char *app : {"radix", "em3d-read", "sample"})
+        pts.push_back(smallPoint(app));
+    RunPoint tree = smallPoint("radix");
+    tree.config.nprocs = 16;
+    tree.config.scale = 0.05;
+    tree.config.knobs.topo = 1;
+    tree.config.knobs.topoOversub = 4;
+    tree.config.knobs.topoHosts = 4;
+    pts.push_back(tree);
+    for (const RunPoint &pt : pts) {
+        LogGPParams base;
+        auto [tracer, r] = traced(pt, base);
+        ASSERT_TRUE(r.ok) << pt.app;
+        AnalyticModel model;
+        ASSERT_TRUE(model.build(tracer, base, r.runtime)) << pt.app;
+        EXPECT_EQ(edgeBoundMiss(model, pt.config.nprocs), "")
+            << pt.app << " on " << pt.config.nprocs << " procs";
     }
 }
 

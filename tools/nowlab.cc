@@ -384,40 +384,33 @@ cmdSweep(const Args &a)
     fatal_if(engine != "sim" && engine != "analytic",
              "sweep --backend must be sim or analytic (got '%s')",
              engine.c_str());
-    const bool logGPKnob = knob == "latency" || knob == "overhead" ||
-                           knob == "gap" || knob == "bandwidth" ||
-                           knob == "mbps";
+    // The swept knob is a row of the knob table every knob option and
+    // nowlabd read.
+    const svc::KnobField *field = nullptr;
+    for (const svc::KnobField &f : svc::knobFields())
+        if (knob == f.key)
+            field = &f;
+    fatal_if(!field, "unknown knob '%s'", knob.c_str());
+    for (double x : xs)
+        fatal_if(field->integral && x != std::trunc(x),
+                 "--values: --knob %s takes integers (got %g)",
+                 knob.c_str(), x);
     std::unique_ptr<backend::AnalyticBackend> ana;
-    if (engine == "analytic" && logGPKnob)
+    if (engine == "analytic" && field->loggp)
         ana = std::make_unique<backend::AnalyticBackend>();
 
     RunConfig base = configOf(a);
     a.rejectUnread();
     // Every point is an independent simulation: fan them out. They
-    // are built before the baseline run, so an unknown --knob or an
-    // out-of-range value costs a diagnostic, not a simulation.
+    // are built before the baseline run, so an out-of-range value
+    // costs a diagnostic, not a simulation.
     std::vector<RunPoint> points;
     points.reserve(xs.size());
     for (double x : xs) {
         RunConfig c = base;
-        if (knob == "overhead")
-            c.knobs.overheadUs = x;
-        else if (knob == "gap")
-            c.knobs.gapUs = x;
-        else if (knob == "latency")
-            c.knobs.latencyUs = x;
-        else if (knob == "bandwidth" || knob == "mbps")
-            c.knobs.bulkMBps = x;
-        else if (knob == "occupancy")
-            c.knobs.occupancyUs = x;
-        else if (knob == "window")
-            c.knobs.window = static_cast<int>(x);
-        else if (knob == "drop") {
-            c.knobs.dropRate = x;
-            if (c.knobs.reliable < 0)
-                c.knobs.reliable = 1; // Losses need a recovery path.
-        } else
-            fatal("unknown knob '%s'", knob.c_str());
+        field->set(c.knobs, x);
+        if (knob == "drop" && c.knobs.reliable < 0)
+            c.knobs.reliable = 1; // Losses need a recovery path.
         const std::string why = c.knobs.boundError();
         fatal_if(!why.empty(), "%s", why.c_str());
         c.validate = false;
@@ -506,8 +499,11 @@ cmdSweep(const Args &a)
     for (std::size_t i = 0; i < xs.size(); ++i) {
         const RunResult &r = rs[i];
         auto row = t.row();
-        // Probability knobs need more digits than microsecond knobs.
-        row.cell(xs[i], knob == "drop" ? 3 : 1);
+        // Each value in its shortest form: the knobs run from
+        // probabilities to integral counts.
+        char value[32];
+        std::snprintf(value, sizeof value, "%.10g", xs[i]);
+        row.cell(std::string(value));
         if (r.ok)
             row.cell(toMsec(r.runtime), 2)
                 .cell(slowdown(r.runtime, b.runtime), 2);
@@ -1012,8 +1008,8 @@ cmdStorm(const Args &a)
 
     if (out) {
         svc::JsonWriter w;
-        w.beginObject()
-            .field("bench", "svc")
+        w.beginObject().field("bench", "svc");
+        svc::writeHost(w)
             .field("conns", conns)
             .field("ops", static_cast<std::int64_t>(ops))
             .field("backend", stormBackend)
@@ -1186,10 +1182,8 @@ cmdPerf(const Args &a)
 
     if (out) {
         svc::JsonWriter w;
-        w.beginObject()
-            .field("bench", "engine")
-            .field("hw_concurrency", hardwareJobs())
-            .field("jobs_used", jobs);
+        w.beginObject().field("bench", "engine");
+        svc::writeHost(w).field("jobs_used", jobs);
         w.beginObject("event_loop")
             .field("events", static_cast<std::int64_t>(events))
             .field("events_per_sec", eps)
@@ -1776,8 +1770,10 @@ main(int argc, char **argv)
             "             [--out BENCH_coll.json]\n"
             "  nowlab backend validate [--apps A,B] [--procs N]\n"
             "             [--scale S] [--tolerance F] [--out F]\n"
-            "sweep also honours --cache-dir D / NOW_CACHE_DIR: the\n"
-            "content-addressed result store serves repeated points.\n"
+            "sweep --knob K sweeps any knob, fault, delay or topo option\n"
+            "below, named without its dashes; it also honours --cache-dir\n"
+            "D / NOW_CACHE_DIR: the content-addressed result store serves\n"
+            "repeated points.\n"
             "knobs: --overhead US --gap US --latency US --mbps B\n"
             "       --occupancy US --window N\n"
             "fault: --drop P --dup P --corrupt P --reorder P\n"
