@@ -3,8 +3,10 @@
 # BENCH_engine.json: event-loop throughput, pooled fiber stand-up and
 # switch cost, wall-clock for a canonical sweep run serially vs fanned
 # out across --jobs workers (verifying the two produce byte-identical
-# results), and one large run -- radix on a 1024-node oversubscribed
-# fat-tree -- in seconds and events/s. The host record (cores, CPU,
+# results), one large run -- radix on a 1024-node oversubscribed
+# fat-tree -- in seconds and events/s, and the analytic LP of one
+# traced run: its lowering time and the per-point solve time (median,
+# min and IQR over 31 repetitions). The host record (cores, CPU,
 # compiler, build type, revision) and jobs_used record the machine the
 # numbers came from -- speedups on a 1-core runner are honest 1.0x.
 #

@@ -5,14 +5,48 @@
 
 #include "backend/lp.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 namespace nowcluster::backend {
 
 namespace {
 
-/** The last in-edge of its node (the low bit of InEdge::coef). */
-constexpr std::uint32_t kLast = 1;
+using CostBits = std::array<std::uint64_t, 5>;
+
+CostBits
+bitsOf(const LinCost &c)
+{
+    return {std::bit_cast<std::uint64_t>(c.fixed),
+            std::bit_cast<std::uint64_t>(c.perL),
+            std::bit_cast<std::uint64_t>(c.perO),
+            std::bit_cast<std::uint64_t>(c.perG),
+            std::bit_cast<std::uint64_t>(c.perGb)};
+}
+
+/** The five words rotated apart and folded, then mixed once (half of
+ *  MurmurHash3's finalizer): one multiply on the dependent path where
+ *  a multiply per word would be five. */
+std::size_t
+hashOf(const CostBits &bits)
+{
+    std::uint64_t h = bits[0] ^ std::rotl(bits[1], 13) ^
+                      std::rotl(bits[2], 26) ^ std::rotl(bits[3], 39) ^
+                      std::rotl(bits[4], 52);
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDull;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h);
+}
+
+/** The binding entry of a slot, as solve() records it. */
+enum Pick : std::uint8_t
+{
+    kNone, ///< Neither entry beats +0: the slot's distance is zero.
+    kA,
+    kB,
+};
 
 } // namespace
 
@@ -21,10 +55,10 @@ constexpr std::uint32_t kLast = 1;
  *  Every slot a solve reads is written earlier in that same solve. */
 struct LpDag::Scratch
 {
-    std::vector<double> dist; ///< Longest-path distance per slot.
-    std::vector<int> pred;    ///< Binding stream entry per slot, or -1.
-    std::vector<Tuple> terms; ///< tuples_ times the operating point.
-    std::size_t argmax = 0;   ///< First slot reaching the makespan.
+    std::vector<double> cost;       ///< costs_ at the operating point.
+    std::vector<double> dist;       ///< Longest-path distance per slot.
+    std::vector<std::uint8_t> pick; ///< Binding entry per slot (Pick).
+    std::size_t argmax = 0;         ///< First slot reaching the makespan.
 };
 
 LpDag::Scratch &
@@ -34,14 +68,6 @@ LpDag::scratch()
     return s;
 }
 
-inline float
-LpDag::weight(const InEdge &e, const Tuple *terms)
-{
-    const Tuple &t = terms[e.coef >> 1];
-    const float w = e.fixed + t.l + t.o + t.g + t.gb;
-    return w > 0 ? w : 0;
-}
-
 int
 LpDag::addNode()
 {
@@ -49,30 +75,41 @@ LpDag::addNode()
     return static_cast<int>(nodeCount_++);
 }
 
-std::size_t
-LpDag::CoefsHash::operator()(const Coefs &c) const
+std::uint32_t
+LpDag::intern(const LinCost &cost)
 {
-    std::uint64_t h = 0;
-    for (std::uint64_t v : c) {
-        h = (h ^ v) * 0x9E3779B97F4A7C15ull;
-        h ^= h >> 32;
+    // At most half full; index 0 (the reserved zero cost) marks an
+    // empty bucket, since it is never interned.
+    if (2 * costs_.size() >= costIndex_.size()) {
+        costIndex_.assign(std::max<std::size_t>(64, 2 * costIndex_.size()),
+                          0);
+        const std::size_t mask = costIndex_.size() - 1;
+        for (std::uint32_t i = 1; i < costs_.size(); i++) {
+            std::size_t b = hashOf(bitsOf(costs_[i])) & mask;
+            while (costIndex_[b] != 0)
+                b = (b + 1) & mask;
+            costIndex_[b] = i;
+        }
     }
-    return static_cast<std::size_t>(h);
+    const CostBits key = bitsOf(cost);
+    const std::size_t mask = costIndex_.size() - 1;
+    for (std::size_t b = hashOf(key) & mask;; b = (b + 1) & mask) {
+        const std::uint32_t i = costIndex_[b];
+        if (i == 0) {
+            costIndex_[b] = static_cast<std::uint32_t>(costs_.size());
+            costs_.push_back(cost);
+            return costIndex_[b];
+        }
+        if (bitsOf(costs_[i]) == key)
+            return i;
+    }
 }
 
 void
 LpDag::addEdge(int src, int dst, const LinCost &cost)
 {
     prepared_ = false;
-    const Coefs key = {std::bit_cast<std::uint64_t>(cost.perL),
-                       std::bit_cast<std::uint64_t>(cost.perO),
-                       std::bit_cast<std::uint64_t>(cost.perG),
-                       std::bit_cast<std::uint64_t>(cost.perGb)};
-    const auto next = static_cast<std::uint32_t>(coefs_.size());
-    auto [it, fresh] = coefsIndex_.try_emplace(key, next);
-    if (fresh)
-        coefs_.push_back(key);
-    edges_.push_back({src, dst, cost.fixed, it->second});
+    edges_.push_back({src, dst, intern(cost)});
 }
 
 std::vector<LpDag::Edge>
@@ -80,14 +117,8 @@ LpDag::edges() const
 {
     std::vector<Edge> out;
     out.reserve(edges_.size());
-    for (const Stored &e : edges_) {
-        const Coefs &c = coefs_[e.coefs];
-        out.push_back({e.src, e.dst,
-                       {e.fixed, std::bit_cast<double>(c[0]),
-                        std::bit_cast<double>(c[1]),
-                        std::bit_cast<double>(c[2]),
-                        std::bit_cast<double>(c[3])}});
-    }
+    for (const Stored &e : edges_)
+        out.push_back({e.src, e.dst, costs_[e.cost]});
     return out;
 }
 
@@ -95,19 +126,21 @@ bool
 LpDag::prepare()
 {
     prepared_ = false;
-    stream_.clear();
-    tuples_.clear();
+    slots_.clear();
     const int n = static_cast<int>(nodeCount_);
-    // Tuple indices and stream positions must fit in 31 bits.
+    // Edge positions and slot numbers (at most one per node plus one
+    // per edge) must fit in 31 bits.
     if (edges_.size() + nodeCount_ >= (std::size_t{1} << 31))
         return false;
     std::vector<int> indeg(nodeCount_, 0);
+    std::vector<std::uint32_t> width(nodeCount_, 0); // in-edges, kSource too
     std::vector<int> outOff(nodeCount_ + 1, 0);
     for (const Stored &e : edges_) {
         if (e.dst < 0 || e.dst >= n)
             return false;
         if (e.src < kSource || e.src >= n)
             return false;
+        width[e.dst]++;
         if (e.src != kSource) {
             indeg[e.dst]++;
             outOff[e.src + 1]++;
@@ -141,56 +174,37 @@ LpDag::prepare()
     if (topo.size() != nodeCount_)
         return false;
 
-    // Distance slots: topological position + 1 (slot 0 is the source).
-    std::vector<std::uint32_t> slot(nodeCount_);
-    for (std::size_t k = 0; k < nodeCount_; k++)
-        slot[topo[k]] = static_cast<std::uint32_t>(k + 1);
-
-    // The float table: the zero tuple of the entries without an edge,
-    // then each exact tuple converted once, interned by bit pattern.
-    // Exact tuples are numbered in the order edges first carry them,
-    // so the table lists exactly the floats the edges carry, in the
-    // order they first appear.
-    std::unordered_map<Coefs, std::uint32_t, CoefsHash> index;
-    auto intern = [&](const Tuple &t) {
-        const auto bits = std::bit_cast<std::array<std::uint32_t, 4>>(t);
-        const auto next = static_cast<std::uint32_t>(tuples_.size());
-        auto [it, fresh] = index.try_emplace(
-            Coefs{bits[0], bits[1], bits[2], bits[3]}, next);
-        if (fresh)
-            tuples_.push_back(t);
-        return it->second << 1;
-    };
-    auto toFloat = [](std::uint64_t bits) {
-        return static_cast<float>(std::bit_cast<double>(bits));
-    };
-    const std::uint32_t zero = intern({0, 0, 0, 0});
-    std::vector<std::uint32_t> tupleOf(coefs_.size());
-    for (std::size_t i = 0; i < coefs_.size(); i++) {
-        const Coefs &c = coefs_[i];
-        tupleOf[i] = intern(
-            {toFloat(c[0]), toFloat(c[1]), toFloat(c[2]), toFloat(c[3])});
+    // Distance slots in visit order, from 1 (slot 0 is the source):
+    // a node with d > 2 in-edges takes d - 1 slots, any other one, and
+    // it answers in its last. Every slot after a node's first links
+    // the partial maximum before it; every other entry starts as a pad.
+    std::vector<std::uint32_t> first(nodeCount_), last(nodeCount_);
+    std::uint32_t slots = 0;
+    for (int v : topo) {
+        first[v] = slots + 1;
+        slots += width[v] > 2 ? width[v] - 1 : 1;
+        last[v] = slots;
     }
-
-    // Lay the in-edges out contiguously in *visit* order: the solve
-    // loop then streams them front to back, and since sources are
-    // stored as slots, its predecessor loads land on recently written,
-    // still-cached distances. A node without in-edges gets one entry
-    // from slot 0 at zero cost.
-    std::vector<std::uint32_t> off(nodeCount_ + 1, 0); // by slot
-    for (const Stored &e : edges_)
-        off[slot[e.dst]]++;
-    for (std::size_t k = 1; k <= nodeCount_; k++)
-        off[k] = off[k - 1] + (off[k] > 0 ? off[k] : 1);
-    // Node at slot k owns entries [off[k - 1], off[k]).
-    stream_.assign(off[nodeCount_], {0, 0.0f, zero});
-    std::vector<std::uint32_t> at(off.begin(), off.end() - 1);
-    for (const Stored &e : edges_)
-        stream_[at[slot[e.dst] - 1]++] = {
-            e.src == kSource ? 0 : slot[e.src],
-            static_cast<float>(e.fixed), tupleOf[e.coefs]};
-    for (std::size_t k = 1; k <= nodeCount_; k++)
-        stream_[off[k] - 1].coef |= kLast;
+    slots_.assign(slots, {0, 0, 0, 0});
+    for (int v : topo)
+        for (std::uint32_t k = first[v] + 1; k <= last[v]; k++)
+            slots_[k - 1].srcA = k - 1;
+    // A node's in-edge j, in added order, is entry A of its first slot
+    // (j = 0), else entry B of slot first + j - 1.
+    std::vector<std::uint32_t> &seen = width;
+    std::fill(seen.begin(), seen.end(), 0);
+    for (const Stored &e : edges_) {
+        const std::uint32_t j = seen[e.dst]++;
+        Slot &s = slots_[first[e.dst] + (j > 0 ? j - 1 : 0) - 1];
+        const std::uint32_t src = e.src == kSource ? 0 : last[e.src];
+        if (j == 0) {
+            s.srcA = src;
+            s.costA = e.cost;
+        } else {
+            s.srcB = src;
+            s.costB = e.cost;
+        }
+    }
     prepared_ = true;
     return true;
 }
@@ -203,53 +217,51 @@ LpDag::propagate(const LpParams &params, Scratch &sc) const
     const float pO = static_cast<float>(params.o);
     const float pG = static_cast<float>(params.g);
     const float pGb = static_cast<float>(params.Gb);
-    sc.terms.resize(tuples_.size());
-    for (std::size_t i = 0; i < tuples_.size(); i++) {
-        const Tuple &t = tuples_[i];
-        sc.terms[i] = {t.l * pL, t.o * pO, t.g * pG, t.gb * pGb};
+    sc.cost.resize(costs_.size());
+    for (std::size_t i = 0; i < costs_.size(); i++) {
+        const LinCost &c = costs_[i];
+        const float l = static_cast<float>(c.perL) * pL;
+        const float o = static_cast<float>(c.perO) * pO;
+        const float g = static_cast<float>(c.perG) * pG;
+        const float gb = static_cast<float>(c.perGb) * pGb;
+        const float w = static_cast<float>(c.fixed) + l + o + g + gb;
+        sc.cost[i] = w > 0 ? w : 0;
     }
-    sc.dist.resize(nodeCount_ + 1);
+    const std::size_t n = slots_.size();
+    sc.dist.resize(n + 1);
     double *dist = sc.dist.data();
-    int *pred = nullptr;
+    const double *cost = sc.cost.data();
+    std::uint8_t *pick = nullptr;
     if constexpr (kDual) {
-        sc.pred.resize(nodeCount_ + 1);
-        pred = sc.pred.data();
-        pred[0] = -1;
+        sc.pick.resize(n + 1);
+        pick = sc.pick.data();
+        pick[0] = kNone;
     }
-    const Tuple *terms = sc.terms.data();
     dist[0] = 0.0;
 
     // Every node starts no earlier than time zero, so every distance
-    // is at least +0 and so is the makespan. Ties keep the first node
-    // to reach it: slot 1 when every distance is zero.
+    // is at least +0 and so is the makespan. A partial maximum never
+    // exceeds its node's distance, so the makespan over all slots is
+    // the makespan over nodes. Ties keep the first slot to reach it:
+    // slot 1 when every distance is zero.
     double makespan = 0.0;
     sc.argmax = 1;
-    double best = 0.0;
-    int binding = -1;
-    std::size_t k = 1;
-    const InEdge *stream = stream_.data();
-    const std::size_t m = stream_.size();
-    for (std::size_t s = 0; s < m; s++) {
-        const InEdge &e = stream[s];
-        const double d = dist[e.src] + weight(e, terms);
-        if (d > best) {
-            best = d;
-            if constexpr (kDual)
-                binding = static_cast<int>(s);
-        }
-        if (e.coef & kLast) {
-            dist[k] = best;
-            if (best > makespan) {
-                makespan = best;
-                if constexpr (kDual)
-                    sc.argmax = k;
+    const Slot *slot = slots_.data();
+    for (std::size_t k = 1; k <= n; k++) {
+        const Slot &s = slot[k - 1];
+        const double a = dist[s.srcA] + cost[s.costA];
+        const double b = dist[s.srcB] + cost[s.costB];
+        const double atLeastA = std::max(0.0, a);
+        const double d = std::max(atLeastA, b);
+        dist[k] = d;
+        if constexpr (kDual) {
+            pick[k] = b > atLeastA ? kB : a > 0 ? kA : kNone;
+            if (d > makespan) {
+                makespan = d;
+                sc.argmax = k;
             }
-            if constexpr (kDual) {
-                pred[k] = binding;
-                binding = -1;
-            }
-            best = 0.0;
-            k++;
+        } else {
+            makespan = std::max(makespan, d);
         }
     }
     return makespan;
@@ -268,21 +280,26 @@ LpDag::solve(const LpParams &params) const
     Scratch &sc = scratch();
     sol.makespan = propagate<true>(params, sc);
 
-    // Walk the binding path back to the source, summing coefficients.
-    // A clamped edge (its weight hit the zero floor) contributes no
-    // slope: its weight is locally constant in every parameter.
-    for (int s = sc.pred[sc.argmax]; s >= 0;) {
-        const InEdge &e = stream_[static_cast<std::size_t>(s)];
-        if (weight(e, sc.terms.data()) > 0) {
-            const Tuple &t = tuples_[e.coef >> 1];
-            sol.gradient.fixed += e.fixed;
-            sol.gradient.perL += t.l;
-            sol.gradient.perO += t.o;
-            sol.gradient.perG += t.g;
-            sol.gradient.perGb += t.gb;
+    // Walk the binding path back to the source, summing coefficients
+    // and stepping over links. A clamped edge (its weight hit the zero
+    // floor) contributes no slope: its weight is locally constant in
+    // every parameter.
+    for (std::size_t k = sc.argmax; sc.pick[k] != kNone;) {
+        const Slot &s = slots_[k - 1];
+        const bool viaB = sc.pick[k] == kB;
+        const std::uint32_t c = viaB ? s.costB : s.costA;
+        if (c != 0) {
+            if (sc.cost[c] > 0) {
+                const LinCost &e = costs_[c];
+                sol.gradient.fixed += static_cast<float>(e.fixed);
+                sol.gradient.perL += static_cast<float>(e.perL);
+                sol.gradient.perO += static_cast<float>(e.perO);
+                sol.gradient.perG += static_cast<float>(e.perG);
+                sol.gradient.perGb += static_cast<float>(e.perGb);
+            }
+            sol.pathEdges++;
         }
-        sol.pathEdges++;
-        s = sc.pred[e.src];
+        k = viaB ? s.srcB : s.srcA;
     }
     return sol;
 }

@@ -25,11 +25,9 @@
 #ifndef NOWCLUSTER_BACKEND_LP_HH_
 #define NOWCLUSTER_BACKEND_LP_HH_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace nowcluster::backend {
@@ -90,10 +88,10 @@ struct LpSolution
  * point without touching the structure, so they are const and safe to
  * call from many threads concurrently.
  *
- * An edge is kept as added in 24 bytes: its endpoints, its fixed cost
- * and the index of its (perL, perO, perG, perGb) in a table of the
- * distinct tuples, which addEdge interns by bit pattern (a traced
- * model has a few hundred), so edges() rebuilds every LinCost exactly.
+ * An edge is kept as added in 12 bytes: its endpoints and the index of
+ * its whole LinCost in a table of the DAG's distinct costs, which
+ * addEdge interns by bit pattern (a traced model has a few hundred to
+ * a few thousand), so edges() rebuilds every LinCost exactly.
  */
 class LpDag
 {
@@ -124,25 +122,27 @@ class LpDag
      * a cycle, which a well-formed trace cannot produce (timestamps
      * only move forward) but a corrupt binary trace could.
      *
-     * The solve form is one stream of in-edges in topological visit
-     * order: per edge, the source's distance slot (slot 0, always
-     * zero, stands in for kSource and for the implicit start >= 0 of
-     * a node without in-edges, which gets one zero-cost entry), the
-     * `float` fixed cost, an index into the table of the DAG's
-     * distinct `float` (perL, perO, perG, perGb) tuples, and a mark on
-     * its node's last in-edge. That table is the exact tuples addEdge
-     * interned, each converted once, so each solve multiplies a few
-     * hundred tuples by the operating point and evaluates every edge
-     * inside the propagation loop.
+     * The solve form is one 16-byte slot per node in topological visit
+     * order, each holding two in-edges: per entry, the source's
+     * distance slot and the index of its cost. Slot 0, always zero,
+     * stands in for kSource. Every node of a traced model but the sink
+     * has at most two in-edges; a node with fewer pads its free
+     * entries with (slot 0, cost 0), and a node with d > 2 takes d - 1
+     * consecutive slots, each folding one more in-edge, in added order,
+     * into the partial maximum of the slot before it through a link
+     * entry of cost 0. Cost 0 is the zero cost reserved for pads and
+     * links: no edge carries it, so the dual walk knows a link by it.
      *
      * Exactness: an edge weighs ((((fixed + perL*L) + perO*o) +
      * perG*g) + perGb*G), computed in float in that order and clamped
      * at +0; distances accumulate in double, and a node's binding
-     * in-edge is its first strict maximum. Floats are plenty:
-     * coefficients are O(path-count) values whose rounding error is
-     * parts-per-ten-million of the makespan, and the residual
-     * calibration in the model layer absorbs it exactly at the base
-     * point.
+     * in-edge is its first strict maximum. Each solve evaluates every
+     * distinct cost once that way into a table of doubles, then takes
+     * per slot max(max(dA, +0), dB) of its two entries' distances.
+     * Floats are plenty: coefficients are O(path-count) values whose
+     * rounding error is parts-per-ten-million of the makespan, and the
+     * residual calibration in the model layer absorbs it exactly at
+     * the base point.
      */
     bool prepare();
 
@@ -162,51 +162,43 @@ class LpDag
     std::vector<Edge> edges() const;
 
   private:
-    /** The bit patterns of one exact (perL, perO, perG, perGb) tuple. */
-    using Coefs = std::array<std::uint64_t, 4>;
-    struct CoefsHash
-    {
-        std::size_t operator()(const Coefs &c) const;
-    };
-    /** One edge as added, its tuple interned in coefs_. */
+    /** One edge as added, its cost interned in costs_. */
     struct Stored
     {
         int src;
         int dst;
-        double fixed;
-        std::uint32_t coefs; ///< coefs_ index.
+        std::uint32_t cost; ///< costs_ index, never 0.
     };
-    /** One float (perL, perO, perG, perGb) tuple, or its terms at a
-     *  point. */
-    struct Tuple
+    static_assert(sizeof(Stored) == 12);
+    /** Two in-edges of one node (see prepare). */
+    struct Slot
     {
-        float l, o, g, gb;
+        std::uint32_t srcA, srcB;   ///< Source distance slots.
+        std::uint32_t costA, costB; ///< costs_ indices.
     };
-    /** One entry of the solve stream (see prepare). */
-    struct InEdge
-    {
-        std::uint32_t src;  ///< Source's distance slot (0: kSource).
-        float fixed;        ///< Parameter-independent cost.
-        std::uint32_t coef; ///< tuples_ index << 1 | last of its node.
-    };
+    static_assert(sizeof(Slot) == 16);
     struct Scratch;
 
     static Scratch &scratch();
-    static float weight(const InEdge &e, const Tuple *terms);
+    /** costs_'s index of `cost`, added if new. */
+    std::uint32_t intern(const LinCost &cost);
 
     /** The longest-path pass shared by solve() and makespan(): fills
      *  the thread's scratch and returns the makespan. kDual also
-     *  records each node's binding entry and the first node to reach
+     *  records each slot's binding entry and the first slot to reach
      *  the makespan. */
     template <bool kDual>
     double propagate(const LpParams &params, Scratch &sc) const;
 
     std::size_t nodeCount_ = 0;
     std::vector<Stored> edges_;
-    std::vector<Coefs> coefs_; ///< Distinct exact tuples, first added first.
-    std::unordered_map<Coefs, std::uint32_t, CoefsHash> coefsIndex_;
-    std::vector<InEdge> stream_; ///< Filled by prepare.
-    std::vector<Tuple> tuples_;  ///< Distinct float tuples.
+    /** Distinct exact costs, first added first after the reserved
+     *  zero cost at index 0. */
+    std::vector<LinCost> costs_{LinCost{}};
+    /** Open-addressed index over costs_ by bit pattern: a costs_
+     *  index per bucket, 0 for an empty one. */
+    std::vector<std::uint32_t> costIndex_;
+    std::vector<Slot> slots_; ///< Filled by prepare; slot k at k - 1.
     bool prepared_ = false;
 };
 

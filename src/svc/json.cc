@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "base/logging.hh"
+#include "revision.hh"
 
 namespace nowcluster::svc {
 
@@ -488,21 +489,6 @@ cpuModel()
     return "unknown";
 }
 
-std::string
-revision()
-{
-    std::string rev;
-    if (FILE *p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-        char buf[128];
-        while (std::fgets(buf, sizeof buf, p))
-            rev += buf;
-        pclose(p);
-    }
-    while (!rev.empty() && rev.back() == '\n')
-        rev.pop_back();
-    return rev.empty() ? "unknown" : rev;
-}
-
 } // namespace
 
 JsonWriter &
@@ -514,7 +500,7 @@ writeHost(JsonWriter &w)
         .field("cpu", cpuModel())
         .field("compiler", NOWCLUSTER_COMPILER)
         .field("buildType", NOWCLUSTER_BUILD_TYPE)
-        .field("revision", revision())
+        .field("revision", NOWCLUSTER_REVISION)
         .endObject();
 }
 

@@ -108,9 +108,9 @@ class JsonWriter
 void writeJsonFile(const JsonWriter &w, const std::string &path);
 
 /** Add the "host" object every `--out` ledger carries: the machine's
- *  cores and CPU model, the compiler and build type this binary was
- *  built with, and `git describe --always --dirty` of the working
- *  directory ("unknown" where one cannot be read). */
+ *  cores and CPU model, and the compiler, build type and revision this
+ *  binary was built with (`git describe --always --dirty` of its
+ *  source tree at build time, "unknown" outside a git checkout). */
 JsonWriter &writeHost(JsonWriter &w);
 
 } // namespace nowcluster::svc

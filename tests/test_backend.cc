@@ -337,7 +337,7 @@ TEST(Analytic, AgreesWithSimAcrossTheGridForRadixAndEm3dRead)
 }
 
 // ----------------------------------------------------------------------
-// Bit identity: the compact-stream solver against the two-pass kernel
+// Bit identity: the two-input slot solver against the two-pass kernel
 // it replaced, and the served runtime under concurrency.
 // ----------------------------------------------------------------------
 
@@ -521,13 +521,15 @@ const LpParams kOraclePoints[] = {
  * A seeded random DAG with the shapes traced models take and some they
  * avoid: node ids shuffled against a hidden topological order, edges
  * added in random order, anchors at kSource, nodes without in-edges,
- * nodes with up to 8 in-edges plus a 16-way sink, negative fixed costs
- * (clamped at small parameters), and small integer coefficients so
- * that paths tie. `distinct` gives every edge its own coefficient
- * tuple.
+ * nodes with up to 8 in-edges plus a `sinkIn`-way sink, negative fixed
+ * costs (clamped at small parameters), and small integer coefficients
+ * so that paths tie. In a sink wider than 16, every other in-edge adds
+ * a fraction to its fixed cost, so half of them tie. `distinct` gives
+ * every edge its own cost.
  */
 LpDag
-randomDag(std::uint64_t seed, int nodes, bool distinct = false)
+randomDag(std::uint64_t seed, int nodes, bool distinct = false,
+          std::uint64_t sinkIn = 16)
 {
     std::mt19937_64 rng(seed);
     auto pick = [&](std::uint64_t n) { return rng() % n; };
@@ -542,11 +544,14 @@ randomDag(std::uint64_t seed, int nodes, bool distinct = false)
                               : roll < 10 ? 1
                               : roll < 16 ? 2
                                           : 3 + pick(6);
+        const bool wide = r == nodes - 1 && sinkIn > 16;
         if (r == nodes - 1)
-            indeg = 16;
+            indeg = sinkIn;
         for (std::uint64_t i = 0; i < indeg; i++) {
             LinCost c;
             c.fixed = static_cast<double>(pick(11)) - 4;
+            if (wide && i % 2 == 1)
+                c.fixed += static_cast<double>(1 + pick(7)) / 8;
             c.perL = static_cast<double>(pick(3));
             c.perO = static_cast<double>(pick(3));
             c.perG = static_cast<double>(pick(2));
@@ -582,12 +587,20 @@ TEST(LpOracle, RandomDagsMatchTheTwoPassKernel)
                 << "seed " << seed << ", L=" << p.L << " o=" << p.o
                 << " g=" << p.g << " G=" << p.Gb;
     }
+    // A join as wide as a 256-proc flat-NOW model's sink (two in-edges
+    // per proc), which the solver folds into 511 slots of partial maxima.
+    const LpDag wide = randomDag(41, 600, false, 512);
+    const ReferenceLp ref(wide);
+    for (const LpParams &p : kOraclePoints)
+        EXPECT_EQ(mismatch(wide, ref, p), "")
+            << "512-way sink, L=" << p.L << " o=" << p.o << " g=" << p.g
+            << " G=" << p.Gb;
 }
 
 TEST(LpOracle, TupleIndexCoversMoreThan65536Tuples)
 {
     const LpDag dag = randomDag(99, 40000, true);
-    ASSERT_GT(dag.edgeCount(), 65536u); // One tuple per edge.
+    ASSERT_GT(dag.edgeCount(), 65536u); // One cost per edge.
     const ReferenceLp ref(dag);
     for (const LpParams &p : kOraclePoints)
         EXPECT_EQ(mismatch(dag, ref, p), "")

@@ -772,9 +772,9 @@ cmdStats(const Args &a)
     return v.boolOr("ok", false) ? 0 : 1;
 }
 
-/** Exact percentile of a sorted latency sample (ms). */
+/** Exact percentile of a sorted sample, interpolated between ranks. */
 double
-percentileMs(const std::vector<double> &sorted, double q)
+percentile(const std::vector<double> &sorted, double q)
 {
     if (sorted.empty())
         return 0;
@@ -997,9 +997,9 @@ cmdStorm(const Args &a)
         std::printf("  %-7s : %6zu ops, p50 %7.2f ms, p90 %7.2f ms,"
                     " p99 %7.2f ms\n",
                     kOpName[k], merged[k].size(),
-                    percentileMs(merged[k], 0.50),
-                    percentileMs(merged[k], 0.90),
-                    percentileMs(merged[k], 0.99));
+                    percentile(merged[k], 0.50),
+                    percentile(merged[k], 0.90),
+                    percentile(merged[k], 0.99));
     }
     std::printf("  jobs       : %ld submitted, %ld completed, %ld "
                 "failed, %ld lost\n",
@@ -1032,9 +1032,9 @@ cmdStorm(const Args &a)
             w.beginObject(kOpName[k])
                 .field("count",
                        static_cast<std::uint64_t>(merged[k].size()))
-                .field("p50", percentileMs(merged[k], 0.50))
-                .field("p90", percentileMs(merged[k], 0.90))
-                .field("p99", percentileMs(merged[k], 0.99))
+                .field("p50", percentile(merged[k], 0.50))
+                .field("p90", percentile(merged[k], 0.90))
+                .field("p99", percentile(merged[k], 0.99))
                 .endObject();
         w.endObject().endObject();
         svc::writeJsonFile(w, *out);
@@ -1050,9 +1050,11 @@ cmdStorm(const Args &a)
  * explicit-heap queue, (2) pooled fiber stand-up cost and the
  * resume+yield round trip, (3) wall-clock for a canonical knob sweep
  * run serially vs fanned out with the parallel runner -- verifying on
- * the way that both produce byte-identical per-point results -- and
- * (4) one large run (radix on an oversubscribed fat-tree, 1024 procs
- * by default) on the single-heap engine.
+ * the way that both produce byte-identical per-point results, (4) one
+ * large run (radix on an oversubscribed fat-tree, 1024 procs by
+ * default) on the single-heap engine, and (5) the analytic LP: one
+ * traced run of the sweep's app and size lowered once, then re-timed
+ * at the sweep's overhead values.
  */
 int
 cmdPerf(const Args &a)
@@ -1180,6 +1182,47 @@ cmdPerf(const Args &a)
                 sim_procs, large_s, large_eps / 1e6,
                 large.ok ? "" : " (FAILED)");
 
+    // --- (5) LP lower and solve ---------------------------------------
+    // AnalyticModel::build on one traced run, then runtime() -- the
+    // makespan-only solve a served point takes -- cycling through the
+    // sweep's overhead column, kLpReps times.
+    constexpr int kLpReps = 31;
+    RunConfig tcfg = base;
+    tcfg.validate = false;
+    SpanTracer tracer;
+    tcfg.obs = &tracer;
+    const RunResult traced = runApp(app, tcfg);
+    LogGPParams lp_base = tcfg.machine.params;
+    tcfg.knobs.applyTo(lp_base);
+    backend::AnalyticModel model;
+    ts = Clock::now();
+    const bool lowered =
+        traced.ok && model.build(tracer, lp_base, traced.runtime);
+    const double lower_ms = seconds_since(ts) * 1e3;
+    std::vector<double> solve_us;
+    for (int r = 0; lowered && r < kLpReps; ++r) {
+        Knobs k = base.knobs;
+        k.overheadUs = 2.9 + 10.0 * (r % 8);
+        LogGPParams p = base.machine.params;
+        k.applyTo(p);
+        ts = Clock::now();
+        const bool solved = model.runtime(p).has_value();
+        solve_us.push_back(seconds_since(ts) * 1e6);
+        fatal_if(!solved, "perf: the lowered model did not solve");
+    }
+    std::sort(solve_us.begin(), solve_us.end());
+    const double solve_med = percentile(solve_us, 0.50);
+    const double solve_iqr =
+        percentile(solve_us, 0.75) - percentile(solve_us, 0.25);
+    const double solve_min = solve_us.empty() ? 0 : solve_us.front();
+    const backend::ModelBuildStats &lp = model.stats();
+    std::printf("lp         : %s, %zu nodes, %zu edges: lowered in "
+                "%.2f ms, runtime() %.1f us per point (min %.1f, IQR "
+                "%.1f, %d reps)%s\n",
+                app.c_str(), lp.lpNodes, lp.lpEdges, lower_ms, solve_med,
+                solve_min, solve_iqr, kLpReps,
+                lowered ? "" : " (FAILED to lower)");
+
     if (out) {
         svc::JsonWriter w;
         w.beginObject().field("bench", "engine");
@@ -1216,10 +1259,24 @@ cmdPerf(const Args &a)
             .field("events_per_sec", large_eps)
             .field("ok", large.ok)
             .endObject();
+        w.beginObject("lp")
+            .field("app", app)
+            .field("nprocs", base.nprocs)
+            .field("scale", base.scale)
+            .field("lpNodes", static_cast<std::uint64_t>(lp.lpNodes))
+            .field("lpEdges", static_cast<std::uint64_t>(lp.lpEdges))
+            .field("lower_ms", lower_ms)
+            .beginObject("runtime_us")
+            .field("reps", kLpReps)
+            .field("median", solve_med)
+            .field("min", solve_min)
+            .field("iqr", solve_iqr)
+            .endObject()
+            .endObject();
         w.endObject();
         svc::writeJsonFile(w, *out);
     }
-    return identical && large.ok ? 0 : 1;
+    return identical && large.ok && lowered ? 0 : 1;
 }
 
 /**
