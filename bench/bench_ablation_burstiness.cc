@@ -18,10 +18,9 @@ using namespace nowcluster;
 using namespace nowcluster::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     double scale = scaleOr(1.0);
-    traceOutIfRequested(argc, argv, "radix", 32, scale);
     std::printf("Burstiness of application communication, 32 nodes "
                 "(scale=%.2f)\n",
                 scale);

@@ -39,10 +39,9 @@ bcastUs(const LogGPParams &params, coll::CollAlg alg)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     using coll::CollAlg;
-    traceOutIfRequested(argc, argv, "radix", kProcs, scaleOr(1.0));
     std::printf("Collective algorithms under the LogGP knobs, %d "
                 "nodes\n(columns: measureCollective span from the "
                 "entry barrier to the last\nprocessor done, us; "

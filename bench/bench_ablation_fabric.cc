@@ -23,7 +23,6 @@ main(int argc, char **argv)
     ResultCacheScope cache_scope(argc, argv);
     double scale = scaleOr(1.0);
     int jobs = jobsArg(argc, argv);
-    traceOutIfRequested(argc, argv, "radix", 32, scale);
     std::printf("Ablation: switch-fabric contention (32 nodes, 4 "
                 "hosts/leaf switch, scale=%.2f)\n",
                 scale);

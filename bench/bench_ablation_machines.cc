@@ -16,10 +16,9 @@ using namespace nowcluster;
 using namespace nowcluster::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     double scale = scaleOr(1.0);
-    traceOutIfRequested(argc, argv, "radix", 32, scale);
     std::printf("Ablation: application suite across Table-1 machines, "
                 "32 nodes (scale=%.2f)\n",
                 scale);

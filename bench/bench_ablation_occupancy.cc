@@ -20,7 +20,6 @@ main(int argc, char **argv)
     ResultCacheScope cache_scope(argc, argv);
     double scale = scaleOr(1.0);
     int jobs = jobsArg(argc, argv);
-    traceOutIfRequested(argc, argv, "em3d-write", 32, scale);
     const std::vector<double> xs = {0, 2.5, 5, 10, 25, 50};
 
     auto set = [](Knobs &k, double x) { k.occupancyUs = x; };

@@ -57,7 +57,6 @@ main(int argc, char **argv)
     ResultCacheScope cache_scope(argc, argv);
     double scale = scaleOr(1.0);
     int jobs = jobsArg(argc, argv);
-    traceOutIfRequested(argc, argv, "radix", 32, scale);
     sweepWindows(scale, -1, jobs);   // Baseline latency.
     sweepWindows(scale, 55.0, jobs); // The Figure-7 regime.
     return 0;

@@ -116,7 +116,6 @@ main(int argc, char **argv)
             out_path = argv[i + 1];
     }
     const double scale = scaleOr(0.02);
-    traceOutIfRequested(argc, argv, "murphi", 64, scale);
 
     std::printf("Tuned collectives: cost-model validation and the "
                 "1024-node payoff\n");

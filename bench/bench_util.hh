@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared plumbing for the per-table / per-figure bench binaries: the
- * paper's sweep values, model-driven time budgets (so a livelocked run
- * is reported as N/A instead of hanging), and slowdown-table printing.
+ * Shared plumbing for the bench binaries: model-driven time budgets
+ * (so a livelocked run is reported as N/A instead of hanging), knob
+ * sweeps over the application suite, and slowdown-table printing.
  */
 
 #ifndef NOWCLUSTER_BENCH_BENCH_UTIL_HH_
@@ -11,8 +11,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,8 +23,6 @@
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "model/models.hh"
-#include "obs/export.hh"
-#include "obs/tracer.hh"
 #include "svc/store.hh"
 
 namespace nowcluster::bench {
@@ -56,8 +54,8 @@ jobsArg(int argc, char **argv)
 /**
  * Attach the content-addressed result store for the binary's lifetime:
  * `--cache-dir D` on the command line wins, else NOW_CACHE_DIR, else
- * this is a no-op. While an instance is alive every runPoints /
- * sweepApps point is served from the store when it hits (byte-identical
+ * this is a no-op. While an instance is alive every runPoints point
+ * is served from the store when it hits (byte-identical
  * to recomputation); the destructor prints the hit/miss tally so a
  * warmed bench run is visibly cheap.
  */
@@ -98,84 +96,12 @@ class ResultCacheScope
     std::unique_ptr<svc::StoreCache> cache_;
 };
 
-/**
- * `--trace-out FILE` on any bench binary: run one extra traced
- * baseline of `key` (the binary's representative app) and write the
- * span timeline as Perfetto JSON. The traced run is separate from the
- * sweep itself, so tables and fingerprints are untouched whether or
- * not the flag is given. Returns true if a trace was written.
- */
-inline bool
-traceOutIfRequested(int argc, char **argv, const std::string &key,
-                    int nprocs, double scale)
-{
-    const char *path = nullptr;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--trace-out") == 0)
-            path = argv[i + 1];
-    }
-    if (!path)
-        return false;
-    SpanTracer tracer;
-    RunConfig c;
-    c.nprocs = nprocs;
-    c.scale = scale;
-    c.seed = 1;
-    c.obs = &tracer;
-    RunResult r = runApp(key, c);
-    if (!writePerfettoJson(tracer, path)) {
-        std::fprintf(stderr, "trace-out: cannot write %s\n", path);
-        return false;
-    }
-    std::printf("trace-out: %s baseline (%d procs, scale %g) -> %s "
-                "(%zu spans, %zu messages)%s\n",
-                key.c_str(), nprocs, scale, path, tracer.spans().size(),
-                tracer.messages().size(), r.ok ? "" : " [run not ok]");
-    return true;
-}
-
 /** Paper display names, keyed like the registry. */
 inline std::string
 displayName(const std::string &key)
 {
     auto app = makeApp(key);
     return app->name();
-}
-
-/** The paper's overhead sweep (Figure 5 / Table 5), microseconds. */
-inline const std::vector<double> &
-overheadSweep()
-{
-    static const std::vector<double> v = {2.9,  3.9,  4.9,  6.9, 7.9,
-                                          12.9, 22.9, 52.9, 102.9};
-    return v;
-}
-
-/** The paper's gap sweep (Figure 6 / Table 6), microseconds. */
-inline const std::vector<double> &
-gapSweep()
-{
-    static const std::vector<double> v = {5.8, 8,  10, 15,
-                                          30,  55, 80, 105};
-    return v;
-}
-
-/** The paper's latency sweep (Figure 7), microseconds. */
-inline const std::vector<double> &
-latencySweep()
-{
-    static const std::vector<double> v = {5, 7.5, 10, 15,
-                                          30, 55, 80, 105};
-    return v;
-}
-
-/** The paper's bulk-bandwidth sweep (Figure 8), MB/s. */
-inline const std::vector<double> &
-bandwidthSweep()
-{
-    static const std::vector<double> v = {38, 30, 25, 20, 15,
-                                          10, 5,  2,  1};
-    return v;
 }
 
 /** Baseline configuration for a bench run. */
@@ -230,12 +156,58 @@ budgetFor(const RunResult &baseline, const Knobs &knobs)
 /** One application's slowdown series over a sweep. */
 struct Series
 {
-    std::string key;
     std::string name;
-    Tick baseline = 0;
     std::vector<double> slowdown; ///< < 0 means N/A (timed out).
-    std::vector<Tick> runtime;
 };
+
+/**
+ * The points of one knob sweep: every (app, x) pair in app-major
+ * order, each from its app's baseline point (`base_pts`, whose results
+ * are `bases`) with the knob set, budgeted from that baseline's
+ * result, and unvalidated (sweeps measure time).
+ * @param set_knob Writes the x-value into a Knobs struct.
+ */
+template <typename SetKnob>
+std::vector<RunPoint>
+sweepPoints(std::span<const RunPoint> base_pts,
+            std::span<const RunResult> bases,
+            const std::vector<double> &xs, SetKnob &&set_knob)
+{
+    std::vector<RunPoint> pts;
+    pts.reserve(base_pts.size() * xs.size());
+    for (std::size_t i = 0; i < base_pts.size(); ++i) {
+        for (double x : xs) {
+            RunPoint p = base_pts[i];
+            set_knob(p.config.knobs, x);
+            p.config.maxTime = budgetFor(bases[i], p.config.knobs);
+            p.config.validate = false;
+            pts.push_back(std::move(p));
+        }
+    }
+    return pts;
+}
+
+/** Each app's slowdown series from `rs`, the results of sweepPoints
+ *  over `nxs` values, in its order. */
+inline std::vector<Series>
+seriesOf(std::span<const RunPoint> base_pts,
+         std::span<const RunResult> bases, std::size_t nxs,
+         std::span<const RunResult> rs)
+{
+    std::vector<Series> series;
+    series.reserve(base_pts.size());
+    for (std::size_t i = 0; i < base_pts.size(); ++i) {
+        Series s;
+        s.name = displayName(base_pts[i].app);
+        for (std::size_t j = 0; j < nxs; ++j) {
+            const RunResult &r = rs[i * nxs + j];
+            s.slowdown.push_back(
+                r.ok ? slowdown(r.runtime, bases[i].runtime) : -1.0);
+        }
+        series.push_back(std::move(s));
+    }
+    return series;
+}
 
 /**
  * Run several applications over a sweep of one knob, fanning every
@@ -256,49 +228,9 @@ sweepApps(const std::vector<std::string> &keys, int nprocs, double scale,
     for (const auto &key : keys)
         base_pts.push_back(RunPoint{key, baseConfig(nprocs, scale)});
     std::vector<RunResult> bases = runPoints(base_pts, jobs);
-
-    std::vector<RunPoint> pts;
-    pts.reserve(keys.size() * xs.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        for (double x : xs) {
-            RunPoint p{keys[i], base_pts[i].config};
-            set_knob(p.config.knobs, x);
-            p.config.maxTime = budgetFor(bases[i], p.config.knobs);
-            p.config.validate = false; // Sweeps measure time.
-            pts.push_back(std::move(p));
-        }
-    }
-    std::vector<RunResult> rs = runPoints(pts, jobs);
-
-    std::vector<Series> series;
-    series.reserve(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        Series s;
-        s.key = keys[i];
-        s.name = displayName(keys[i]);
-        s.baseline = bases[i].runtime;
-        for (std::size_t j = 0; j < xs.size(); ++j) {
-            const RunResult &r = rs[i * xs.size() + j];
-            s.runtime.push_back(r.runtime);
-            s.slowdown.push_back(
-                r.ok ? slowdown(r.runtime, s.baseline) : -1.0);
-        }
-        series.push_back(std::move(s));
-    }
-    return series;
-}
-
-/**
- * Run `key` over a sweep of one knob (single-app convenience wrapper
- * around sweepApps; still fans the points out unless jobs == 1).
- */
-template <typename SetKnob>
-Series
-sweepApp(const std::string &key, int nprocs, double scale,
-         const std::vector<double> &xs, SetKnob &&set_knob, int jobs = 0)
-{
-    return sweepApps(std::vector<std::string>{key}, nprocs, scale, xs,
-                     std::forward<SetKnob>(set_knob), jobs)[0];
+    std::vector<RunResult> rs = runPoints(
+        sweepPoints(base_pts, bases, xs, set_knob), jobs);
+    return seriesOf(base_pts, bases, xs.size(), rs);
 }
 
 /** Print a figure-style table: rows = x values, one column per app. */

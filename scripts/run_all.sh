@@ -1,36 +1,59 @@
 #!/bin/sh
 # Regenerate every table and figure into results/, plus test output.
+# Exits non-zero if the test suite, a bench binary or a smoke run fails.
 # Usage: scripts/run_all.sh [build-dir] (default: build)
 set -e
 BUILD=${1:-build}
 mkdir -p results
+status=0
+
+# run LOG CMD...: run CMD with its output kept in LOG and shown. A
+# failure is named and fails the script at the end; piping CMD into
+# tee instead would hand set -e tee's status, not CMD's.
+run() {
+    log=$1
+    shift
+    rc=0
+    "$@" > "$log" 2>&1 || rc=$?
+    cat "$log"
+    if [ "$rc" -ne 0 ]; then
+        echo "FAILED (exit $rc): see $log"
+        status=1
+    fi
+}
 
 # Run the suite twice -- fully serial and fully fanned out -- so any
 # parallel-runner nondeterminism fails loudly here, not in a paper run.
-NOW_JOBS=1 ctest --test-dir "$BUILD" 2>&1 | tee results/test_output.txt
-NOW_JOBS=$(nproc) ctest --test-dir "$BUILD" 2>&1 \
-    | tee results/test_output_jobs.txt
+run results/test_output.txt env NOW_JOBS=1 ctest --test-dir "$BUILD"
+run results/test_output_jobs.txt env NOW_JOBS="$(nproc)" \
+    ctest --test-dir "$BUILD"
 
-for b in "$BUILD"/bench/*; do
+# Only the bench binaries: the directory also holds CMake's files. Each
+# runs inside results/, so what it writes to its working directory
+# (bench_paper's fig4/, the BENCH_*.json of bench_backend, bench_coll
+# and bench_wavefront) lands there, not over the committed ledgers.
+bench_dir=$(cd "$BUILD/bench" && pwd)
+for b in "$bench_dir"/*; do
+    [ -f "$b" ] && [ -x "$b" ] || continue
     name=$(basename "$b")
     echo "== $name =="
-    "$b" 2>&1 | tee "results/$name.txt"
+    run "results/$name.txt" sh -c 'cd results && exec "$0"' "$b"
 done
 
 # 1024-node smoke: one run on an oversubscribed two-level fat-tree.
 # Completing with valid output here is the gate for the scaled-up
 # paper sweeps.
 echo "== 1024-node smoke =="
-"$BUILD"/tools/nowlab run radix --procs 1024 --scale 0.02 \
-    --topo --topo-hosts 32 --topo-oversub 4 \
-    2>&1 | tee results/nowlab_1024_smoke.txt
+run results/nowlab_1024_smoke.txt \
+    "$BUILD"/tools/nowlab run radix --procs 1024 --scale 0.02 \
+    --topo --topo-hosts 32 --topo-oversub 4
 
 # Traced smoke run: capture a span trace of one baseline run and make
 # sure the Perfetto export is valid JSON (loadable in ui.perfetto.dev).
 echo "== traced smoke run =="
-"$BUILD"/tools/nowlab trace radix --procs 4 --scale 0.1 \
-    --out results/radix_trace.json --bin results/radix_trace.obs \
-    2>&1 | tee results/nowlab_trace.txt
+run results/nowlab_trace.txt \
+    "$BUILD"/tools/nowlab trace radix --procs 4 --scale 0.1 \
+    --out results/radix_trace.json --bin results/radix_trace.obs
 python3 -m json.tool results/radix_trace.json > /dev/null \
     && echo "results/radix_trace.json: valid JSON"
 
@@ -38,10 +61,11 @@ python3 -m json.tool results/radix_trace.json > /dev/null \
 # and validate the idle-wave Perfetto export (clamped spans and the
 # synthesized idle-wave track must still be loadable JSON).
 echo "== wavefront smoke =="
-"$BUILD"/tools/nowlab wavefront radix --procs 8 --scale 0.05 \
-    --out results/radix_wavefront.json \
-    2>&1 | tee results/nowlab_wavefront.txt
+run results/nowlab_wavefront.txt \
+    "$BUILD"/tools/nowlab wavefront radix --procs 8 --scale 0.05 \
+    --out results/radix_wavefront.json
 python3 -m json.tool results/radix_wavefront.json > /dev/null \
     && echo "results/radix_wavefront.json: valid JSON"
 
-echo "All outputs in results/ (Figure 4 images in fig4/)"
+echo "All outputs in results/ (Figure 4 images in results/fig4/)"
+exit $status

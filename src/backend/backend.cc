@@ -98,11 +98,28 @@ retimeRefusal(const RunConfig &c)
 }
 
 std::string
+fatTreeRefusal(const LogGPParams &traced, const LogGPParams &target)
+{
+    const LpParams a = AnalyticModel::pointOf(traced);
+    const LpParams b = AnalyticModel::pointOf(target);
+    if (!traced.topo ||
+        (a.L == b.L && a.o == b.o && a.g == b.g && a.Gb == b.Gb))
+        return "";
+    return "fat-tree contention is lowered as fixed edge time, so only "
+           "the traced L/o/g/G is served";
+}
+
+std::string
 AnalyticBackend::canServe(const RunPoint &pt)
 {
     if (pt.config.obs)
         return "trace sinks need a real simulation";
     if (std::string why = retimeRefusal(pt.config); !why.empty())
+        return why;
+    if (std::string why =
+            fatTreeRefusal(resolvedParams(basePointOf(pt).config),
+                           resolvedParams(pt.config));
+        !why.empty())
         return why;
 
     // A model already built but poisoned by probe drift refuses

@@ -9,8 +9,8 @@
  * strictly passive: a span is two timestamps that the simulation was
  * going to produce anyway, so an attached tracer never perturbs virtual
  * time and a detached one costs a single predicted-not-taken branch
- * (all record paths are inlined here and guarded by a null check; see
- * bench_engine_micro's BM_AmRoundTrip / BM_AmRoundTripTraced A/B).
+ * (all record paths are inlined here and guarded by a null check;
+ * `nowlab perf` times AM round trips with and without a tracer).
  *
  * The recorded data feeds every trace consumer: the Chrome/Perfetto
  * trace_event exporter and the compact binary format `nowlab replay

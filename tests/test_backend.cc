@@ -216,6 +216,17 @@ TEST(Analytic, RefusesWhatTheModelCannotRetime)
     SpanTracer tracer;
     traced.config.obs = &tracer;
     EXPECT_NE(be.canServe(traced), "");
+
+    // Fat-tree contention is fixed edge time in the LP: only the
+    // traced L/o/g/G is served.
+    RunPoint tree = smallPoint("radix");
+    tree.config.knobs.topo = 1;
+    tree.config.knobs.topoOversub = 4;
+    tree.config.knobs.topoHosts = 4;
+    EXPECT_EQ(be.canServe(tree), "");
+    tree.config.knobs.gapUs = 30;
+    EXPECT_NE(be.canServe(tree).find("fat-tree contention"),
+              std::string::npos);
 }
 
 TEST(Analytic, ExactAtItsOwnBasePointAndMarkedModelDerived)

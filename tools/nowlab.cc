@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "am/cluster.hh"
 #include "apps/app.hh"
 #include "backend/backend.hh"
 #include "base/logging.hh"
@@ -1042,17 +1043,81 @@ cmdStorm(const Args &a)
     return lost.load() == 0 && protocolErrors == 0 ? 0 : 1;
 }
 
+/** Median, minimum and interquartile range of a timing sample. */
+struct Spread
+{
+    double median = 0;
+    double min = 0;
+    double iqr = 0;
+};
+
+Spread
+spreadOf(std::vector<double> xs)
+{
+    std::sort(xs.begin(), xs.end());
+    Spread s;
+    s.median = percentile(xs, 0.50);
+    s.min = xs.empty() ? 0 : xs.front();
+    s.iqr = percentile(xs, 0.75) - percentile(xs, 0.25);
+    return s;
+}
+
+/** `key: {median, min, iqr}` in a ledger. */
+void
+writeSpread(svc::JsonWriter &w, std::string_view key, const Spread &s)
+{
+    w.beginObject(key)
+        .field("median", s.median)
+        .field("min", s.min)
+        .field("iqr", s.iqr)
+        .endObject();
+}
+
+/**
+ * One whole two-node cluster run of `trips` request/reply round trips
+ * (node 0 requests, node 1's handler replies), with `tracer` attached
+ * when it is not null.
+ */
+void
+amRoundTrips(const LogGPParams &params, SpanTracer *tracer, int trips)
+{
+    Cluster c(2, params);
+    if (tracer)
+        c.setTracer(tracer);
+    int done = c.registerHandler([](AmNode &, Packet &) {});
+    int echo = c.registerHandler([done](AmNode &self, Packet &pkt) {
+        self.reply(pkt, done);
+    });
+    bool stop = false;
+    c.run([&](AmNode &n) {
+        if (n.id() == 0) {
+            for (int i = 0; i < trips; ++i)
+                n.request(1, echo);
+            n.pollUntil([&] {
+                return n.counters().received >=
+                       static_cast<std::uint64_t>(trips);
+            });
+            stop = true;
+            n.oneWay(1, done);
+        } else {
+            n.pollUntil([&] { return stop; });
+        }
+    });
+}
+
 /**
  * `nowlab perf`: the perf-trajectory benchmark behind
  * scripts/bench_perf.sh and BENCH_engine.json.
  *
  * Measures (1) raw event-loop throughput through the pooled
  * explicit-heap queue, (2) pooled fiber stand-up cost and the
- * resume+yield round trip, (3) wall-clock for a canonical knob sweep
- * run serially vs fanned out with the parallel runner -- verifying on
- * the way that both produce byte-identical per-point results, (4) one
+ * resume+yield round trip, (3) the host time of one simulated AM
+ * request/reply round trip, untraced and with a span tracer attached
+ * (the tracer's cost), (4) wall-clock for a canonical knob sweep run
+ * serially vs fanned out with the parallel runner -- verifying on the
+ * way that both produce byte-identical per-point results, (5) one
  * large run (radix on an oversubscribed fat-tree, 1024 procs by
- * default) on the single-heap engine, and (5) the analytic LP: one
+ * default) on the single-heap engine, and (6) the analytic LP: one
  * traced run of the sweep's app and size lowered once, then re-timed
  * at the sweep's overhead values.
  */
@@ -1135,7 +1200,34 @@ cmdPerf(const Args &a)
     }
     std::printf("fiber swap : %.1f ns per resume+yield\n", switch_ns);
 
-    // --- (3) canonical sweep, serial vs parallel ----------------------
+    // --- (3) AM round trips, untraced and traced ------------------------
+    // Whole cluster runs, alternating the two so that drift in the
+    // host's speed hits both alike.
+    constexpr int kAmRuns = 31;
+    constexpr int kAmTrips = 2000;
+    std::vector<double> am_ns, am_traced_ns;
+    {
+        SpanTracer am_tracer;
+        for (int r = 0; r < kAmRuns; ++r) {
+            auto t0 = Clock::now();
+            amRoundTrips(base.machine.params, nullptr, kAmTrips);
+            am_ns.push_back(seconds_since(t0) / kAmTrips * 1e9);
+            am_tracer.clear();
+            t0 = Clock::now();
+            amRoundTrips(base.machine.params, &am_tracer, kAmTrips);
+            am_traced_ns.push_back(seconds_since(t0) / kAmTrips * 1e9);
+        }
+    }
+    const Spread am = spreadOf(am_ns);
+    const Spread am_traced = spreadOf(am_traced_ns);
+    const double am_overhead_pct =
+        (am_traced.median / am.median - 1) * 100;
+    std::printf("am         : %.1f ns per round trip (min %.1f, IQR "
+                "%.1f), traced %.1f ns (%+.1f%%), %d runs of %d\n",
+                am.median, am.min, am.iqr, am_traced.median,
+                am_overhead_pct, kAmRuns, kAmTrips);
+
+    // --- (4) canonical sweep, serial vs parallel ----------------------
     std::vector<RunPoint> points;
     for (int i = 0; i < npoints; ++i) {
         RunPoint p{app, base};
@@ -1164,7 +1256,7 @@ cmdPerf(const Args &a)
                 serial_s / parallel_s,
                 identical ? "byte-identical" : "DIVERGENT");
 
-    // --- (4) one large run on the single-heap engine -----------------
+    // --- (5) one large run on the single-heap engine -----------------
     RunConfig pcfg;
     pcfg.nprocs = sim_procs;
     pcfg.scale = sim_scale;
@@ -1182,7 +1274,7 @@ cmdPerf(const Args &a)
                 sim_procs, large_s, large_eps / 1e6,
                 large.ok ? "" : " (FAILED)");
 
-    // --- (5) LP lower and solve ---------------------------------------
+    // --- (6) LP lower and solve ---------------------------------------
     // AnalyticModel::build on one traced run, then runtime() -- the
     // makespan-only solve a served point takes -- cycling through the
     // sweep's overhead column, kLpReps times.
@@ -1210,17 +1302,13 @@ cmdPerf(const Args &a)
         solve_us.push_back(seconds_since(ts) * 1e6);
         fatal_if(!solved, "perf: the lowered model did not solve");
     }
-    std::sort(solve_us.begin(), solve_us.end());
-    const double solve_med = percentile(solve_us, 0.50);
-    const double solve_iqr =
-        percentile(solve_us, 0.75) - percentile(solve_us, 0.25);
-    const double solve_min = solve_us.empty() ? 0 : solve_us.front();
+    const Spread solve = spreadOf(solve_us);
     const backend::ModelBuildStats &lp = model.stats();
     std::printf("lp         : %s, %zu nodes, %zu edges: lowered in "
                 "%.2f ms, runtime() %.1f us per point (min %.1f, IQR "
                 "%.1f, %d reps)%s\n",
-                app.c_str(), lp.lpNodes, lp.lpEdges, lower_ms, solve_med,
-                solve_min, solve_iqr, kLpReps,
+                app.c_str(), lp.lpNodes, lp.lpEdges, lower_ms,
+                solve.median, solve.min, solve.iqr, kLpReps,
                 lowered ? "" : " (FAILED to lower)");
 
     if (out) {
@@ -1238,6 +1326,12 @@ cmdPerf(const Args &a)
             .field("stack_pool_misses",
                    static_cast<std::uint64_t>(pool_misses))
             .endObject();
+        w.beginObject("am")
+            .field("runs", kAmRuns)
+            .field("round_trips_per_run", kAmTrips);
+        writeSpread(w, "round_trip_ns", am);
+        writeSpread(w, "traced_round_trip_ns", am_traced);
+        w.field("traced_overhead_pct", am_overhead_pct).endObject();
         w.beginObject("sweep")
             .field("app", app)
             .field("points", npoints)
@@ -1268,9 +1362,9 @@ cmdPerf(const Args &a)
             .field("lower_ms", lower_ms)
             .beginObject("runtime_us")
             .field("reps", kLpReps)
-            .field("median", solve_med)
-            .field("min", solve_min)
-            .field("iqr", solve_iqr)
+            .field("median", solve.median)
+            .field("min", solve.min)
+            .field("iqr", solve.iqr)
             .endObject()
             .endObject();
         w.endObject();
@@ -1481,7 +1575,8 @@ cmdWavefront(const Args &a)
 /**
  * `nowlab replay --obs FILE`: the analytic backend fed from a NOWOBS02
  * file. Its header's run is read as nowlabd reads a submit request and
- * refused by the backend's rule (retimeRefusal); the trace is lowered
+ * refused by the backend's rules (retimeRefusal, and fatTreeRefusal at
+ * the target knobs); the trace is lowered
  * at the recorded parameters, calibrated on the recorded runtime, and
  * re-solved at the recorded knobs with --latency, --overhead, --gap and
  * --mbps overriding them. Anything else exits 1 naming the cause.
@@ -1525,6 +1620,9 @@ cmdReplay(const Args &a)
     // overrides the recorded one.
     LogGPParams target = recorded;
     k.applyTo(target);
+    why = backend::fatTreeRefusal(recorded, target);
+    fatal_if(!why.empty(), "%s records a run the LP cannot re-time to "
+             "these knobs: %s", obs->c_str(), why.c_str());
 
     backend::AnalyticModel model;
     fatal_if(!model.build(trace, recorded, header.runtime),
