@@ -18,8 +18,9 @@ using namespace nowcluster;
 using namespace nowcluster::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    benchArgs(argc, argv, {}); // No option.
     double scale = scaleOr(1.0);
     std::printf("Burstiness of application communication, 32 nodes "
                 "(scale=%.2f)\n",

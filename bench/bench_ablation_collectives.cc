@@ -39,9 +39,10 @@ bcastUs(const LogGPParams &params, coll::CollAlg alg)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using coll::CollAlg;
+    benchArgs(argc, argv, {}); // No option.
     std::printf("Collective algorithms under the LogGP knobs, %d "
                 "nodes\n(columns: measureCollective span from the "
                 "entry barrier to the last\nprocessor done, us; "

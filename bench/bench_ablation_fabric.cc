@@ -20,9 +20,10 @@ using namespace nowcluster::bench;
 int
 main(int argc, char **argv)
 {
-    ResultCacheScope cache_scope(argc, argv);
+    const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
+    ResultCacheScope cache_scope(args.cacheDir);
     double scale = scaleOr(1.0);
-    int jobs = jobsArg(argc, argv);
+    int jobs = args.jobs;
     std::printf("Ablation: switch-fabric contention (32 nodes, 4 "
                 "hosts/leaf switch, scale=%.2f)\n",
                 scale);

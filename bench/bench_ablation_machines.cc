@@ -16,8 +16,9 @@ using namespace nowcluster;
 using namespace nowcluster::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    benchArgs(argc, argv, {}); // No option.
     double scale = scaleOr(1.0);
     std::printf("Ablation: application suite across Table-1 machines, "
                 "32 nodes (scale=%.2f)\n",

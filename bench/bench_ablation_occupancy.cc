@@ -17,9 +17,10 @@ using namespace nowcluster::bench;
 int
 main(int argc, char **argv)
 {
-    ResultCacheScope cache_scope(argc, argv);
+    const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
+    ResultCacheScope cache_scope(args.cacheDir);
     double scale = scaleOr(1.0);
-    int jobs = jobsArg(argc, argv);
+    int jobs = args.jobs;
     const std::vector<double> xs = {0, 2.5, 5, 10, 25, 50};
 
     auto set = [](Knobs &k, double x) { k.occupancyUs = x; };

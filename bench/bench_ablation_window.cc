@@ -54,9 +54,10 @@ sweepWindows(double scale, double latency_us, int jobs)
 int
 main(int argc, char **argv)
 {
-    ResultCacheScope cache_scope(argc, argv);
+    const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
+    ResultCacheScope cache_scope(args.cacheDir);
     double scale = scaleOr(1.0);
-    int jobs = jobsArg(argc, argv);
+    int jobs = args.jobs;
     sweepWindows(scale, -1, jobs);   // Baseline latency.
     sweepWindows(scale, 55.0, jobs); // The Figure-7 regime.
     return 0;

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -188,7 +187,7 @@ benchApp(const std::string &app, double scale,
                    ticksAt(rep.points, kLs[0], false)) /
                   dl;
     const backend::AnalyticSlopes slope =
-        be.slopes(pointFor(app, scale, kLs[4], kOs[0]));
+        be.slopes(pointFor(app, scale, kLs[4], kOs[0]), backend::kSlopeL);
     rep.dtdlModel = slope.ok ? slope.dTdL : -1;
 
     const bool sign_ok =
@@ -241,11 +240,8 @@ printReport(const AppReport &rep)
 int
 main(int argc, char **argv)
 {
-    const char *out_path = "BENCH_backend.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0)
-            out_path = argv[i + 1];
-    }
+    const std::string out_path =
+        benchArgs(argc, argv, {"--out"}, "BENCH_backend.json").out;
     const double scale = scaleOr(0.1);
 
     std::printf("Analytic backend: per-point wall-clock and agreement "

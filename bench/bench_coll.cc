@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -110,11 +109,8 @@ printGrid(const GridResult &g)
 int
 main(int argc, char **argv)
 {
-    const char *out_path = "BENCH_coll.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0)
-            out_path = argv[i + 1];
-    }
+    const std::string out_path =
+        benchArgs(argc, argv, {"--out"}, "BENCH_coll.json").out;
     const double scale = scaleOr(0.02);
 
     std::printf("Tuned collectives: cost-model validation and the "

@@ -405,9 +405,10 @@ printTable6(double scale, std::span<const RunResult> base32,
 int
 main(int argc, char **argv)
 {
-    ResultCacheScope cache_scope(argc, argv);
+    const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
+    ResultCacheScope cache_scope(args.cacheDir);
     const double scale = scaleOr(1.0);
-    const int jobs = jobsArg(argc, argv);
+    const int jobs = args.jobs;
 
     printTable1();
     printFigure3();

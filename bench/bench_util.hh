@@ -10,10 +10,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hh"
@@ -27,49 +28,69 @@
 
 namespace nowcluster::bench {
 
-/**
- * Worker count for a bench binary: `--jobs N` on the command line wins,
- * else NOW_JOBS, else one worker per hardware thread. Every bench
- * binary fans its independent simulation points out over this many
- * threads; results are identical at any setting (tests/test_runner.cc).
- */
-inline int
-jobsArg(int argc, char **argv)
+/** A bench binary's options (benchArgs). */
+struct BenchArgs
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            long v;
+    /** `--jobs N`: worker count, 0 (the default) for NOW_JOBS, else
+     *  one per hardware thread. Every bench binary fans its independent
+     *  simulation points out over this many threads; results are
+     *  identical at any setting (tests/test_runner.cc). */
+    int jobs = 0;
+    /** `--cache-dir D`, else NOW_CACHE_DIR: the result store, or "". */
+    std::string cacheDir;
+    /** `--out F`: where a ledger binary writes its JSON. */
+    std::string out;
+};
+
+/**
+ * Read a bench binary's command line: the options in `reads`, of
+ * `--jobs`, `--cache-dir` and `--out`, each with a value; `out` is the
+ * ledger written without `--out`. Any other argument -- a typo, a
+ * removed option, another binary's option -- exits 1 naming it, as
+ * nowlab's options do, instead of a silent run at the defaults.
+ */
+inline BenchArgs
+benchArgs(int argc, char **argv,
+          std::initializer_list<std::string_view> reads,
+          std::string out = "")
+{
+    BenchArgs a;
+    a.cacheDir = envCacheDir();
+    a.out = std::move(out);
+    for (int i = 1; i < argc; i += 2) {
+        const std::string_view opt = argv[i];
+        fatal_if(std::find(reads.begin(), reads.end(), opt) == reads.end(),
+                 "unknown option %s for %s", argv[i], argv[0]);
+        fatal_if(i + 1 == argc, "%s needs a value", argv[i]);
+        const char *value = argv[i + 1];
+        if (opt == "--jobs") {
+            long v = 0;
             // Strict: `--jobs foo` must fail loudly, not silently run
             // the whole bench single-threaded at atoi's 0.
-            fatal_if(!parseLongStrict(argv[i + 1], v) || v < 0 ||
-                         v > 4096,
-                     "--jobs: '%s' is not a valid worker count",
-                     argv[i + 1]);
-            return static_cast<int>(v);
+            fatal_if(!parseLongStrict(value, v) || v < 0 || v > 4096,
+                     "--jobs: '%s' is not a valid worker count", value);
+            a.jobs = static_cast<int>(v);
+        } else if (opt == "--cache-dir") {
+            a.cacheDir = value;
+        } else {
+            a.out = value;
         }
     }
-    return 0; // runPoints resolves 0 to NOW_JOBS / hardware.
+    return a;
 }
 
 /**
- * Attach the content-addressed result store for the binary's lifetime:
- * `--cache-dir D` on the command line wins, else NOW_CACHE_DIR, else
- * this is a no-op. While an instance is alive every runPoints point
- * is served from the store when it hits (byte-identical
- * to recomputation); the destructor prints the hit/miss tally so a
- * warmed bench run is visibly cheap.
+ * Attach the content-addressed result store in `dir` (BenchArgs's
+ * cacheDir) for the binary's lifetime; "" is a no-op. While an
+ * instance is alive every runPoints point is served from the store
+ * when it hits (byte-identical to recomputation); the destructor
+ * prints the hit/miss tally so a warmed bench run is visibly cheap.
  */
 class ResultCacheScope
 {
   public:
-    ResultCacheScope(int argc, char **argv)
+    explicit ResultCacheScope(const std::string &dir)
     {
-        const char *arg = nullptr;
-        for (int i = 1; i + 1 < argc; ++i) {
-            if (std::strcmp(argv[i], "--cache-dir") == 0)
-                arg = argv[i + 1];
-        }
-        std::string dir = arg ? arg : envCacheDir();
         if (dir.empty())
             return;
         store_ = std::make_unique<svc::ResultStore>(dir);

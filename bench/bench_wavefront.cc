@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,11 +161,8 @@ printReport(const AppReport &rep)
 int
 main(int argc, char **argv)
 {
-    const char *out_path = "BENCH_wavefront.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0)
-            out_path = argv[i + 1];
-    }
+    const std::string out_path =
+        benchArgs(argc, argv, {"--out"}, "BENCH_wavefront.json").out;
     const double scale = scaleOr(0.05);
 
     std::printf("Wavefront analyzer: one-off delay propagation across "

@@ -5,10 +5,11 @@
 # out across --jobs workers (verifying the two produce byte-identical
 # results), one large run -- radix on a 1024-node oversubscribed
 # fat-tree -- in seconds and events/s, and the analytic LP of one
-# traced run: its lowering time and the per-point solve time (median,
-# min and IQR over 31 repetitions). The host record (cores, CPU,
-# compiler, build type, revision) and jobs_used record the machine the
-# numbers came from -- speedups on a 1-core runner are honest 1.0x.
+# traced run: its lowering time and the per-point makespan-only and
+# dual solve times (median, min and IQR over 31 repetitions each).
+# The host record (cores, CPU, compiler, build type, revision) and
+# jobs_used record the machine the numbers came from -- speedups on a
+# 1-core runner are honest 1.0x.
 #
 # Usage: scripts/bench_perf.sh [out.json] [extra `nowlab perf` args]
 set -eu

@@ -98,18 +98,6 @@ retimeRefusal(const RunConfig &c)
 }
 
 std::string
-fatTreeRefusal(const LogGPParams &traced, const LogGPParams &target)
-{
-    const LpParams a = AnalyticModel::pointOf(traced);
-    const LpParams b = AnalyticModel::pointOf(target);
-    if (!traced.topo ||
-        (a.L == b.L && a.o == b.o && a.g == b.g && a.Gb == b.Gb))
-        return "";
-    return "fat-tree contention is lowered as fixed edge time, so only "
-           "the traced L/o/g/G is served";
-}
-
-std::string
 AnalyticBackend::canServe(const RunPoint &pt)
 {
     if (pt.config.obs)
@@ -237,10 +225,10 @@ AnalyticBackend::predict(const RunPoint &pt)
 }
 
 AnalyticSlopes
-AnalyticBackend::slopes(const RunPoint &pt)
+AnalyticBackend::slopes(const RunPoint &pt, unsigned knobs)
 {
     return withModel<AnalyticSlopes>(pt, [&](const ModelEntry &e) {
-        return e.model.slopes(resolvedParams(pt.config));
+        return e.model.slopes(resolvedParams(pt.config), knobs);
     });
 }
 

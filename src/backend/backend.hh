@@ -37,13 +37,6 @@ namespace nowcluster::backend {
  *  canServe refuses such points; `nowlab trace` withholds slopes. */
 std::string retimeRefusal(const RunConfig &c);
 
-/** Why the LP cannot re-time a fat-tree run traced at `traced` to
- *  `target`, or "": it lowers the tree's link contention as fixed
- *  edge time, which holds only at the L, o, g and G the run was traced
- *  at. canServe refuses such points; so does `nowlab replay`. */
-std::string fatTreeRefusal(const LogGPParams &traced,
-                           const LogGPParams &target);
-
 /** Knobs common to backend construction. */
 struct BackendOptions
 {
@@ -111,9 +104,9 @@ class AnalyticBackend : public ExperimentBackend
      *  for validation; builds like run(). */
     AnalyticPrediction predict(const RunPoint &pt);
 
-    /** The one-sided slopes (AnalyticModel::slopes) for sweep tables;
-     *  builds like run(). */
-    AnalyticSlopes slopes(const RunPoint &pt);
+    /** The one-sided slopes of `knobs` (AnalyticModel::slopes) for
+     *  sweep tables; builds like run(). */
+    AnalyticSlopes slopes(const RunPoint &pt, unsigned knobs = kAllSlopes);
 
     /** Lowering statistics of the point's model (ok=false prediction
      *  if absent). */

@@ -40,13 +40,17 @@ hashOf(const CostBits &bits)
     return static_cast<std::size_t>(h);
 }
 
-/** The binding entry of a slot, as solve() records it. */
-enum Pick : std::uint8_t
-{
-    kNone, ///< Neither entry beats +0: the slot's distance is zero.
-    kA,
-    kB,
-};
+/** How many ready nodes prepare() lays out side by side, so that
+ *  neighbouring slots seldom read one another. 1 is the one-at-a-time
+ *  order; 4 and 8 solved fastest. */
+constexpr std::size_t kBatch = 8;
+
+/** Slots per block of the solve pass (see propagate). */
+constexpr std::size_t kBlock = 64;
+
+/** Marks entry B in a slot's recorded binding source (a slot number
+ *  fits in 31 bits). */
+constexpr std::uint32_t kViaB = std::uint32_t{1} << 31;
 
 } // namespace
 
@@ -57,8 +61,11 @@ struct LpDag::Scratch
 {
     std::vector<double> cost;       ///< costs_ at the operating point.
     std::vector<double> dist;       ///< Longest-path distance per slot.
-    std::vector<std::uint8_t> pick; ///< Binding entry per slot (Pick).
-    std::size_t argmax = 0;         ///< First slot reaching the makespan.
+    /** Per slot, the source slot of its binding entry, with kViaB
+     *  when that is entry B. */
+    std::vector<std::uint32_t> bind;
+    std::vector<double> blockMax;   ///< Largest distance per block.
+    std::size_t argmax = 0;         ///< Slot the dual walks back from.
 };
 
 LpDag::Scratch &
@@ -127,6 +134,7 @@ LpDag::prepare()
 {
     prepared_ = false;
     slots_.clear();
+    rank_.clear();
     const int n = static_cast<int>(nodeCount_);
     // Edge positions and slot numbers (at most one per node plus one
     // per edge) must fit in 31 bits.
@@ -157,22 +165,38 @@ LpDag::prepare()
             if (e.src != kSource)
                 out[at[e.src]++] = e.dst;
     }
-    std::vector<int> topo;
-    topo.reserve(nodeCount_);
-    std::vector<int> frontier;
-    for (int v = 0; v < n; v++)
-        if (indeg[v] == 0)
-            frontier.push_back(v);
-    while (!frontier.empty()) {
-        int v = frontier.back();
-        frontier.pop_back();
-        topo.push_back(v);
-        for (int i = outOff[v]; i < outOff[v + 1]; i++)
-            if (--indeg[out[i]] == 0)
-                frontier.push_back(out[i]);
-    }
-    if (topo.size() != nodeCount_)
+    // Kahn's order off a stack, `batch` ready nodes at a time: each
+    // batch is visited, then its nodes' newly ready successors are
+    // pushed, so the nodes of a batch never depend on one another.
+    auto sort = [&](std::size_t batch, std::vector<int> indeg) {
+        std::vector<int> topo, frontier;
+        topo.reserve(nodeCount_);
+        for (int v = 0; v < n; v++)
+            if (indeg[v] == 0)
+                frontier.push_back(v);
+        while (!frontier.empty()) {
+            const std::size_t from = topo.size();
+            for (std::size_t i = 0; i < batch && !frontier.empty(); i++) {
+                topo.push_back(frontier.back());
+                frontier.pop_back();
+            }
+            for (std::size_t i = from; i < topo.size(); i++) {
+                const int v = topo[i];
+                for (int j = outOff[v]; j < outOff[v + 1]; j++)
+                    if (--indeg[out[j]] == 0)
+                        frontier.push_back(out[j]);
+            }
+        }
+        return topo;
+    };
+    // The one-at-a-time order only ranks the slots, for the dual's
+    // ties (see prepare() in lp.hh).
+    std::vector<int> former = sort(1, indeg);
+    if (former.size() != nodeCount_)
         return false;
+    const std::vector<int> topo = sort(kBatch, std::move(indeg));
+    std::vector<int>().swap(out);
+    std::vector<int>().swap(outOff);
 
     // Distance slots in visit order, from 1 (slot 0 is the source):
     // a node with d > 2 in-edges takes d - 1 slots, any other one, and
@@ -185,6 +209,12 @@ LpDag::prepare()
         slots += width[v] > 2 ? width[v] - 1 : 1;
         last[v] = slots;
     }
+    rank_.resize(slots);
+    for (std::uint32_t r = 1; int v : former)
+        for (std::uint32_t k = first[v]; k <= last[v]; k++)
+            rank_[k - 1] = r++;
+    std::vector<int>().swap(former);
+
     slots_.assign(slots, {0, 0, 0, 0});
     for (int v : topo)
         for (std::uint32_t k = first[v] + 1; k <= last[v]; k++)
@@ -231,37 +261,76 @@ LpDag::propagate(const LpParams &params, Scratch &sc) const
     sc.dist.resize(n + 1);
     double *dist = sc.dist.data();
     const double *cost = sc.cost.data();
-    std::uint8_t *pick = nullptr;
+    std::uint32_t *bind = nullptr;
     if constexpr (kDual) {
-        sc.pick.resize(n + 1);
-        pick = sc.pick.data();
-        pick[0] = kNone;
+        sc.bind.resize(n + 1);
+        bind = sc.bind.data();
     }
     dist[0] = 0.0;
 
-    // Every node starts no earlier than time zero, so every distance
-    // is at least +0 and so is the makespan. A partial maximum never
-    // exceeds its node's distance, so the makespan over all slots is
-    // the makespan over nodes. Ties keep the first slot to reach it:
-    // slot 1 when every distance is zero.
-    double makespan = 0.0;
-    sc.argmax = 1;
+    // Every cost is at least +0 and so is slot 0, so every distance is
+    // too: a node never starts before time zero. A slot's distance is
+    // the larger of its entries', entry A's when they tie (a node binds
+    // its first strict maximum). A partial maximum never exceeds its
+    // node's distance, so the makespan over all slots is the makespan
+    // over nodes.
     const Slot *slot = slots_.data();
-    for (std::size_t k = 1; k <= n; k++) {
+    auto step = [&](std::size_t k) {
         const Slot &s = slot[k - 1];
         const double a = dist[s.srcA] + cost[s.costA];
         const double b = dist[s.srcB] + cost[s.costB];
-        const double atLeastA = std::max(0.0, a);
-        const double d = std::max(atLeastA, b);
+        const double d = std::max(a, b);
         dist[k] = d;
         if constexpr (kDual) {
-            pick[k] = b > atLeastA ? kB : a > 0 ? kA : kNone;
-            if (d > makespan) {
-                makespan = d;
-                sc.argmax = k;
-            }
-        } else {
-            makespan = std::max(makespan, d);
+            // Selected by a mask, not a branch: which entry wins is data.
+            const std::uint32_t viaB = 0u - static_cast<std::uint32_t>(a < b);
+            bind[k] = s.srcA ^ ((s.srcA ^ (s.srcB | kViaB)) & viaB);
+        }
+        return d;
+    };
+    // Four running maxima per block of slots, so that folding a slot
+    // into the makespan never waits on the slot before it. max is
+    // exact and no distance is NaN or -0, so any fold order gives the
+    // same bits. A dual solve keeps each block's maximum, to find the
+    // slots at the makespan without reading every distance again.
+    const std::size_t blocks = (n + kBlock - 1) / kBlock;
+    auto blockEnd = [&](std::size_t blk) {
+        return std::min(n + 1, (blk + 1) * kBlock + 1);
+    };
+    if constexpr (kDual)
+        sc.blockMax.resize(blocks);
+    double makespan = 0.0;
+    for (std::size_t blk = 0; blk < blocks; blk++) {
+        const std::size_t end = blockEnd(blk);
+        double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
+        std::size_t k = blk * kBlock + 1;
+        for (; k + 4 <= end; k += 4) {
+            m0 = std::max(m0, step(k));
+            m1 = std::max(m1, step(k + 1));
+            m2 = std::max(m2, step(k + 2));
+            m3 = std::max(m3, step(k + 3));
+        }
+        for (; k < end; k++)
+            m0 = std::max(m0, step(k));
+        const double m = std::max(std::max(m0, m1), std::max(m2, m3));
+        if constexpr (kDual)
+            sc.blockMax[blk] = m;
+        makespan = std::max(makespan, m);
+    }
+
+    if constexpr (kDual) {
+        // Of the slots at the makespan, the dual walks back from the
+        // one of smallest rank: the first to reach it in the
+        // one-at-a-time order, whatever the layout.
+        std::uint32_t best = ~std::uint32_t{0};
+        for (std::size_t blk = 0; blk < blocks; blk++) {
+            if (sc.blockMax[blk] != makespan)
+                continue;
+            for (std::size_t k = blk * kBlock + 1; k < blockEnd(blk); k++)
+                if (dist[k] == makespan && rank_[k - 1] < best) {
+                    best = rank_[k - 1];
+                    sc.argmax = k;
+                }
         }
     }
     return makespan;
@@ -281,13 +350,14 @@ LpDag::solve(const LpParams &params) const
     sol.makespan = propagate<true>(params, sc);
 
     // Walk the binding path back to the source, summing coefficients
-    // and stepping over links. A clamped edge (its weight hit the zero
-    // floor) contributes no slope: its weight is locally constant in
-    // every parameter.
-    for (std::size_t k = sc.argmax; sc.pick[k] != kNone;) {
+    // and stepping over links. A slot whose distance is zero has no
+    // binding entry (neither beats +0), and slot 0 ends every path. A
+    // clamped edge (its weight hit the zero floor) contributes no
+    // slope: its weight is locally constant in every parameter.
+    for (std::size_t k = sc.argmax; sc.dist[k] > 0;) {
         const Slot &s = slots_[k - 1];
-        const bool viaB = sc.pick[k] == kB;
-        const std::uint32_t c = viaB ? s.costB : s.costA;
+        const std::uint32_t from = sc.bind[k];
+        const std::uint32_t c = from & kViaB ? s.costB : s.costA;
         if (c != 0) {
             if (sc.cost[c] > 0) {
                 const LinCost &e = costs_[c];
@@ -299,7 +369,7 @@ LpDag::solve(const LpParams &params) const
             }
             sol.pathEdges++;
         }
-        k = viaB ? s.srcB : s.srcA;
+        k = from & ~kViaB;
     }
     return sol;
 }

@@ -72,9 +72,11 @@ struct LpSolution
     /** Coefficient sums along the binding (critical) path: the dual.
      *  gradient.perL is dT/dL, gradient.perO is dT/do, and so on;
      *  gradient.fixed is the path's parameter-independent time. Where
-     *  paths tie, the binding one is the first strict maximum (see
-     *  prepare()), whose coefficients are one slope among several;
-     *  AnalyticModel::slopes solves one tick up each knob instead. */
+     *  paths tie, the binding one is the first strict maximum, walked
+     *  back from the first slot at the makespan in the one-at-a-time
+     *  order (see prepare()); its coefficients are one slope among
+     *  several, so AnalyticModel::slopes solves one tick up each knob
+     *  instead. */
     LinCost gradient;
     /** Edges on the critical path. */
     std::size_t pathEdges = 0;
@@ -122,27 +124,37 @@ class LpDag
      * a cycle, which a well-formed trace cannot produce (timestamps
      * only move forward) but a corrupt binary trace could.
      *
-     * The solve form is one 16-byte slot per node in topological visit
-     * order, each holding two in-edges: per entry, the source's
-     * distance slot and the index of its cost. Slot 0, always zero,
-     * stands in for kSource. Every node of a traced model but the sink
-     * has at most two in-edges; a node with fewer pads its free
-     * entries with (slot 0, cost 0), and a node with d > 2 takes d - 1
-     * consecutive slots, each folding one more in-edge, in added order,
-     * into the partial maximum of the slot before it through a link
-     * entry of cost 0. Cost 0 is the zero cost reserved for pads and
-     * links: no edge carries it, so the dual walk knows a link by it.
+     * The solve form is one 16-byte slot per node, each holding two
+     * in-edges: per entry, the source's distance slot and the index of
+     * its cost. Slot 0, always zero, stands in for kSource. Every node
+     * of a traced model but the sink has at most two in-edges; a node
+     * with fewer pads its free entries with (slot 0, cost 0), and a
+     * node with d > 2 takes d - 1 consecutive slots, each folding one
+     * more in-edge, in added order, into the partial maximum of the
+     * slot before it through a link entry of cost 0. Cost 0 is the zero
+     * cost reserved for pads and links: no edge carries it, so the dual
+     * walk knows a link by it.
+     *
+     * Slot order: Kahn's, off a stack, taking up to eight ready nodes
+     * at a time and laying them out side by side before any of their
+     * successors, so that a slot seldom reads the slot just before it
+     * and a solve's loads do not wait on one another. Each slot also
+     * keeps its rank in the one-at-a-time order (one ready node off
+     * the stack at a time), which breaks the dual's ties.
      *
      * Exactness: an edge weighs ((((fixed + perL*L) + perO*o) +
      * perG*g) + perGb*G), computed in float in that order and clamped
      * at +0; distances accumulate in double, and a node's binding
      * in-edge is its first strict maximum. Each solve evaluates every
      * distinct cost once that way into a table of doubles, then takes
-     * per slot max(max(dA, +0), dB) of its two entries' distances.
-     * Floats are plenty: coefficients are O(path-count) values whose
-     * rounding error is parts-per-ten-million of the makespan, and the
-     * residual calibration in the model layer absorbs it exactly at
-     * the base point.
+     * per slot max(dA, dB) of its two entries' distances, and the
+     * makespan as the maximum over slots, which no order of the slots
+     * can move. The dual walks back from the slot at the makespan of
+     * smallest rank: the first to reach it in the one-at-a-time order,
+     * whatever the layout. Floats are plenty: coefficients are
+     * O(path-count) values whose rounding error is parts-per-ten-million
+     * of the makespan, and the residual calibration in the model layer
+     * absorbs it exactly at the base point.
      */
     bool prepare();
 
@@ -185,8 +197,8 @@ class LpDag
 
     /** The longest-path pass shared by solve() and makespan(): fills
      *  the thread's scratch and returns the makespan. kDual also
-     *  records each slot's binding entry and the first slot to reach
-     *  the makespan. */
+     *  records each slot's binding entry and the slot at the makespan
+     *  to walk back from. */
     template <bool kDual>
     double propagate(const LpParams &params, Scratch &sc) const;
 
@@ -199,6 +211,9 @@ class LpDag
      *  index per bucket, 0 for an empty one. */
     std::vector<std::uint32_t> costIndex_;
     std::vector<Slot> slots_; ///< Filled by prepare; slot k at k - 1.
+    /** Per slot (k at k - 1), its number in the one-at-a-time order:
+     *  the dual's tie rank. */
+    std::vector<std::uint32_t> rank_;
     bool prepared_ = false;
 };
 

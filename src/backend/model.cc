@@ -20,6 +20,11 @@ namespace nowcluster::backend {
 
 namespace {
 
+/** fatTreeRefusal's reason. */
+constexpr const char *kFatTreeRefusal =
+    "fat-tree contention is lowered as fixed edge time, so only the "
+    "traced L/o/g/G is served";
+
 /** "No span" / "no message" in lower()'s 32-bit index arrays. */
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
@@ -102,6 +107,17 @@ sortBucket(Buckets &b, std::size_t k, Less less)
 }
 
 } // namespace
+
+std::string
+fatTreeRefusal(const LogGPParams &traced, const LogGPParams &target)
+{
+    const LpParams a = AnalyticModel::pointOf(traced);
+    const LpParams b = AnalyticModel::pointOf(target);
+    if (!traced.topo ||
+        (a.L == b.L && a.o == b.o && a.g == b.g && a.Gb == b.Gb))
+        return "";
+    return kFatTreeRefusal;
+}
 
 LpParams
 AnalyticModel::pointOf(const LogGPParams &p)
@@ -523,10 +539,10 @@ AnalyticModel::predict(const LogGPParams &target) const
 }
 
 AnalyticSlopes
-AnalyticModel::slopes(const LogGPParams &at) const
+AnalyticModel::slopes(const LogGPParams &at, unsigned knobs) const
 {
     AnalyticSlopes s;
-    if (!ok_)
+    if (!ok_ || base_.topo)
         return s;
     const LpParams point = pointOf(at);
     auto up = [&](double LpParams::*knob, double step) {
@@ -534,10 +550,14 @@ AnalyticModel::slopes(const LogGPParams &at) const
         p.*knob += step;
         return dag_.solve(p).gradient;
     };
-    s.dTdL = up(&LpParams::L, 1).perL;
-    s.dTdO = up(&LpParams::o, 1).perO;
-    s.dTdG = up(&LpParams::g, 1).perG;
-    s.dTdGb = up(&LpParams::Gb, 1e-3).perGb; // one tick per kilobyte
+    if (knobs & kSlopeL)
+        s.dTdL = up(&LpParams::L, 1).perL;
+    if (knobs & kSlopeO)
+        s.dTdO = up(&LpParams::o, 1).perO;
+    if (knobs & kSlopeG)
+        s.dTdG = up(&LpParams::g, 1).perG;
+    if (knobs & kSlopeGb)
+        s.dTdGb = up(&LpParams::Gb, 1e-3).perGb; // one tick per kilobyte
     s.ok = true;
     return s;
 }
@@ -573,8 +593,10 @@ AnalyticModel::report(const LogGPParams &at,
     sum("runtime", p.runtime);
     std::string out = "critical path: the LP's binding path, " +
                       std::to_string(p.pathEdges) + " edges\n" + t.str();
-    if (!noSlopes.empty())
-        return out + "slopes: withheld: " + noSlopes + "\n";
+    const std::string why =
+        !noSlopes.empty() ? noSlopes : base_.topo ? kFatTreeRefusal : "";
+    if (!why.empty())
+        return out + "slopes: withheld: " + why + "\n";
     const AnalyticSlopes s = slopes(at);
     return out + "slopes, one tick up each knob: dT/dL " +
            fmtDouble(s.dTdL, 1) + ", dT/do " + fmtDouble(s.dTdO, 1) +

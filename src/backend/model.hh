@@ -56,6 +56,16 @@ struct AnalyticPrediction
     std::size_t pathEdges = 0; ///< Edges on the binding path.
 };
 
+/** The knobs AnalyticModel::slopes solves for, as bits. */
+enum SlopeKnob : unsigned
+{
+    kSlopeL = 1,
+    kSlopeO = 2,
+    kSlopeG = 4,
+    kSlopeGb = 8,
+    kAllSlopes = 15,
+};
+
 /** The runtime's one-sided slopes at a point: how fast it grows as
  *  each knob grows from there. */
 struct AnalyticSlopes
@@ -78,6 +88,15 @@ struct ModelBuildStats
     double residual = 0; ///< measured - raw LP makespan, in ticks.
 };
 
+/** Why the LP cannot re-time a fat-tree run traced at `traced` to
+ *  `target`, or "": it lowers the tree's link contention as fixed
+ *  edge time, which holds only at the L, o, g and G the run was traced
+ *  at. AnalyticBackend::canServe refuses such points, and so does
+ *  `nowlab replay`; a fat-tree model withholds its slopes, each a
+ *  solve one tick off the traced knobs. */
+std::string fatTreeRefusal(const LogGPParams &traced,
+                           const LogGPParams &target);
+
 /**
  * The lowered model for one traced (app, nprocs, topology) run.
  * build() once, then predict() or runtime() from any thread (the LP
@@ -99,15 +118,19 @@ class AnalyticModel
      *  and the binding path, from one solve with the dual. */
     AnalyticPrediction predict(const LogGPParams &target) const;
 
-    /** The one-sided slopes at `at`: per knob, the binding path's
-     *  coefficient one tick up it (one tick per kilobyte for G), where
-     *  ties at the point are broken by growth, so it is the runtime's
-     *  finite difference over that tick. One dual solve per knob. */
-    AnalyticSlopes slopes(const LogGPParams &at) const;
+    /** The one-sided slopes at `at` of the knobs in `knobs` (the rest
+     *  read 0): per knob, the binding path's coefficient one tick up
+     *  it (one tick per kilobyte for G), where ties at the point are
+     *  broken by growth, so it is the runtime's finite difference over
+     *  that tick. One dual solve per knob. Not ok for a model traced on
+     *  the fat-tree (fatTreeRefusal). */
+    AnalyticSlopes slopes(const LogGPParams &at,
+                          unsigned knobs = kAllSlopes) const;
 
     /** What `nowlab trace` and `nowlab replay` print at `at`: the
      *  binding path's terms plus the residual, which sum to the
-     *  runtime, then slopes(), or `noSlopes` as the reason why not. */
+     *  runtime, then slopes(), or the reason why not: `noSlopes`, else
+     *  fatTreeRefusal's for a fat-tree model. */
     std::string report(const LogGPParams &at,
                        const std::string &noSlopes = "") const;
 

@@ -608,6 +608,41 @@ TEST(LpOracle, RandomDagsMatchTheTwoPassKernel)
             << " G=" << p.Gb;
 }
 
+TEST(LpOracle, TiedNodesBindInTheOneAtATimeOrder)
+{
+    // Nodes 0 and 1 start ready; 1 -> 2. One ready node at a time, the
+    // stack visits 1, then 2, then 0; taking ready nodes in batches,
+    // the solver lays out 1 and 0 side by side, then 2. At L = o = 1
+    // the unordered nodes 0 and 2 both reach the makespan, 2, along
+    // paths that share no coefficient, so the gradient shows which one
+    // the dual walked back from: 2, the first in the one-at-a-time
+    // order, as the oracle does.
+    LpDag dag;
+    for (int v = 0; v < 3; v++)
+        dag.addNode();
+    LinCost wire, fixed, overhead;
+    wire.fixed = 1;
+    wire.perL = 1;
+    fixed.fixed = 1;
+    overhead.perO = 1;
+    dag.addEdge(LpDag::kSource, 0, wire);
+    dag.addEdge(LpDag::kSource, 1, fixed);
+    dag.addEdge(1, 2, overhead);
+    ASSERT_TRUE(dag.prepare());
+    const ReferenceLp ref(dag);
+    const LpParams tie{1, 1, 0, 0};
+    const LpSolution got = dag.solve(tie);
+    EXPECT_EQ(got.makespan, 2);
+    EXPECT_EQ(got.gradient.perO, 1);
+    EXPECT_EQ(got.gradient.perL, 0);
+    EXPECT_EQ(got.pathEdges, 2u);
+    EXPECT_EQ(mismatch(dag, ref, tie), "");
+    for (const LpParams &p : kOraclePoints)
+        EXPECT_EQ(mismatch(dag, ref, p), "")
+            << "L=" << p.L << " o=" << p.o << " g=" << p.g
+            << " G=" << p.Gb;
+}
+
 TEST(LpOracle, TupleIndexCoversMoreThan65536Tuples)
 {
     const LpDag dag = randomDag(99, 40000, true);
@@ -736,6 +771,9 @@ class ReferenceLowering
     AnalyticSlopes
     slopes(const LogGPParams &at) const
     {
+        // A fat-tree model withholds them (backend::fatTreeRefusal).
+        if (base_.topo)
+            return {};
         const LpParams point = AnalyticModel::pointOf(at);
         auto up = [&](double LpParams::*knob, double step) {
             LpParams p = point;
@@ -1099,7 +1137,7 @@ loweringMismatch(const SpanTracer &tracer, const LogGPParams &base,
         if (!rt || !want || bitsOf(*rt) != bitsOf(*want))
             return "runtime" + at;
         const AnalyticSlopes s = model.slopes(p), t = ref.slopes(p);
-        if (bitsOf(s.dTdL) != bitsOf(t.dTdL) ||
+        if (s.ok != t.ok || bitsOf(s.dTdL) != bitsOf(t.dTdL) ||
             bitsOf(s.dTdO) != bitsOf(t.dTdO) ||
             bitsOf(s.dTdG) != bitsOf(t.dTdG) ||
             bitsOf(s.dTdGb) != bitsOf(t.dTdGb))
@@ -1324,6 +1362,58 @@ TEST(Analytic, LoweringFitsItsReservedEdgeList)
         ASSERT_TRUE(model.build(tracer, base, r.runtime)) << pt.app;
         EXPECT_EQ(edgeBoundMiss(model, pt.config.nprocs), "")
             << pt.app << " on " << pt.config.nprocs << " procs";
+    }
+}
+
+TEST(Analytic, FatTreeModelWithholdsItsSlopes)
+{
+    // Every slope is a solve one tick off the traced knobs, which a
+    // fat-tree model does not answer.
+    RunPoint pt = smallPoint("radix");
+    pt.config.knobs.topo = 1;
+    pt.config.knobs.topoOversub = 4;
+    pt.config.knobs.topoHosts = 4;
+    LogGPParams base;
+    auto [tracer, r] = traced(pt, base);
+    ASSERT_TRUE(r.ok);
+    AnalyticModel model;
+    ASSERT_TRUE(model.build(tracer, base, r.runtime));
+    EXPECT_FALSE(model.slopes(base).ok);
+    LogGPParams up = base;
+    up.gap += 1;
+    const std::string why = backend::fatTreeRefusal(base, up);
+    ASSERT_NE(why, "");
+    EXPECT_NE(model.report(base).find("slopes: withheld: " + why + "\n"),
+              std::string::npos)
+        << model.report(base);
+    // The caller's own reason comes first.
+    EXPECT_NE(model.report(base, "not here").find(
+                  "slopes: withheld: not here\n"),
+              std::string::npos);
+}
+
+TEST(Analytic, SlopesOfOneKnobAreThoseOfAll)
+{
+    LogGPParams base;
+    auto [tracer, r] = traced(smallPoint("em3d-read"), base);
+    ASSERT_TRUE(r.ok);
+    AnalyticModel model;
+    ASSERT_TRUE(model.build(tracer, base, r.runtime));
+    const AnalyticSlopes all = model.slopes(base);
+    ASSERT_TRUE(all.ok);
+    const std::pair<unsigned, double AnalyticSlopes::*> knobs[] = {
+        {backend::kSlopeL, &AnalyticSlopes::dTdL},
+        {backend::kSlopeO, &AnalyticSlopes::dTdO},
+        {backend::kSlopeG, &AnalyticSlopes::dTdG},
+        {backend::kSlopeGb, &AnalyticSlopes::dTdGb},
+    };
+    for (const auto &[knob, slope] : knobs) {
+        const AnalyticSlopes one = model.slopes(base, knob);
+        ASSERT_TRUE(one.ok) << knob;
+        for (const auto &[other, field] : knobs)
+            EXPECT_EQ(hexOf(one.*field),
+                      hexOf(other == knob ? all.*field : 0.0))
+                << "knob " << knob << ", field of " << other;
     }
 }
 

@@ -440,9 +440,12 @@ cmdSweep(const Args &a)
 
     // The analytic engine knows the sweep's local derivative (the
     // LP's one-sided slope); surface it for the LogGP knobs where it
-    // is defined.
-    const bool slopes = ana && (knob == "latency" || knob == "overhead" ||
-                                knob == "gap");
+    // is defined, solving for the swept knob's alone.
+    const unsigned slopeKnob = knob == "latency"    ? backend::kSlopeL
+                               : knob == "overhead" ? backend::kSlopeO
+                               : knob == "gap"      ? backend::kSlopeG
+                                                    : 0u;
+    const bool slopes = ana && slopeKnob != 0;
     std::vector<RunResult> rs;
     std::vector<backend::AnalyticSlopes> slopeAt(points.size());
     std::size_t served = 0, fellBack = 0;
@@ -475,7 +478,7 @@ cmdSweep(const Args &a)
             if (why.empty()) {
                 ++served;
                 if (slopes)
-                    slopeAt[i] = ana->slopes(points[i]);
+                    slopeAt[i] = ana->slopes(points[i], slopeKnob);
             } else {
                 ++reasons[why];
                 misses.push_back(points[i]);
@@ -1276,8 +1279,9 @@ cmdPerf(const Args &a)
 
     // --- (6) LP lower and solve ---------------------------------------
     // AnalyticModel::build on one traced run, then runtime() -- the
-    // makespan-only solve a served point takes -- cycling through the
-    // sweep's overhead column, kLpReps times.
+    // makespan-only solve a served point takes -- and predict() -- the
+    // solve with the dual, which slopes() takes once per knob --
+    // cycling through the sweep's overhead column, kLpReps times each.
     constexpr int kLpReps = 31;
     RunConfig tcfg = base;
     tcfg.validate = false;
@@ -1291,7 +1295,7 @@ cmdPerf(const Args &a)
     const bool lowered =
         traced.ok && model.build(tracer, lp_base, traced.runtime);
     const double lower_ms = seconds_since(ts) * 1e3;
-    std::vector<double> solve_us;
+    std::vector<double> runtime_us, dual_us;
     for (int r = 0; lowered && r < kLpReps; ++r) {
         Knobs k = base.knobs;
         k.overheadUs = 2.9 + 10.0 * (r % 8);
@@ -1299,16 +1303,22 @@ cmdPerf(const Args &a)
         k.applyTo(p);
         ts = Clock::now();
         const bool solved = model.runtime(p).has_value();
-        solve_us.push_back(seconds_since(ts) * 1e6);
-        fatal_if(!solved, "perf: the lowered model did not solve");
+        runtime_us.push_back(seconds_since(ts) * 1e6);
+        ts = Clock::now();
+        const bool dual = model.predict(p).ok;
+        dual_us.push_back(seconds_since(ts) * 1e6);
+        fatal_if(!solved || !dual, "perf: the lowered model did not solve");
     }
-    const Spread solve = spreadOf(solve_us);
+    const Spread makespan = spreadOf(runtime_us);
+    const Spread dual = spreadOf(dual_us);
     const backend::ModelBuildStats &lp = model.stats();
     std::printf("lp         : %s, %zu nodes, %zu edges: lowered in "
                 "%.2f ms, runtime() %.1f us per point (min %.1f, IQR "
-                "%.1f, %d reps)%s\n",
+                "%.1f), predict() %.1f us (min %.1f, IQR %.1f), %d "
+                "reps%s\n",
                 app.c_str(), lp.lpNodes, lp.lpEdges, lower_ms,
-                solve.median, solve.min, solve.iqr, kLpReps,
+                makespan.median, makespan.min, makespan.iqr, dual.median,
+                dual.min, dual.iqr, kLpReps,
                 lowered ? "" : " (FAILED to lower)");
 
     if (out) {
@@ -1362,9 +1372,15 @@ cmdPerf(const Args &a)
             .field("lower_ms", lower_ms)
             .beginObject("runtime_us")
             .field("reps", kLpReps)
-            .field("median", solve.median)
-            .field("min", solve.min)
-            .field("iqr", solve.iqr)
+            .field("median", makespan.median)
+            .field("min", makespan.min)
+            .field("iqr", makespan.iqr)
+            .endObject()
+            .beginObject("solve_us")
+            .field("reps", kLpReps)
+            .field("median", dual.median)
+            .field("min", dual.min)
+            .field("iqr", dual.iqr)
             .endObject()
             .endObject();
         w.endObject();
