@@ -5,9 +5,16 @@
  * inside the laboratory by racing the tuned library's broadcast
  * algorithms (flat, binomial, LogP-greedy) across the latency and
  * overhead sweeps, and its all-gather algorithms across block sizes.
+ * Last comes what the tuner buys whole applications: murphi and barnes
+ * at 1024 nodes on a 4:1 fat-tree (scale NOW_SCALE, default 0.02)
+ * under the naive policy and the tuned one. The bench exits 1 when
+ * tuned beats naive on neither app.
  */
 
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "coll/cost.hh"
@@ -19,6 +26,7 @@ using namespace nowcluster::bench;
 namespace {
 
 constexpr int kProcs = 32;
+constexpr int kAbProcs = 1024; ///< The application A/B's node count.
 
 /** Broadcast payload: one word, as the paper's apps broadcast. */
 constexpr std::size_t kBcastBytes = sizeof(Word);
@@ -99,5 +107,55 @@ main(int argc, char **argv)
                   1);
     }
     ag.print();
+
+    // murphi's termination detector calls allReduceAdd every round and
+    // barnes bounds the space with allReduceMin/Max, so both ride the
+    // word allreduce, where recursive doubling halves the message depth
+    // of binomial reduce+broadcast (lg P vs 2 lg P): at 1024 nodes, 10
+    // depths instead of 20 per call.
+    const char *const apps[] = {"murphi", "barnes"};
+    std::vector<RunPoint> ab;
+    for (const char *app : apps) {
+        for (const char *policy : {"naive", "tuned"}) {
+            RunPoint p{app, baseConfig(kAbProcs, scaleOr(0.02))};
+            p.config.validate = false;
+            p.config.knobs.topo = 1;
+            p.config.knobs.topoOversub = 4;
+            p.config.knobs.collAlg = policy;
+            ab.push_back(std::move(p));
+        }
+    }
+    const std::vector<RunResult> rs = runPoints(ab);
+
+    std::printf("\n--- %d-node fat-tree A/B: naive vs tuned ---\n",
+                kAbProcs);
+    Table t;
+    t.row()
+        .cell("app")
+        .cell("P")
+        .cell("naive(ms)")
+        .cell("tuned(ms)")
+        .cell("speedup");
+    bool tuned_wins = false;
+    for (std::size_t i = 0; i < std::size(apps); ++i) {
+        const RunResult &naive = rs[2 * i];
+        const RunResult &tuned = rs[2 * i + 1];
+        fatal_if(!naive.ok || !tuned.ok, "%s did not finish at %d procs",
+                 apps[i], kAbProcs);
+        tuned_wins = tuned_wins || tuned.runtime < naive.runtime;
+        t.row()
+            .cell(std::string(apps[i]))
+            .cell(static_cast<std::int64_t>(kAbProcs))
+            .cell(toMsec(naive.runtime), 2)
+            .cell(toMsec(tuned.runtime), 2)
+            .cell(static_cast<double>(naive.runtime) /
+                      static_cast<double>(tuned.runtime),
+                  3);
+    }
+    t.print();
+    if (!tuned_wins) {
+        std::printf("tuned beats naive on neither app: FAIL\n");
+        return 1;
+    }
     return 0;
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "svc/store.hh"
 
 using namespace nowcluster;
 using namespace nowcluster::bench;
@@ -21,7 +22,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
-    ResultCacheScope cache_scope(args.cacheDir);
+    svc::CacheScope cache_scope(args.cacheDir);
     double scale = scaleOr(1.0);
     int jobs = args.jobs;
     std::printf("Ablation: switch-fabric contention (32 nodes, 4 "

@@ -10,6 +10,7 @@
  */
 
 #include "bench_util.hh"
+#include "svc/store.hh"
 
 using namespace nowcluster;
 using namespace nowcluster::bench;
@@ -18,7 +19,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
-    ResultCacheScope cache_scope(args.cacheDir);
+    svc::CacheScope cache_scope(args.cacheDir);
     double scale = scaleOr(1.0);
     int jobs = args.jobs;
     const std::vector<double> xs = {0, 2.5, 5, 10, 25, 50};

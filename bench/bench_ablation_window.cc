@@ -11,6 +11,7 @@
  */
 
 #include "bench_util.hh"
+#include "svc/store.hh"
 
 using namespace nowcluster;
 using namespace nowcluster::bench;
@@ -55,7 +56,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
-    ResultCacheScope cache_scope(args.cacheDir);
+    svc::CacheScope cache_scope(args.cacheDir);
     double scale = scaleOr(1.0);
     int jobs = args.jobs;
     sweepWindows(scale, -1, jobs);   // Baseline latency.

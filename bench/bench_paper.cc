@@ -23,6 +23,7 @@
 
 #include "bench_util.hh"
 #include "calib/microbench.hh"
+#include "svc/store.hh"
 
 using namespace nowcluster;
 using namespace nowcluster::bench;
@@ -406,7 +407,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = benchArgs(argc, argv, {"--jobs", "--cache-dir"});
-    ResultCacheScope cache_scope(args.cacheDir);
+    svc::CacheScope cache_scope(args.cacheDir);
     const double scale = scaleOr(1.0);
     const int jobs = args.jobs;
 

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,7 +23,6 @@
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "model/models.hh"
-#include "svc/store.hh"
 
 namespace nowcluster::bench {
 
@@ -78,44 +76,6 @@ benchArgs(int argc, char **argv,
     }
     return a;
 }
-
-/**
- * Attach the content-addressed result store in `dir` (BenchArgs's
- * cacheDir) for the binary's lifetime; "" is a no-op. While an
- * instance is alive every runPoints point is served from the store
- * when it hits (byte-identical to recomputation); the destructor
- * prints the hit/miss tally so a warmed bench run is visibly cheap.
- */
-class ResultCacheScope
-{
-  public:
-    explicit ResultCacheScope(const std::string &dir)
-    {
-        if (dir.empty())
-            return;
-        store_ = std::make_unique<svc::ResultStore>(dir);
-        cache_ = std::make_unique<svc::StoreCache>(*store_);
-        setRunCache(cache_.get());
-    }
-
-    ~ResultCacheScope()
-    {
-        if (!cache_)
-            return;
-        setRunCache(nullptr);
-        std::printf("cache: %llu hits, %llu misses (%s, %zu entries)\n",
-                    static_cast<unsigned long long>(cache_->hits()),
-                    static_cast<unsigned long long>(cache_->misses()),
-                    store_->dir().c_str(), store_->entryCount());
-    }
-
-    ResultCacheScope(const ResultCacheScope &) = delete;
-    ResultCacheScope &operator=(const ResultCacheScope &) = delete;
-
-  private:
-    std::unique_ptr<svc::ResultStore> store_;
-    std::unique_ptr<svc::StoreCache> cache_;
-};
 
 /** Paper display names, keyed like the registry. */
 inline std::string

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Regenerate every table and figure into results/, plus test output.
-# Exits non-zero if the test suite, a bench binary or a smoke run fails.
+# Exits non-zero if the test suite, a bench binary, a ledger or a smoke
+# run fails.
 # Usage: scripts/run_all.sh [build-dir] (default: build)
 set -e
 BUILD=${1:-build}
@@ -30,8 +31,8 @@ run results/test_output_jobs.txt env NOW_JOBS="$(nproc)" \
 
 # Only the bench binaries: the directory also holds CMake's files. Each
 # runs inside results/, so what it writes to its working directory
-# (bench_paper's fig4/, the BENCH_*.json of bench_backend, bench_coll
-# and bench_wavefront) lands there, not over the committed ledgers.
+# (bench_paper's fig4/, bench_wavefront's BENCH_wavefront.json) lands
+# there, not over the committed ledgers.
 bench_dir=$(cd "$BUILD/bench" && pwd)
 for b in "$bench_dir"/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
@@ -39,6 +40,15 @@ for b in "$bench_dir"/*; do
     echo "== $name =="
     run "results/$name.txt" sh -c 'cd results && exec "$0"' "$b"
 done
+
+# The analytic-backend and tuned-collective ledgers, from the commands
+# that gate them in CI.
+echo "== backend ledger =="
+run results/nowlab_backend.txt \
+    "$BUILD"/tools/nowlab backend validate --out results/BENCH_backend.json
+echo "== collectives ledger =="
+run results/nowlab_coll.txt \
+    "$BUILD"/tools/nowlab coll validate --out results/BENCH_coll.json
 
 # 1024-node smoke: one run on an oversubscribed two-level fat-tree.
 # Completing with valid output here is the gate for the scaled-up

@@ -382,19 +382,18 @@ ServiceCore::runJob(std::uint64_t id)
         // Serve from the analytic model when the job asked for it and
         // the spec is eligible. The first point of a model identity
         // pays for the traced base run and the validation probe; every
-        // later point is an LP solve. ready() after run() is the
+        // later point is an LP solve. canServe() after run() is the
         // fall-back test: a model that failed to build or whose probe
-        // drifted past tolerance is not ready, and the job silently
-        // drops to a real simulation.
+        // drifted past tolerance refuses with its reason, and the job
+        // silently drops to a real simulation.
         if (wantAnalytic) {
             fallbackWhy = analytic_->canServe(pt);
             if (fallbackWhy.empty()) {
                 RunResult ar = analytic_->run(pt);
-                if (analytic_->ready(pt)) {
+                fallbackWhy = analytic_->canServe(pt);
+                if (fallbackWhy.empty()) {
                     r = std::move(ar);
                     viaAnalytic = true;
-                } else {
-                    fallbackWhy = "model not ready";
                 }
             }
         }

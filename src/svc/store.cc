@@ -407,4 +407,26 @@ StoreCache::insert(const RunPoint &pt, const RunResult &r)
     store_.put(cacheKey(pt), encodeResult(r));
 }
 
+CacheScope::CacheScope(const std::string &dir)
+{
+    if (dir.empty())
+        return;
+    store_ = std::make_unique<ResultStore>(dir);
+    cache_ = std::make_unique<StoreCache>(*store_);
+    setRunCache(cache_.get());
+}
+
+CacheScope::~CacheScope()
+{
+    if (!cache_)
+        return;
+    setRunCache(nullptr);
+    std::printf("cache      : %llu hits, %llu misses (%s, %zu entries, "
+                "%.1f MB)\n",
+                static_cast<unsigned long long>(cache_->hits()),
+                static_cast<unsigned long long>(cache_->misses()),
+                store_->dir().c_str(), store_->entryCount(),
+                static_cast<double>(store_->totalBytes()) / 1e6);
+}
+
 } // namespace nowcluster::svc

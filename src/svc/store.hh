@@ -36,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -140,6 +141,28 @@ class StoreCache : public RunCache
     ResultStore &store_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
+};
+
+/**
+ * The result store in `dir` as the runner's RunCache for the scope's
+ * lifetime; "" is a no-op. While an instance is alive every
+ * runPoints/runPointCached point is served from the store when it hits
+ * (byte-identical to recomputation); the destructor prints the
+ * hit/miss tally, so a warmed run is visibly cheap. `nowlab sweep`,
+ * bench_paper and the ablations open their --cache-dir through it.
+ */
+class CacheScope
+{
+  public:
+    explicit CacheScope(const std::string &dir);
+    ~CacheScope();
+
+    CacheScope(const CacheScope &) = delete;
+    CacheScope &operator=(const CacheScope &) = delete;
+
+  private:
+    std::unique_ptr<ResultStore> store_;
+    std::unique_ptr<StoreCache> cache_;
 };
 
 } // namespace nowcluster::svc

@@ -845,6 +845,32 @@ TEST(ServiceCore, StatsBreakFallbacksDownByReason)
               1);
 }
 
+// A model its own probe poisoned names the drift for every job it turns
+// away, the job whose run built it included.
+TEST(ServiceCore, PoisonedModelFallbacksNameTheProbeDrift)
+{
+    svc::ServiceConfig cfg;
+    cfg.jobs = 1;
+    cfg.backend = "analytic";
+    cfg.driftTolerance = 1e-6;
+    svc::ServiceCore core(cfg);
+
+    for (int i = 0; i < 2; ++i)
+        ASSERT_TRUE(
+            parsed(core.handleLine(kSubmitRadix)).boolOr("ok", false));
+    core.drain();
+
+    svc::JsonValue v = parsed(core.handleLine("{\"op\":\"stats\"}"));
+    EXPECT_EQ(v.find("counters")->numberOr("svc.backend.fallbacks", 0),
+              2);
+    const svc::JsonValue *reasons = v.find("fallback_reasons");
+    ASSERT_NE(reasons, nullptr);
+    ASSERT_EQ(reasons->object.size(), 1u);
+    EXPECT_EQ(reasons->object[0].first.rfind("probe drift ", 0), 0u)
+        << reasons->object[0].first;
+    EXPECT_EQ(reasons->object[0].second.number, 2);
+}
+
 TEST(ServiceCore, PerRequestBackendFieldOverridesSimDefault)
 {
     svc::ServiceConfig cfg;

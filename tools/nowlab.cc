@@ -314,42 +314,6 @@ cmdRun(const Args &a)
     return r.ok && r.validated ? 0 : 1;
 }
 
-/**
- * Result-store attachment shared by sweep and the bench path:
- * --cache-dir on the command line wins, else NOW_CACHE_DIR. While an
- * instance is alive the global RunCache hook serves every
- * runPointCached/runPoints call from the store.
- */
-struct CacheScope
-{
-    std::unique_ptr<svc::ResultStore> store;
-    std::unique_ptr<svc::StoreCache> cache;
-
-    explicit CacheScope(const Args &a)
-    {
-        std::string dir = optString(a, "cache-dir", envCacheDir());
-        if (dir.empty())
-            return;
-        store = std::make_unique<svc::ResultStore>(dir);
-        cache = std::make_unique<svc::StoreCache>(*store);
-        setRunCache(cache.get());
-    }
-
-    ~CacheScope()
-    {
-        if (cache) {
-            setRunCache(nullptr);
-            std::printf("cache      : %llu hits, %llu misses (%s, "
-                        "%zu entries, %.1f MB)\n",
-                        static_cast<unsigned long long>(cache->hits()),
-                        static_cast<unsigned long long>(
-                            cache->misses()),
-                        store->dir().c_str(), store->entryCount(),
-                        static_cast<double>(store->totalBytes()) / 1e6);
-        }
-    }
-};
-
 int
 cmdSweep(const Args &a)
 {
@@ -357,7 +321,7 @@ cmdSweep(const Args &a)
         fatal("usage: nowlab sweep <app> --knob K --values a,b,c "
               "[--backend sim|analytic]");
     std::string key = a.positional[1];
-    CacheScope cache(a);
+    svc::CacheScope cache(optString(a, "cache-dir", envCacheDir()));
     auto t0 = std::chrono::steady_clock::now();
     const std::string *knob_opt = a.value("knob");
     const std::string *values_opt = a.value("values");
@@ -1117,8 +1081,9 @@ amRoundTrips(const LogGPParams &params, SpanTracer *tracer, int trips)
  * resume+yield round trip, (3) the host time of one simulated AM
  * request/reply round trip, untraced and with a span tracer attached
  * (the tracer's cost), (4) wall-clock for a canonical knob sweep run
- * serially vs fanned out with the parallel runner -- verifying on the
- * way that both produce byte-identical per-point results, (5) one
+ * serially vs fanned out with the parallel runner, over alternating
+ * rounds -- verifying on the way that every round produces
+ * byte-identical per-point results, (5) one
  * large run (radix on an oversubscribed fat-tree, 1024 procs by
  * default) on the single-heap engine, and (6) the analytic LP: one
  * traced run of the sweep's app and size lowered once, then re-timed
@@ -1240,24 +1205,36 @@ cmdPerf(const Args &a)
         points.push_back(std::move(p));
     }
 
-    auto t0 = Clock::now();
-    std::vector<RunResult> serial = runPoints(points, 1);
-    double serial_s = seconds_since(t0);
-
-    t0 = Clock::now();
-    std::vector<RunResult> parallel = runPoints(points, jobs);
-    double parallel_s = seconds_since(t0);
-
+    // Rounds alternate serial and parallel, so that drift in the
+    // host's speed hits both alike; every round's results must carry
+    // the first round's fingerprints.
+    constexpr int kSweepRounds = 5;
+    std::vector<double> serial_runs, parallel_runs;
+    std::vector<std::string> prints;
     bool identical = true;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (fingerprint(serial[i]) != fingerprint(parallel[i]))
-            identical = false;
+    auto timedSweep = [&](int workers, std::vector<double> &wall) {
+        const auto t0 = Clock::now();
+        const std::vector<RunResult> rs = runPoints(points, workers);
+        wall.push_back(seconds_since(t0));
+        for (std::size_t i = 0; i < rs.size(); ++i) {
+            if (prints.size() < rs.size())
+                prints.push_back(fingerprint(rs[i]));
+            else if (fingerprint(rs[i]) != prints[i])
+                identical = false;
+        }
+    };
+    for (int r = 0; r < kSweepRounds; ++r) {
+        timedSweep(1, serial_runs);
+        timedSweep(jobs, parallel_runs);
     }
-    std::printf("sweep      : %d x %s, %.2fs serial, %.2fs at --jobs %d "
-                "(%.2fx), results %s\n",
-                npoints, app.c_str(), serial_s, parallel_s, jobs,
-                serial_s / parallel_s,
-                identical ? "byte-identical" : "DIVERGENT");
+    const Spread serial = spreadOf(serial_runs);
+    const Spread parallel = spreadOf(parallel_runs);
+    const double sweep_speedup = serial.median / parallel.median;
+    std::printf("sweep      : %d x %s, %.2fs serial (IQR %.2f), %.2fs at "
+                "--jobs %d (IQR %.2f), %.2fx, %d rounds, results %s\n",
+                npoints, app.c_str(), serial.median, serial.iqr,
+                parallel.median, jobs, parallel.iqr, sweep_speedup,
+                kSweepRounds, identical ? "byte-identical" : "DIVERGENT");
 
     // --- (5) one large run on the single-heap engine -----------------
     RunConfig pcfg;
@@ -1347,10 +1324,11 @@ cmdPerf(const Args &a)
             .field("points", npoints)
             .field("nprocs", base.nprocs)
             .field("scale", base.scale)
-            .field("serial_seconds", serial_s)
-            .field("jobs", jobs)
-            .field("parallel_seconds", parallel_s)
-            .field("parallel_speedup", serial_s / parallel_s)
+            .field("rounds", kSweepRounds)
+            .field("jobs", jobs);
+        writeSpread(w, "serial_seconds", serial);
+        writeSpread(w, "parallel_seconds", parallel);
+        w.field("parallel_speedup", sweep_speedup)
             .field("results_byte_identical", identical)
             .endObject();
         w.beginObject("large_sim")
@@ -1690,7 +1668,8 @@ optWholeList(const Args &a, const char *key, std::vector<T> fallback,
  * `nowlab coll table`: dump the tuner's decision table for a machine.
  * `nowlab coll validate`: race predicted vs measured over a grid and
  * check the tuner picks the measured-best algorithm (within
- * --tolerance) on at least --min-hit of the points, per machine.
+ * --tolerance) on at least --min-hit of the points, per machine. Its
+ * --out file, at the defaults, is the ledger BENCH_coll.json.
  */
 int
 cmdColl(const Args &a)
@@ -1733,7 +1712,8 @@ cmdColl(const Args &a)
         a.rejectUnread();
 
         svc::JsonWriter w;
-        w.beginObject().field("bench", "coll").field("tolerance", tol);
+        w.beginObject().field("bench", "coll");
+        svc::writeHost(w).field("tolerance", tol);
         w.beginArray("machines");
         bool pass = true;
         for (const std::string &name : machines) {
@@ -1787,14 +1767,18 @@ cmdColl(const Args &a)
 }
 
 /**
- * `nowlab backend validate`: the analytic backend's CI gate. For each
- * app it builds the LP model (which runs the built-in latency probe),
- * then independently stretches overhead and gap and races the answer
- * users get, `run()`, against the simulator. Any unhealthy model,
- * drift beyond --tolerance, or a served runtime that is not
- * `predict()`'s rounded runtime exits non-zero, so a lowering or
- * solver regression fails the build instead of silently skewing every
- * analytic sweep.
+ * `nowlab backend validate`: the analytic backend's one gate, and the
+ * ledger behind BENCH_backend.json (--out). For each app it builds the
+ * LP model (a traced run plus the latency probe), simulates every
+ * point of an L x o grid and one stretched-gap point, then serves each
+ * point from the model with run(), both timed. An unhealthy model, a
+ * point past --tolerance, a served runtime that is not `predict()`'s
+ * rounded runtime, or dT/dL signs that disagree exit non-zero, so a
+ * lowering or solver regression fails the build instead of silently
+ * skewing every analytic sweep. The per-point speedup is recorded
+ * beside its bar, `minSpeedup`, but gates nothing here: this command
+ * also runs under the sanitizers, so scripts/bench_backend.sh holds a
+ * Release ledger to the bar.
  */
 int
 cmdBackend(const Args &a)
@@ -1812,77 +1796,189 @@ cmdBackend(const Args &a)
     const std::string *out = a.value("out");
     a.rejectUnread();
 
+    constexpr double kMinSpeedup = 100; ///< Wall-clock factor per point.
+    // The (L, o) grid, L-major, then a stretched gap at the baseline L
+    // and o. dT/dL is taken over the latency endpoints of the
+    // baseline-overhead column: grid points 0 and l_high.
+    const double kLs[] = {5.0, 15.0, 30.0, 55.0, 80.0};
+    const double kOs[] = {2.9, 5.0, 10.0};
+    const std::size_t l_high = (std::size(kLs) - 1) * std::size(kOs);
+    std::vector<Knobs> grid;
+    for (double l : kLs) {
+        for (double o : kOs) {
+            Knobs k;
+            k.latencyUs = l;
+            k.overheadUs = o;
+            grid.push_back(k);
+        }
+    }
+    Knobs stretched_gap;
+    stretched_gap.gapUs = 15;
+    grid.push_back(stretched_gap);
+
+    using Clock = std::chrono::steady_clock;
+    auto ms_since = [](Clock::time_point t0) {
+        return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+            .count();
+    };
+
     backend::AnalyticBackend be(backend::BackendOptions{tol, true});
     svc::JsonWriter w;
-    w.beginObject()
-        .field("bench", "backend-validate")
+    w.beginObject().field("bench", "backend");
+    svc::writeHost(w)
         .field("tolerance", tol)
+        .field("minSpeedup", kMinSpeedup)
         .field("procs", procs)
         .field("scale", scale);
     w.beginArray("apps");
     bool pass = true;
     for (const std::string &app : apps) {
-        RunPoint pt;
-        pt.app = app;
-        pt.config.nprocs = procs;
-        pt.config.scale = scale;
-        pt.config.validate = false;
+        RunPoint base;
+        base.app = app;
+        base.config.nprocs = procs;
+        base.config.scale = scale;
+        base.config.validate = false;
 
-        be.run(pt); // Builds the model and runs the latency probe.
-        const bool healthy = be.ready(pt);
-        const std::string reason = healthy ? "" : be.canServe(pt);
-        backend::ModelBuildStats stats = be.modelStats(pt);
-
-        // Drift at points the build probe does not cover: stretch one
-        // knob well past its machine baseline and race the served
-        // answer against sim. run() solves for the makespan alone and
-        // predict() with the dual; both must give one runtime.
-        bool consistent = true;
-        auto driftAt = [&](const Knobs &kn) {
-            if (!healthy)
-                return -1.0;
-            RunPoint q = pt;
-            q.config.knobs = kn;
-            RunResult ana = be.run(q);
-            backend::AnalyticPrediction pr = be.predict(q);
-            RunResult sim = runPointCached(q);
-            if (!ana.ok || !pr.ok || !sim.ok)
-                return -1.0;
-            if (ana.runtime != std::llround(pr.runtime))
-                consistent = false;
-            return std::fabs(static_cast<double>(ana.runtime) -
-                             static_cast<double>(sim.runtime)) /
-                   static_cast<double>(sim.runtime);
-        };
-        Knobs ko;
-        ko.overheadUs = 10;
-        const double dOver = driftAt(ko);
-        Knobs kg;
-        kg.gapUs = 15;
-        const double dGap = driftAt(kg);
-
-        const bool app_pass = healthy && consistent && dOver >= 0 &&
-                              dOver <= tol && dGap >= 0 && dGap <= tol;
-        pass = pass && app_pass;
-        if (healthy)
-            std::printf("%-10s model %zu nodes / %zu edges, overhead "
-                        "drift %.1f%%, gap drift %.1f%%%s -> %s\n",
-                        app.c_str(), stats.lpNodes, stats.lpEdges,
-                        dOver * 100, dGap * 100,
-                        consistent ? ""
-                                   : ", run() differs from predict()",
-                        app_pass ? "pass" : "FAIL");
-        else
-            std::printf("%-10s unhealthy: %s -> FAIL\n", app.c_str(),
-                        reason.c_str());
+        // The model's build is the amortized cost (one traced run and
+        // one probe) the per-point speedup pays for.
+        Clock::time_point t0 = Clock::now();
+        be.run(base);
+        const double build_ms = ms_since(t0);
+        const std::string reason = be.canServe(base);
+        const backend::ModelBuildStats stats = be.modelStats(base);
         w.beginObject()
             .field("app", app)
-            .field("healthy", healthy)
+            .field("healthy", reason.empty())
             .field("reason", reason)
+            .field("buildMs", build_ms)
             .field("lpNodes", static_cast<std::uint64_t>(stats.lpNodes))
             .field("lpEdges", static_cast<std::uint64_t>(stats.lpEdges))
-            .field("overheadDriftPct", dOver * 100)
-            .field("gapDriftPct", dGap * 100)
+            .field("residualMs", toMsec(static_cast<Tick>(
+                                     std::llround(stats.residual))));
+        if (!reason.empty()) {
+            std::printf("%-10s unhealthy: %s -> FAIL\n", app.c_str(),
+                        reason.c_str());
+            w.field("pass", false).endObject();
+            pass = false;
+            continue;
+        }
+
+        // Each engine answers the grid in its own pass, as a sweep
+        // runs: first every simulation, then every served point back
+        // to back on the model, and only then predict() for the check.
+        std::vector<RunPoint> pts;
+        std::vector<RunResult> sims, anas;
+        std::vector<double> sim_ms, ana_ms;
+        for (const Knobs &k : grid) {
+            RunPoint q = base;
+            q.config.knobs = k;
+            t0 = Clock::now();
+            sims.push_back(runApp(q.app, q.config));
+            sim_ms.push_back(ms_since(t0));
+            fatal_if(!sims.back().ok,
+                     "%s: the simulation of a grid point failed",
+                     app.c_str());
+            pts.push_back(std::move(q));
+        }
+        be.run(pts.front()); // Untimed: the simulations evicted the model.
+        for (const RunPoint &q : pts) {
+            t0 = Clock::now();
+            anas.push_back(be.run(q));
+            ana_ms.push_back(ms_since(t0));
+            fatal_if(!anas.back().ok, "%s: the healthy model served no "
+                     "answer", app.c_str());
+        }
+        bool consistent = true;
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            const backend::AnalyticPrediction pr = be.predict(pts[i]);
+            if (!pr.ok || anas[i].runtime != std::llround(pr.runtime))
+                consistent = false;
+        }
+
+        Table t;
+        t.row()
+            .cell("L(us)")
+            .cell("o(us)")
+            .cell("g(us)")
+            .cell("sim(ms)")
+            .cell("analytic(ms)")
+            .cell("err%")
+            .cell("sim wall(ms)")
+            .cell("lp wall(ms)")
+            .cell("speedup");
+        double max_err = 0, err_sum = 0, speedup_sum = 0;
+        w.beginArray("points");
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            const double sim = static_cast<double>(sims[i].runtime);
+            const double err =
+                100.0 *
+                std::fabs(static_cast<double>(anas[i].runtime) - sim) /
+                sim;
+            const double speedup =
+                ana_ms[i] > 0 ? sim_ms[i] / ana_ms[i] : 0;
+            max_err = std::max(max_err, err);
+            err_sum += err;
+            speedup_sum += speedup;
+            LogGPParams p = pts[i].config.machine.params;
+            pts[i].config.knobs.applyTo(p);
+            t.row()
+                .cell(toUsec(p.totalLatency()), 1)
+                .cell(toUsec(p.meanOverhead()), 1)
+                .cell(toUsec(p.gap), 1)
+                .cell(toMsec(sims[i].runtime), 3)
+                .cell(toMsec(anas[i].runtime), 3)
+                .cell(err, 2)
+                .cell(sim_ms[i], 1)
+                .cell(ana_ms[i], 3)
+                .cell(speedup, 0);
+            w.beginObject()
+                .field("lUs", toUsec(p.totalLatency()))
+                .field("oUs", toUsec(p.meanOverhead()))
+                .field("gUs", toUsec(p.gap))
+                .field("simMs", toMsec(sims[i].runtime))
+                .field("analyticMs", toMsec(anas[i].runtime))
+                .field("errPct", err)
+                .field("simWallMs", sim_ms[i])
+                .field("analyticWallMs", ana_ms[i])
+                .field("speedup", speedup)
+                .endObject();
+        }
+        w.endArray();
+        const double mean_speedup =
+            speedup_sum / static_cast<double>(pts.size());
+
+        const double dl =
+            static_cast<double>(usec(kLs[std::size(kLs) - 1] - kLs[0]));
+        const double dtdl_sim =
+            static_cast<double>(sims[l_high].runtime - sims[0].runtime) /
+            dl;
+        const double dtdl_ana =
+            static_cast<double>(anas[l_high].runtime - anas[0].runtime) /
+            dl;
+        const backend::AnalyticSlopes slope =
+            be.slopes(pts[l_high], backend::kSlopeL);
+        const double dtdl_model = slope.ok ? slope.dTdL : -1;
+        const bool slopes_agree =
+            (dtdl_sim >= 0) == (dtdl_ana >= 0) && dtdl_model >= 0;
+        const bool app_pass =
+            consistent && max_err <= tol * 100 && slopes_agree;
+        pass = pass && app_pass;
+
+        std::printf("\n--- %s: sim vs analytic ---\n", app.c_str());
+        t.print();
+        std::printf("%s: model build %.0f ms (%zu LP nodes, %zu edges), "
+                    "max err %.2f%%, mean speedup %.0fx, dT/dL sim %.2f "
+                    "analytic %.2f (one-sided LP slope %.2f)%s -> %s\n",
+                    app.c_str(), build_ms, stats.lpNodes, stats.lpEdges,
+                    max_err, mean_speedup, dtdl_sim, dtdl_ana, dtdl_model,
+                    consistent ? "" : ", run() differs from predict()",
+                    app_pass ? "pass" : "FAIL");
+        w.field("maxErrPct", max_err)
+            .field("meanErrPct", err_sum / static_cast<double>(pts.size()))
+            .field("meanSpeedup", mean_speedup)
+            .field("dtdlSim", dtdl_sim)
+            .field("dtdlAnalytic", dtdl_ana)
+            .field("dtdlModel", dtdl_model)
             .field("runMatchesPredict", consistent)
             .field("pass", app_pass)
             .endObject();
@@ -1940,7 +2036,8 @@ main(int argc, char **argv)
             "             [--sizes list] [--tolerance F] [--min-hit F]\n"
             "             [--out BENCH_coll.json]\n"
             "  nowlab backend validate [--apps A,B] [--procs N]\n"
-            "             [--scale S] [--tolerance F] [--out F]\n"
+            "             [--scale S] [--tolerance F]\n"
+            "             [--out BENCH_backend.json]\n"
             "sweep --knob K sweeps any knob, fault, delay or topo option\n"
             "below, named without its dashes; it also honours --cache-dir\n"
             "D / NOW_CACHE_DIR: the content-addressed result store serves\n"
