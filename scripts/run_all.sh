@@ -29,16 +29,17 @@ run results/test_output.txt env NOW_JOBS=1 ctest --test-dir "$BUILD"
 run results/test_output_jobs.txt env NOW_JOBS="$(nproc)" \
     ctest --test-dir "$BUILD"
 
-# Only the bench binaries: the directory also holds CMake's files. Each
-# runs inside results/, so what it writes to its working directory
-# (bench_paper's fig4/, bench_wavefront's BENCH_wavefront.json) lands
-# there, not over the committed ledgers.
+# The bench targets bench/CMakeLists.txt defines (its now_bench lines):
+# a reused build tree still holds the binaries of deleted targets, and
+# those are not run. Each runs inside results/, so what it writes to its
+# working directory (bench_paper's fig4/, bench_wavefront's
+# BENCH_wavefront.json) lands there, not over the committed ledgers.
 bench_dir=$(cd "$BUILD/bench" && pwd)
-for b in "$bench_dir"/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name=$(basename "$b")
+for name in $(sed -n 's/^now_bench(\([A-Za-z0-9_]*\))$/\1/p' \
+    "$(dirname "$0")/../bench/CMakeLists.txt"); do
     echo "== $name =="
-    run "results/$name.txt" sh -c 'cd results && exec "$0"' "$b"
+    run "results/$name.txt" sh -c 'cd results && exec "$0"' \
+        "$bench_dir/$name"
 done
 
 # The analytic-backend and tuned-collective ledgers, from the commands

@@ -112,12 +112,10 @@ AnalyticBackend::canServe(const RunPoint &pt)
 
     // A model already built but poisoned by probe drift refuses
     // loudly so the caller falls back to sim instead of trusting it.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = models_.find(modelKeyOf(pt));
-    if (it != models_.end()) {
-        std::lock_guard<std::mutex> elock(it->second->mu);
-        if (it->second->built && !it->second->healthy)
-            return it->second->reason;
+    if (std::shared_ptr<ModelEntry> e = findEntry(pt)) {
+        std::lock_guard<std::mutex> lock(e->mu);
+        if (e->built && !e->healthy)
+            return e->reason;
     }
     return "";
 }
@@ -132,18 +130,40 @@ AnalyticBackend::entryOf(const RunPoint &pt)
     return e;
 }
 
+std::shared_ptr<AnalyticBackend::ModelEntry>
+AnalyticBackend::findEntry(const RunPoint &pt)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = models_.find(modelKeyOf(pt));
+    return it != models_.end() ? it->second : nullptr;
+}
+
 void
 AnalyticBackend::buildLocked(const RunPoint &pt, ModelEntry &e)
 {
     e.built = true;
     e.healthy = false;
 
-    // One traced run at the machine baseline for this model identity.
-    RunPoint base = basePointOf(pt);
+    // One traced run at the machine baseline for this model identity
+    // and, beside it, the probe: one sim run at a stretched latency; if
+    // the model cannot re-time that, it cannot be trusted anywhere.
+    // Neither run needs the other, so runPoints runs the two at once
+    // (one after the other on one core or under NOW_JOBS=1). It serves
+    // the probe from the installed RunCache, and never the traced run,
+    // whose spans a cached result could not replay.
     SpanTracer tracer;
-    base.config.obs = &tracer;
-    e.baseParams = resolvedParams(base.config);
-    e.baseResult = runApp(base.app, base.config);
+    std::vector<RunPoint> runs{basePointOf(pt)};
+    runs[0].config.obs = &tracer;
+    e.baseParams = resolvedParams(runs[0].config);
+    if (opts_.validateModels) {
+        RunPoint probe = basePointOf(pt);
+        const double base_l_us =
+            static_cast<double>(e.baseParams.totalLatency()) / kUsec;
+        probe.config.knobs.latencyUs = base_l_us * 4;
+        runs.push_back(std::move(probe));
+    }
+    const std::vector<RunResult> done = runPoints(runs);
+    e.baseResult = done[0];
     if (!e.baseResult.ok) {
         e.reason = "base traced run failed (budget exceeded?)";
         return;
@@ -158,20 +178,13 @@ AnalyticBackend::buildLocked(const RunPoint &pt, ModelEntry &e)
         return;
     }
 
-    // Probe validation: one sim run at a stretched latency; if the
-    // model cannot re-time that, it cannot be trusted anywhere.
-    RunPoint probe = basePointOf(pt);
-    probe.config.obs = nullptr;
-    const double base_l_us =
-        static_cast<double>(e.baseParams.totalLatency()) / kUsec;
-    probe.config.knobs.latencyUs = base_l_us * 4;
-    RunResult sim = runPointCached(probe);
+    const RunResult &sim = done[1];
     if (!sim.ok) {
         e.reason = "validation probe run failed";
         return;
     }
     std::optional<double> pred =
-        e.model.runtime(resolvedParams(probe.config));
+        e.model.runtime(resolvedParams(runs[1].config));
     if (!pred) {
         e.reason = "model failed to evaluate the probe";
         return;
@@ -193,12 +206,11 @@ AnalyticBackend::buildLocked(const RunPoint &pt, ModelEntry &e)
 bool
 AnalyticBackend::ready(const RunPoint &pt)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = models_.find(modelKeyOf(pt));
-    if (it == models_.end())
+    std::shared_ptr<ModelEntry> e = findEntry(pt);
+    if (!e)
         return false;
-    std::lock_guard<std::mutex> elock(it->second->mu);
-    return it->second->built && it->second->healthy;
+    std::lock_guard<std::mutex> lock(e->mu);
+    return e->built && e->healthy;
 }
 
 template <typename T, typename F>
@@ -208,11 +220,15 @@ AnalyticBackend::withModel(const RunPoint &pt, F answer)
     if (!canServe(pt).empty())
         return T{};
     std::shared_ptr<ModelEntry> e = entryOf(pt);
-    std::lock_guard<std::mutex> lock(e->mu);
-    if (!e->built)
-        buildLocked(pt, *e);
-    if (!e->healthy)
-        return T{};
+    {
+        std::lock_guard<std::mutex> lock(e->mu);
+        if (!e->built)
+            buildLocked(pt, *e);
+        if (!e->healthy)
+            return T{};
+    }
+    // Nothing writes a built entry again, so its model is read outside
+    // the lock: points on one model are answered at once.
     return answer(*e);
 }
 
@@ -235,12 +251,11 @@ AnalyticBackend::slopes(const RunPoint &pt, unsigned knobs)
 ModelBuildStats
 AnalyticBackend::modelStats(const RunPoint &pt)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = models_.find(modelKeyOf(pt));
-    if (it == models_.end())
+    std::shared_ptr<ModelEntry> e = findEntry(pt);
+    if (!e)
         return {};
-    std::lock_guard<std::mutex> elock(it->second->mu);
-    return it->second->model.stats();
+    std::lock_guard<std::mutex> lock(e->mu);
+    return e->model.stats();
 }
 
 RunResult

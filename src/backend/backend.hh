@@ -90,8 +90,8 @@ class AnalyticBackend : public ExperimentBackend
 
     /** Serve `pt`: predicted runtime over the base run's measurements
      *  (validated=false marks the result model-derived). Builds the
-     *  model on first use -- one traced sim run plus one probe run --
-     *  then every further point is a makespan-only LP solve
+     *  model on first use -- one traced sim run with one probe run
+     *  beside it -- then every further point is a makespan-only LP solve
      *  (AnalyticModel::runtime): the runtime is llround of predict()'s,
      *  without the dual. */
     RunResult run(const RunPoint &pt) override;
@@ -125,10 +125,16 @@ class AnalyticBackend : public ExperimentBackend
         double probeDrift = 0;
     };
 
+    /** The point's entry, made empty if it has none. */
     std::shared_ptr<ModelEntry> entryOf(const RunPoint &pt);
+    /** The point's entry, or nullptr: the backend's lock is released
+     *  before the caller takes the entry's, so that a build holding
+     *  one entry's lock never holds up the others. */
+    std::shared_ptr<ModelEntry> findEntry(const RunPoint &pt);
     void buildLocked(const RunPoint &pt, ModelEntry &e);
-    /** `answer(entry)` under the entry's lock, its model built on
-     *  first use; a default T when the point cannot be served. */
+    /** `answer(entry)`, its model built on first use under the entry's
+     *  lock; a default T when the point cannot be served. The answer
+     *  runs outside the lock. */
     template <typename T, typename F>
     T withModel(const RunPoint &pt, F answer);
 

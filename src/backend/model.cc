@@ -9,8 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <numeric>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,13 +27,14 @@ constexpr const char *kFatTreeRefusal =
 /** "No span" / "no message" in lower()'s 32-bit index arrays. */
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
-/** Items grouped by node id: bucket k holds the items of node[k], and
- *  node ids ascend. */
+/** Items 0..n-1 grouped by node id: bucket k holds the items of
+ *  node[k] at positions [first[k], first[k + 1]), node ids ascend, and
+ *  a bucket keeps its items in their given order. */
 struct Buckets
 {
-    std::vector<std::uint32_t> items;
-    std::vector<std::uint32_t> first; ///< Bucket k: [first[k], first[k + 1]).
+    std::vector<std::uint32_t> first;
     std::vector<NodeId> node;
+    std::vector<std::uint32_t> pos; ///< Item j's position.
 
     std::pair<std::uint32_t, std::uint32_t>
     range(std::size_t k) const
@@ -44,27 +44,28 @@ struct Buckets
 };
 
 /**
- * Group `items` by `nodeOf(item)`, keeping their given order within a
- * node: a radix sort of the ids, least significant byte first, that
- * skips every byte all ids share (one counting pass for up to 256
- * nodes). No id indexes an array: a NOWOBS01 file may carry any id.
+ * Group items 0..n-1 by their nodes, `nodeOf[j]` being item j's: a
+ * radix sort of the ids, least significant byte first, that skips
+ * every byte all ids share (one counting pass for up to 256 nodes). No
+ * id indexes an array: a NOWOBS02 file may carry any id. The caller
+ * lays its items out by `pos` in one pass in item order.
  */
-template <typename NodeOf>
 Buckets
-bucketByNode(std::vector<std::uint32_t> items, NodeOf nodeOf)
+bucketByNode(std::vector<NodeId> nodeOf)
 {
     // (id with its sign bit flipped) << 32 | item: unsigned order of
     // the high word is id order.
     constexpr std::uint32_t kFlip = 0x80000000u;
-    std::vector<std::uint64_t> keyed(items.size());
+    std::vector<std::uint64_t> keyed(nodeOf.size());
     std::array<std::array<std::size_t, 256>, 4> count{};
-    for (std::size_t k = 0; k < items.size(); k++) {
+    for (std::size_t j = 0; j < nodeOf.size(); j++) {
         const std::uint32_t key =
-            static_cast<std::uint32_t>(nodeOf(items[k])) ^ kFlip;
-        keyed[k] = std::uint64_t{key} << 32 | items[k];
+            static_cast<std::uint32_t>(nodeOf[j]) ^ kFlip;
+        keyed[j] = std::uint64_t{key} << 32 | j;
         for (int d = 0; d < 4; d++)
             count[d][key >> (8 * d) & 0xff]++;
     }
+    std::vector<NodeId>().swap(nodeOf);
     std::vector<std::uint64_t> sorted(keyed.size());
     for (int d = 0; d < 4; d++) {
         std::array<std::size_t, 256> &c = count[d];
@@ -77,16 +78,18 @@ bucketByNode(std::vector<std::uint32_t> items, NodeOf nodeOf)
             sorted[c[v >> (32 + 8 * d) & 0xff]++] = v;
         keyed.swap(sorted);
     }
+    std::vector<std::uint64_t>().swap(sorted);
 
     Buckets b;
-    b.items = std::move(items);
-    for (std::size_t k = 0; k < keyed.size(); k++) {
-        b.items[k] = static_cast<std::uint32_t>(keyed[k]);
+    b.pos.resize(keyed.size());
+    for (std::size_t p = 0; p < keyed.size(); p++) {
+        b.pos[static_cast<std::uint32_t>(keyed[p])] =
+            static_cast<std::uint32_t>(p);
         const auto node =
-            static_cast<NodeId>(static_cast<std::uint32_t>(keyed[k] >> 32) ^
+            static_cast<NodeId>(static_cast<std::uint32_t>(keyed[p] >> 32) ^
                                 kFlip);
-        if (k == 0 || node != b.node.back()) {
-            b.first.push_back(static_cast<std::uint32_t>(k));
+        if (p == 0 || node != b.node.back()) {
+            b.first.push_back(static_cast<std::uint32_t>(p));
             b.node.push_back(node);
         }
     }
@@ -94,16 +97,153 @@ bucketByNode(std::vector<std::uint32_t> items, NodeOf nodeOf)
     return b;
 }
 
-/** Put bucket k in `less` order, sorting only where the recording left
- *  it unsorted. */
-template <typename Less>
-void
-sortBucket(Buckets &b, std::size_t k, Less less)
+/**
+ * Message ids to the first message that carries each. A traced run's
+ * ids are 1..n, so a table over the id range maps them directly. Ids
+ * spread wider than twice the message count (a NOWOBS02 file may carry
+ * any 64-bit id) are sorted instead, and searched.
+ */
+class FirstCarrier
 {
-    const auto lo = b.items.begin() + b.first[k];
-    const auto hi = b.items.begin() + b.first[k + 1];
-    if (!std::is_sorted(lo, hi, less))
-        std::sort(lo, hi, less);
+  public:
+    explicit FirstCarrier(const std::vector<ObsMessage> &msgs)
+        : of(msgs.size())
+    {
+        if (msgs.empty())
+            return;
+        const auto [lo, hi] = std::minmax_element(
+            msgs.begin(), msgs.end(),
+            [](const ObsMessage &a, const ObsMessage &b) {
+                return a.id < b.id;
+            });
+        lo_ = lo->id;
+        if (hi->id - lo_ < 2 * msgs.size()) {
+            direct_.assign(hi->id - lo_ + 1, kNone);
+            for (std::size_t mi = 0; mi < msgs.size(); mi++) {
+                std::uint32_t &d = direct_[msgs[mi].id - lo_];
+                if (d == kNone)
+                    d = static_cast<std::uint32_t>(mi);
+                of[mi] = d;
+            }
+            return;
+        }
+        sorted_.reserve(msgs.size());
+        for (std::size_t mi = 0; mi < msgs.size(); mi++)
+            sorted_.push_back({msgs[mi].id, static_cast<std::uint32_t>(mi)});
+        std::sort(sorted_.begin(), sorted_.end());
+        sorted_.erase(std::unique(sorted_.begin(), sorted_.end(),
+                                  [](const auto &a, const auto &b) {
+                                      return a.first == b.first;
+                                  }),
+                      sorted_.end());
+        for (std::size_t mi = 0; mi < msgs.size(); mi++)
+            of[mi] = find(msgs[mi].id);
+    }
+
+    /** The first message carrying `id`, or kNone. */
+    std::uint32_t
+    find(std::uint64_t id) const
+    {
+        if (sorted_.empty()) {
+            const std::uint64_t k = id - lo_; // wraps for an id below lo_
+            return k < direct_.size() ? direct_[k] : kNone;
+        }
+        const auto it = std::lower_bound(
+            sorted_.begin(), sorted_.end(), id,
+            [](const auto &e, std::uint64_t v) { return e.first < v; });
+        return it != sorted_.end() && it->first == id ? it->second : kNone;
+    }
+
+    /** Per message, the first message carrying its id. */
+    std::vector<std::uint32_t> of;
+
+  private:
+    std::uint64_t lo_ = 0;
+    std::vector<std::uint32_t> direct_; ///< Id lo_ + k at k.
+    /** (id, first message), by id, when the table would be sparse. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted_;
+};
+
+/** A leaf CPU span as the passes after the layout read it: its times,
+ *  category, and the message it serves (the first carrier of its id)
+ *  if it is a send or receive overhead, else kNone. */
+struct Leaf
+{
+    Tick begin;
+    Tick end;
+    std::uint32_t msg;
+    SpanCat cat;
+};
+
+/** The host edge of message `msg`, which has no send span: from the
+ *  position of the span it anchors on, at that span's cost plus the
+ *  wait to the message's issue. */
+struct Anchor
+{
+    std::uint32_t msg;
+    std::uint32_t at;
+    LinCost cost;
+};
+
+/** One message on its sender's transmit chain: the chain's sort key
+ *  (inject, id, message index), then what the chain and the
+ *  completion joins read of it. */
+struct Injection
+{
+    Tick inject;
+    std::uint64_t id;
+    std::uint32_t msg;
+    bool binding;  ///< Its arrival gates its receive span.
+    bool received; ///< It has a receive span.
+    Tick serial;   ///< wire - inject: bulk serialization.
+    Tick tail;     ///< ready - wire: the wire crossing.
+
+    bool
+    operator<(const Injection &o) const
+    {
+        return std::tie(inject, id, msg) < std::tie(o.inject, o.id, o.msg);
+    }
+};
+
+/** The cost of a span of `cat` lasting `dur` ticks, recorded at `base`. */
+LinCost
+spanCost(const LogGPParams &base, SpanCat cat, Tick dur)
+{
+    LinCost c;
+    const double d = static_cast<double>(dur);
+    switch (cat) {
+      case SpanCat::OSend:
+      case SpanCat::ORecv:
+        // Each overhead phase contains exactly one addedO; the rest
+        // (the hardware oSend/oRecv) is fixed.
+        c.fixed = d - static_cast<double>(base.addedO);
+        c.perO = 1;
+        break;
+      case SpanCat::GapStall:
+        // Back-pressure stalls scale with the injection gap.
+        if (base.gap > 0)
+            c.perG = d / static_cast<double>(base.gap);
+        else
+            c.fixed = d;
+        break;
+      case SpanCat::GStall:
+        // Bulk DMA time scales with G.
+        if (base.gPerByte > 0)
+            c.perGb = d / base.gPerByte;
+        else
+            c.fixed = d;
+        break;
+      default:
+        c.fixed = d;
+        break;
+    }
+    return c;
+}
+
+LinCost
+spanCost(const LogGPParams &base, const Leaf &s)
+{
+    return spanCost(base, s.cat, s.end - s.begin);
 }
 
 } // namespace
@@ -128,40 +268,6 @@ AnalyticModel::pointOf(const LogGPParams &p)
     lp.g = static_cast<double>(p.gap);
     lp.Gb = p.gPerByte;
     return lp;
-}
-
-LinCost
-AnalyticModel::spanCost(const Span &s) const
-{
-    LinCost c;
-    const double dur = static_cast<double>(s.end - s.begin);
-    switch (s.cat) {
-      case SpanCat::OSend:
-      case SpanCat::ORecv:
-        // Each overhead phase contains exactly one addedO; the rest
-        // (the hardware oSend/oRecv) is fixed.
-        c.fixed = dur - static_cast<double>(base_.addedO);
-        c.perO = 1;
-        break;
-      case SpanCat::GapStall:
-        // Back-pressure stalls scale with the injection gap.
-        if (base_.gap > 0)
-            c.perG = dur / static_cast<double>(base_.gap);
-        else
-            c.fixed = dur;
-        break;
-      case SpanCat::GStall:
-        // Bulk DMA time scales with G.
-        if (base_.gPerByte > 0)
-            c.perGb = dur / base_.gPerByte;
-        else
-            c.fixed = dur;
-        break;
-      default:
-        c.fixed = dur;
-        break;
-    }
-    return c;
 }
 
 bool
@@ -203,48 +309,69 @@ AnalyticModel::lower(const SpanTracer &tracer)
         return false;
 
     // The leaf CPU spans, per node in ascending node id, each node's
-    // in timeline order. A span's *position* is its place in this
-    // concatenation; per-span state below is indexed by position.
+    // in timeline order (begin, end, span index). A span's *position*
+    // is its place in this concatenation; per-span state below is
+    // indexed by position. The trace is recorded in global time order,
+    // so one pass in that order lays out, by position, what the later
+    // passes read of each span, and they stream through it. A timeline
+    // the recording left out of order is sorted and laid out again.
+    // Every message's id, and every span's, resolves to the first
+    // message carrying it; per-id state is indexed by that message.
+    std::vector<std::uint32_t> idOf;
     Buckets timeline;
+    std::vector<Leaf> leaf;
     {
-        std::vector<std::uint32_t> leaves;
-        for (std::size_t i = 0; i < spans.size(); i++) {
-            const Span &s = spans[i];
-            if (s.container || s.track != TrackKind::Cpu)
-                continue;
-            if (s.end <= s.begin)
-                continue; // instant Retransmit markers
-            leaves.push_back(static_cast<std::uint32_t>(i));
-        }
-        if (leaves.empty())
+        FirstCarrier carrier(msgs);
+        idOf = std::move(carrier.of);
+        auto isLeaf = [](const Span &s) {
+            // Not a container, on the CPU, and not an instant
+            // Retransmit marker.
+            return !s.container && s.track == TrackKind::Cpu &&
+                   s.end > s.begin;
+        };
+        std::vector<NodeId> nodeOf;
+        for (const Span &s : spans)
+            if (isLeaf(s))
+                nodeOf.push_back(s.node);
+        if (nodeOf.empty())
             return false;
-        timeline = bucketByNode(std::move(leaves), [&](std::uint32_t i) {
-            return spans[i].node;
-        });
-    }
-    const std::vector<std::uint32_t> &at = timeline.items;
-    const std::size_t nodes = timeline.node.size();
-    for (std::size_t k = 0; k < nodes; k++) {
-        sortBucket(timeline, k, [&](std::uint32_t a, std::uint32_t b) {
-            const Span &x = spans[a], &y = spans[b];
-            if (x.begin != y.begin)
-                return x.begin < y.begin;
-            if (x.end != y.end)
-                return x.end < y.end;
-            return a < b;
-        });
-    }
-    stats_.cpuSpans = at.size();
+        timeline = bucketByNode(std::move(nodeOf));
 
-    // One map turns a message id into the first message carrying it;
-    // spans (and repeated records) reach their message through it.
-    std::unordered_map<std::uint64_t, std::uint32_t> byId;
-    byId.reserve(msgs.size());
-    std::vector<std::uint32_t> idOf(msgs.size());
-    for (std::size_t mi = 0; mi < msgs.size(); mi++)
-        idOf[mi] = byId.try_emplace(msgs[mi].id,
-                                    static_cast<std::uint32_t>(mi))
-                       .first->second;
+        leaf.resize(timeline.pos.size());
+        std::vector<std::uint32_t> at(leaf.size()); // span index by position
+        auto put = [&](std::uint32_t p, std::uint32_t i) {
+            const Span &s = spans[i];
+            const bool tagged =
+                s.msg != 0 &&
+                (s.cat == SpanCat::OSend || s.cat == SpanCat::ORecv);
+            leaf[p] = {s.begin, s.end, tagged ? carrier.find(s.msg) : kNone,
+                       s.cat};
+            at[p] = i;
+        };
+        std::uint32_t j = 0;
+        for (std::size_t i = 0; i < spans.size(); i++)
+            if (isLeaf(spans[i]))
+                put(timeline.pos[j++], static_cast<std::uint32_t>(i));
+        std::vector<std::uint32_t>().swap(timeline.pos);
+        auto later = [](const Leaf &x, const Leaf &y) {
+            return std::tie(x.begin, x.end) < std::tie(y.begin, y.end);
+        };
+        for (std::size_t k = 0; k < timeline.node.size(); k++) {
+            const auto [lo, hi] = timeline.range(k);
+            if (std::is_sorted(leaf.begin() + lo, leaf.begin() + hi, later))
+                continue;
+            std::sort(at.begin() + lo, at.begin() + hi,
+                      [&](std::uint32_t a, std::uint32_t b) {
+                          const Span &x = spans[a], &y = spans[b];
+                          return std::tie(x.begin, x.end, a) <
+                                 std::tie(y.begin, y.end, b);
+                      });
+            for (std::uint32_t p = lo; p < hi; p++)
+                put(p, at[p]);
+        }
+    }
+    const std::size_t nodes = timeline.node.size();
+    stats_.cpuSpans = leaf.size();
 
     // Per id: the first OSend leaf tagged with it and the earliest
     // ORecv leaf, plus that receive's predecessor-end on its own
@@ -253,34 +380,36 @@ AnalyticModel::lower(const SpanTracer &tracer)
     // receive queue while the CPU did other work. Along the way, the
     // least span end from each position to the end of its timeline:
     // it never falls along a timeline, so the last span to end by a
-    // time is one binary search away.
+    // time is one binary search away. The spans' durations are kept
+    // per id too, so that the passes in message order read them there.
     std::vector<std::uint32_t> sendAt(msgs.size(), kNone);
     std::vector<std::uint32_t> recvAt(msgs.size(), kNone);
+    std::vector<Tick> sendDur(msgs.size(), 0);
+    std::vector<Tick> recvDur(msgs.size(), 0);
     std::vector<Tick> recvPrevEnd(msgs.size(), 0);
-    std::vector<Tick> minEndFrom(at.size());
+    std::vector<Tick> minEndFrom(leaf.size());
     for (std::size_t k = 0; k < nodes; k++) {
         const auto [lo, hi] = timeline.range(k);
         Tick minEnd = std::numeric_limits<Tick>::max();
         for (std::uint32_t p = hi; p-- > lo;) {
-            minEnd = std::min(minEnd, spans[at[p]].end);
+            minEnd = std::min(minEnd, leaf[p].end);
             minEndFrom[p] = minEnd;
         }
         for (std::uint32_t p = lo; p < hi; p++) {
-            const Span &s = spans[at[p]];
-            if (s.msg == 0 ||
-                (s.cat != SpanCat::OSend && s.cat != SpanCat::ORecv))
+            const Leaf &s = leaf[p];
+            const std::uint32_t id = s.msg;
+            if (id == kNone)
                 continue;
-            auto it = byId.find(s.msg);
-            if (it == byId.end())
-                continue;
-            const std::uint32_t id = it->second;
             if (s.cat == SpanCat::OSend) {
-                if (sendAt[id] == kNone)
+                if (sendAt[id] == kNone) {
                     sendAt[id] = p;
+                    sendDur[id] = s.end - s.begin;
+                }
             } else if (recvAt[id] == kNone ||
-                       s.begin < spans[at[recvAt[id]]].begin) {
+                       s.begin < leaf[recvAt[id]].begin) {
                 recvAt[id] = p;
-                recvPrevEnd[id] = p > lo ? spans[at[p - 1]].end : 0;
+                recvDur[id] = s.end - s.begin;
+                recvPrevEnd[id] = p > lo ? leaf[p - 1].end : 0;
             }
         }
     }
@@ -292,12 +421,14 @@ AnalyticModel::lower(const SpanTracer &tracer)
     // spans is private to its CPU, so the whole run coalesces into one
     // accumulated chain edge -- the solve cost per sweep point drops
     // with the graph, and the LP's feasible region is unchanged.
-    std::vector<char> needNode(at.size(), 0);
-    std::vector<std::uint32_t> anchorOf(msgs.size(), kNone);
+    std::vector<char> needNode(leaf.size(), 0);
+    std::vector<Anchor> anchors; // in message order
     std::vector<char> bindingOf(msgs.size(), 0);
+    std::vector<NodeId> srcOf(msgs.size());
     for (std::size_t mi = 0; mi < msgs.size(); mi++) {
         const ObsMessage &m = msgs[mi];
         const std::uint32_t id = idOf[mi];
+        srcOf[mi] = m.src;
         if (sendAt[id] != kNone) {
             needNode[sendAt[id]] = 1;
         } else {
@@ -312,9 +443,12 @@ AnalyticModel::lower(const SpanTracer &tracer)
                 const auto past = std::upper_bound(
                     first, minEndFrom.begin() + hi, m.issued);
                 if (past != first) {
-                    anchorOf[mi] = static_cast<std::uint32_t>(
+                    const auto at = static_cast<std::uint32_t>(
                         past - 1 - minEndFrom.begin());
-                    needNode[anchorOf[mi]] = 1;
+                    needNode[at] = 1;
+                    LinCost c = spanCost(base_, leaf[at]);
+                    c.fixed += static_cast<double>(m.issued - leaf[at].end);
+                    anchors.push_back({static_cast<std::uint32_t>(mi), at, c});
                 }
             }
         }
@@ -323,6 +457,8 @@ AnalyticModel::lower(const SpanTracer &tracer)
             needNode[recvAt[id]] = 1;
         }
     }
+    std::vector<Tick>().swap(minEndFrom);
+    std::vector<Tick>().swap(recvPrevEnd);
 
     // The edge list is sized once, at its bound: per timeline a chain
     // edge into each kept span plus one to the sink, and per message at
@@ -335,27 +471,28 @@ AnalyticModel::lower(const SpanTracer &tracer)
     // the cost of everything in between (compute, buffered handlers,
     // stalls -- they occupy the CPU regardless of handler order) into
     // the connecting edge.
-    std::vector<int> lpOf(at.size(), -1);
+    std::vector<int> lpOf(leaf.size(), -1);
     const int sink = dag_.addNode();
     for (std::size_t k = 0; k < nodes; k++) {
         const auto [lo, hi] = timeline.range(k);
         int prev = LpDag::kSource;
         LinCost acc;
         for (std::uint32_t p = lo; p < hi; p++) {
-            const Span &s = spans[at[p]];
             if (needNode[p]) {
                 lpOf[p] = dag_.addNode();
                 if (prev != LpDag::kSource || acc.fixed > 0 ||
                     acc.perO > 0 || acc.perG > 0 || acc.perGb > 0)
                     dag_.addEdge(prev, lpOf[p], acc);
                 prev = lpOf[p];
-                acc = spanCost(s);
+                acc = spanCost(base_, leaf[p]);
             } else {
-                acc += spanCost(s);
+                acc += spanCost(base_, leaf[p]);
             }
         }
         dag_.addEdge(prev, sink, acc);
     }
+    std::vector<char>().swap(needNode);
+    std::vector<Leaf>().swap(leaf);
 
     // The NIC transmit pipeline: one LP event per message injection,
     // chained per sender in inject order. The chain edge *is* LogGP's
@@ -365,54 +502,57 @@ AnalyticModel::lower(const SpanTracer &tracer)
     // the saturation point, shows almost no host back-pressure. The
     // simulator enforces exactly this constraint, so at the base
     // operating point the chain is satisfied by the recorded
-    // timestamps and never distorts the calibrated makespan.
+    // timestamps and never distorts the calibrated makespan. One pass
+    // in message order lays each sender's messages out in chain order,
+    // and the sort, where the recording left a chain out of order,
+    // compares those dense keys.
     std::vector<int> injNode(msgs.size(), -1);
-    Buckets bySrc;
-    {
-        std::vector<std::uint32_t> all(msgs.size());
-        std::iota(all.begin(), all.end(), 0u);
-        bySrc = bucketByNode(std::move(all), [&](std::uint32_t i) {
-            return msgs[i].src;
-        });
+    Buckets bySrc = bucketByNode(std::move(srcOf));
+    std::vector<Injection> chain(msgs.size());
+    for (std::size_t mi = 0; mi < msgs.size(); mi++) {
+        const ObsMessage &m = msgs[mi];
+        const std::uint32_t id = idOf[mi];
+        chain[bySrc.pos[mi]] = {m.inject,
+                                m.id,
+                                static_cast<std::uint32_t>(mi),
+                                bindingOf[mi] != 0,
+                                recvAt[id] != kNone,
+                                m.wire - m.inject,
+                                m.ready - m.wire};
     }
-    const std::vector<std::uint32_t> &order = bySrc.items;
+    std::vector<std::uint32_t>().swap(bySrc.pos);
+    // A bulk fragment occupies the tx context for its serialization.
+    auto occupancy = [&](const Injection &prev) {
+        LinCost occ;
+        occ.perG = 1;
+        if (base_.gPerByte > 0)
+            occ.perGb = static_cast<double>(prev.serial) / base_.gPerByte;
+        return occ;
+    };
     for (std::size_t k = 0; k < bySrc.node.size(); k++) {
-        sortBucket(bySrc, k, [&](std::uint32_t a, std::uint32_t b) {
-            const ObsMessage &x = msgs[a], &y = msgs[b];
-            if (x.inject != y.inject)
-                return x.inject < y.inject;
-            if (x.id != y.id)
-                return x.id < y.id;
-            return a < b;
-        });
         const auto [lo, hi] = bySrc.range(k);
+        if (!std::is_sorted(chain.begin() + lo, chain.begin() + hi))
+            std::sort(chain.begin() + lo, chain.begin() + hi);
         for (std::uint32_t q = lo; q < hi; q++) {
-            injNode[order[q]] = dag_.addNode();
-            if (q == lo)
-                continue;
-            const ObsMessage &prev = msgs[order[q - 1]];
-            LinCost occ;
-            occ.perG = 1;
-            if (base_.gPerByte > 0)
-                occ.perGb =
-                    static_cast<double>(prev.wire - prev.inject) /
-                    base_.gPerByte;
-            dag_.addEdge(injNode[order[q - 1]], injNode[order[q]], occ);
+            injNode[chain[q].msg] = dag_.addNode();
+            if (q > lo)
+                dag_.addEdge(injNode[chain[q - 1].msg],
+                             injNode[chain[q].msg],
+                             occupancy(chain[q - 1]));
         }
     }
 
     // The wire: bulk serialization (scales with G) and one wire
     // crossing (perL = 1, with any extra contention delay beyond L kept
     // as fixed time).
-    auto flightOf = [&](const ObsMessage &m) {
+    auto flightOf = [&](Tick serial, Tick tail) {
         LinCost flight;
-        const double serial = static_cast<double>(m.wire - m.inject);
         if (base_.gPerByte > 0)
-            flight.perGb = serial / base_.gPerByte;
+            flight.perGb = static_cast<double>(serial) / base_.gPerByte;
         else
-            flight.fixed += serial;
+            flight.fixed += static_cast<double>(serial);
         flight.perL = 1;
-        flight.fixed += static_cast<double>(m.ready - m.wire) -
+        flight.fixed += static_cast<double>(tail) -
                         static_cast<double>(base_.totalLatency());
         return flight;
     };
@@ -420,6 +560,7 @@ AnalyticModel::lower(const SpanTracer &tracer)
     // Cross-node edges: host issue -> injection -> arrival. An arrival
     // that is not binding constrains only the completion join, whose
     // edges the pass below adds.
+    auto anchor = anchors.begin();
     for (std::size_t mi = 0; mi < msgs.size(); mi++) {
         const ObsMessage &m = msgs[mi];
         const std::uint32_t id = idOf[mi];
@@ -430,12 +571,10 @@ AnalyticModel::lower(const SpanTracer &tracer)
         // `issued`, or virtual time zero.
         if (sendAt[id] != kNone) {
             dag_.addEdge(lpOf[sendAt[id]], injNode[mi],
-                         spanCost(spans[at[sendAt[id]]]));
-        } else if (anchorOf[mi] != kNone) {
-            const Span &a = spans[at[anchorOf[mi]]];
-            LinCost c = spanCost(a);
-            c.fixed += static_cast<double>(m.issued - a.end);
-            dag_.addEdge(lpOf[anchorOf[mi]], injNode[mi], c);
+                         spanCost(base_, SpanCat::OSend, sendDur[id]));
+        } else if (anchor != anchors.end() && anchor->msg == mi) {
+            dag_.addEdge(lpOf[anchor->at], injNode[mi], anchor->cost);
+            ++anchor;
         } else {
             LinCost c;
             c.fixed = static_cast<double>(m.issued);
@@ -466,7 +605,8 @@ AnalyticModel::lower(const SpanTracer &tracer)
         // in the paper: their arrival edges only matter once L grows
         // past the compute they overlap with.
         if (bindingOf[mi])
-            dag_.addEdge(injNode[mi], lpOf[recvAt[id]], flightOf(m));
+            dag_.addEdge(injNode[mi], lpOf[recvAt[id]],
+                         flightOf(m.wire - m.inject, m.ready - m.wire));
         stats_.messagesLinked++;
     }
 
@@ -487,28 +627,27 @@ AnalyticModel::lower(const SpanTracer &tracer)
         LinCost toKept;
         bool haveKept = false;
         for (std::uint32_t q = hi; q-- > lo;) {
-            const std::uint32_t mi = order[q];
-            if (!bindingOf[mi]) {
+            const Injection &x = chain[q];
+            if (!x.binding) {
                 // Its flight, plus its receive span when the arrival was
                 // buffered: the handler still runs post-arrival.
-                LinCost cost = flightOf(msgs[mi]);
-                if (const std::uint32_t recv = recvAt[idOf[mi]]; recv != kNone)
-                    cost += spanCost(spans[at[recv]]);
+                LinCost cost = flightOf(x.serial, x.tail);
+                if (x.received)
+                    cost += spanCost(base_, SpanCat::ORecv,
+                                     recvDur[idOf[x.msg]]);
                 if (haveKept && dominated(cost, toKept)) {
                     // Dropped: the chain successor's join covers it.
                 } else {
-                    dag_.addEdge(injNode[mi], sink, cost);
+                    dag_.addEdge(injNode[x.msg], sink, cost);
                     toKept = cost;
                     haveKept = true;
                 }
             }
             if (q > lo && haveKept) {
-                const ObsMessage &prev = msgs[order[q - 1]];
                 toKept.perG += 1;
                 if (base_.gPerByte > 0)
-                    toKept.perGb +=
-                        static_cast<double>(prev.wire - prev.inject) /
-                        base_.gPerByte;
+                    toKept.perGb += static_cast<double>(chain[q - 1].serial) /
+                                    base_.gPerByte;
             }
         }
     }

@@ -153,7 +153,6 @@ class AnalyticModel
      *  message counts to stats_. False if it has no leaf CPU span, or
      *  more spans or messages than 32-bit indices hold. */
     bool lower(const SpanTracer &tracer);
-    LinCost spanCost(const Span &s) const;
     /** A raw LP makespan plus the residual, floored at zero. */
     double calibrated(double makespan) const;
 

@@ -283,7 +283,7 @@ readBinaryTrace(SpanTracer &tracer, TraceHeader &header,
     }
     tracer.spans_ = std::move(spans);
     tracer.msgs_ = std::move(msgs);
-    tracer.lastMsgId_ = maxId;
+    tracer.msgBase_ = maxId;
     header = {std::move(spec), runtime};
     return "";
 }

@@ -10,10 +10,8 @@ SpanTracer::absorb(const SpanTracer &other)
 {
     spans_.insert(spans_.end(), other.spans_.begin(), other.spans_.end());
     msgs_.reserve(msgs_.size() + other.msgs_.size());
-    for (const ObsMessage &m : other.msgs_) {
-        msgIndex_.emplace(m.id, msgs_.size());
-        msgs_.push_back(m);
-    }
+    for (const ObsMessage &m : other.msgs_)
+        message(m);
 }
 
 const char *

@@ -24,8 +24,8 @@
 #define NOWCLUSTER_OBS_TRACER_HH_
 
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
@@ -110,6 +110,20 @@ const char *trackKindName(TrackKind track);
 class SpanTracer
 {
   public:
+    /**
+     * Room for a run's spans and messages is reserved up front, past
+     * the 32 MiB up to which glibc's malloc raises its mmap threshold,
+     * so the two arrays never regrow in small steps: each is mapped
+     * pages, committed as records land in them and returned to the
+     * system when freed, whichever thread recorded the run. Grown by
+     * doubling, each discarded copy would stay in that thread's heap.
+     */
+    SpanTracer()
+    {
+        spans_.reserve(kReservedBytes / sizeof(Span));
+        msgs_.reserve(kReservedBytes / sizeof(ObsMessage));
+    }
+
     /** Record a leaf span. Zero-length spans are kept only for the
      *  Retransmit category (exported as instant events). */
     void
@@ -132,24 +146,36 @@ class SpanTracer
     }
 
     /** Allocate a message id (> 0). */
-    std::uint64_t newMsgId() { return ++lastMsgId_; }
+    std::uint64_t
+    newMsgId()
+    {
+        msgAt_.push_back(kUnrecorded);
+        return msgBase_ + msgAt_.size();
+    }
 
-    /** Record one message's flight decomposition. */
+    /** Record one message's flight decomposition. The first message
+     *  recorded under an id this tracer handed out is the one
+     *  updateMessageReady refines. */
     void
     message(const ObsMessage &m)
     {
-        msgIndex_.emplace(m.id, msgs_.size());
+        const std::uint64_t k = m.id - msgBase_ - 1; // see msgAt_
+        if (k < msgAt_.size() && msgAt_[k] == kUnrecorded &&
+            msgs_.size() < kUnrecorded)
+            msgAt_[k] = static_cast<std::uint32_t>(msgs_.size());
         msgs_.push_back(m);
     }
 
     /** Refine a message's presence-bit time (fabric contention, fault
-     *  delay, retransmission all move it after the send recorded it). */
+     *  delay, retransmission all move it after the send recorded it).
+     *  An id this tracer never handed out, or has no message for, is
+     *  ignored. */
     void
     updateMessageReady(std::uint64_t id, Tick ready)
     {
-        auto it = msgIndex_.find(id);
-        if (it != msgIndex_.end())
-            msgs_[it->second].ready = ready;
+        const std::uint64_t k = id - msgBase_ - 1; // see msgAt_
+        if (k < msgAt_.size() && msgAt_[k] != kUnrecorded)
+            msgs_[msgAt_[k]].ready = ready;
     }
 
     /** Append another tracer's spans and messages (e.g. a perturbed
@@ -174,18 +200,28 @@ class SpanTracer
     {
         spans_.clear();
         msgs_.clear();
-        msgIndex_.clear();
-        lastMsgId_ = 0;
+        msgAt_.clear();
+        msgBase_ = 0;
     }
 
   private:
     friend std::string readBinaryTrace(SpanTracer &, TraceHeader &,
                                        const std::string &);
 
+    static constexpr std::size_t kReservedBytes = std::size_t{40} << 20;
+    static constexpr std::uint32_t kUnrecorded =
+        std::numeric_limits<std::uint32_t>::max();
+
     std::vector<Span> spans_;
     std::vector<ObsMessage> msgs_;
-    std::unordered_map<std::uint64_t, std::size_t> msgIndex_;
-    std::uint64_t lastMsgId_ = 0;
+    /** newMsgId() hands ids out one after another from msgBase_ + 1,
+     *  so a vector indexes them: per id (msgBase_ + 1 + k at k), the
+     *  index in msgs_ of the first message recorded under it, or
+     *  kUnrecorded. An id at or below msgBase_ wraps k past the end. */
+    std::vector<std::uint32_t> msgAt_;
+    /** 0, or a loaded trace's largest id: the ids it carries were not
+     *  handed out here, and new ones follow them. */
+    std::uint64_t msgBase_ = 0;
 };
 
 /** Mean in-flight time (issue to presence bit) of a trace's messages,

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -1472,6 +1473,163 @@ TEST(Analytic, ConcurrentAnswersMatchASerialRun)
         for (std::size_t i = 0; i < grid.size(); i++)
             EXPECT_EQ(got[t][i], want[i])
                 << "thread " << t << ", point " << i;
+}
+
+/** "" when the backend's answers at `pt` are the model's at the same
+ *  parameters, bit for bit, else the first that differs. */
+std::string
+answerMismatch(AnalyticBackend &be, const AnalyticModel &model,
+               const RunPoint &pt)
+{
+    LogGPParams p = pt.config.machine.params;
+    pt.config.knobs.applyTo(p);
+    const std::optional<double> rt = model.runtime(p);
+    if (!rt || be.run(pt).runtime != std::llround(*rt))
+        return "run()";
+    const AnalyticPrediction x = be.predict(pt), y = model.predict(p);
+    if (hexOf(x.runtime) != hexOf(y.runtime) ||
+        hexOf(x.path.fixed) != hexOf(y.path.fixed) ||
+        hexOf(x.path.perL) != hexOf(y.path.perL) ||
+        hexOf(x.path.perO) != hexOf(y.path.perO) ||
+        hexOf(x.path.perG) != hexOf(y.path.perG) ||
+        hexOf(x.path.perGb) != hexOf(y.path.perGb) ||
+        x.pathEdges != y.pathEdges)
+        return "predict()";
+    const AnalyticSlopes u = be.slopes(pt), v = model.slopes(p);
+    if (u.ok != v.ok || hexOf(u.dTdL) != hexOf(v.dTdL) ||
+        hexOf(u.dTdO) != hexOf(v.dTdO) || hexOf(u.dTdG) != hexOf(v.dTdG) ||
+        hexOf(u.dTdGb) != hexOf(v.dTdGb))
+        return "slopes()";
+    return "";
+}
+
+TEST(Analytic, BuildMatchesATracedRunAndAProbeSimulatedInTurn)
+{
+    // The backend simulates a model's traced run and its probe as one
+    // runPoints batch. By hand, one after the other: the traced run,
+    // its lowering, then the probe at four times the base latency and
+    // the model's drift there.
+    for (const char *app : {"radix", "em3d-read"}) {
+        const RunPoint pt = smallPoint(app);
+        LogGPParams base;
+        auto [tracer, r] = traced(pt, base);
+        ASSERT_TRUE(r.ok) << app;
+        AnalyticModel model;
+        ASSERT_TRUE(model.build(tracer, base, r.runtime)) << app;
+        RunPoint probe = pt;
+        probe.config.knobs.latencyUs =
+            static_cast<double>(base.totalLatency()) / kUsec * 4;
+        const RunResult sim = runApp(probe.app, probe.config);
+        ASSERT_TRUE(sim.ok) << app;
+        LogGPParams at = probe.config.machine.params;
+        probe.config.knobs.applyTo(at);
+        const double drift =
+            std::fabs(*model.runtime(at) - static_cast<double>(sim.runtime)) /
+            static_cast<double>(sim.runtime);
+
+        // Healthy at a tolerance of exactly that drift and refused just
+        // below it, so the backend's drift is the same double.
+        BackendOptions opts;
+        opts.driftTolerance = drift;
+        AnalyticBackend healthy(opts);
+        opts.driftTolerance = std::nextafter(drift, -1.0);
+        AnalyticBackend refused(opts);
+        EXPECT_TRUE(healthy.run(pt).ok) << app;
+        EXPECT_FALSE(refused.run(pt).ok) << app;
+        EXPECT_TRUE(healthy.ready(pt)) << app;
+        EXPECT_FALSE(refused.ready(pt)) << app;
+        EXPECT_EQ(healthy.canServe(pt), "") << app;
+        char why[96];
+        std::snprintf(why, sizeof why,
+                      "probe drift %.1f%% exceeds tolerance %.1f%%",
+                      drift * 100, opts.driftTolerance * 100);
+        EXPECT_EQ(refused.canServe(pt), why) << app;
+
+        // The same lowering, and the same answers at the base point and
+        // off it, the served result carrying the traced run's
+        // measurements.
+        for (AnalyticBackend *be : {&healthy, &refused}) {
+            const ModelBuildStats s = be->modelStats(pt);
+            const ModelBuildStats &t = model.stats();
+            EXPECT_TRUE(s.cpuSpans == t.cpuSpans &&
+                        s.messagesLinked == t.messagesLinked &&
+                        s.messagesUnlinked == t.messagesUnlinked &&
+                        s.lpNodes == t.lpNodes && s.lpEdges == t.lpEdges &&
+                        hexOf(s.residual) == hexOf(t.residual))
+                << app;
+        }
+        RunResult want = r;
+        want.validated = false;
+        want.simEvents = 0;
+        EXPECT_EQ(fingerprint(healthy.run(pt)), fingerprint(want)) << app;
+        for (double l : {5.0, 55.0}) {
+            for (double o : {2.9, 12.9}) {
+                RunPoint q = pt;
+                q.config.knobs.latencyUs = l;
+                q.config.knobs.overheadUs = o;
+                EXPECT_EQ(answerMismatch(healthy, model, q), "")
+                    << app << " at L=" << l << " o=" << o;
+            }
+        }
+    }
+}
+
+/** A RunCache that stores nothing and records each point it is asked
+ *  about; runPoints' workers call it at once. */
+class RecordingCache : public RunCache
+{
+  public:
+    bool
+    lookup(const RunPoint &pt, RunResult &) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        lookups.push_back(pt);
+        return false;
+    }
+
+    void
+    insert(const RunPoint &pt, const RunResult &) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        inserts.push_back(pt);
+    }
+
+    std::mutex mu;
+    std::vector<RunPoint> lookups, inserts;
+};
+
+TEST(Analytic, OnlyTheProbeGoesThroughTheRunCache)
+{
+    // A cached result cannot replay the traced run's spans, so the
+    // traced run is always simulated; the probe is an ordinary point.
+    RecordingCache cache;
+    setRunCache(&cache);
+    AnalyticBackend be;
+    const RunPoint pt = smallPoint("radix");
+    RunPoint other = pt;
+    other.config.knobs.latencyUs = 30;
+    const bool served = be.run(pt).ok && be.run(other).ok;
+    setRunCache(nullptr);
+    ASSERT_TRUE(served);
+    ASSERT_EQ(cache.lookups.size(), 1u);
+    ASSERT_EQ(cache.inserts.size(), 1u);
+    LogGPParams base = pt.config.machine.params;
+    pt.config.knobs.applyTo(base);
+    for (const RunPoint *q : {&cache.lookups[0], &cache.inserts[0]}) {
+        EXPECT_EQ(q->config.obs, nullptr);
+        EXPECT_EQ(q->config.knobs.latencyUs,
+                  static_cast<double>(base.totalLatency()) / kUsec * 4);
+    }
+
+    // A traced run over its budget still refuses the model, with the
+    // reason the first check gives, though its probe ran beside it.
+    AnalyticBackend over;
+    RunPoint tight = smallPoint("radix");
+    tight.config.maxTime = 1;
+    EXPECT_FALSE(over.run(tight).ok);
+    EXPECT_FALSE(over.ready(tight));
+    EXPECT_EQ(over.canServe(tight),
+              "base traced run failed (budget exceeded?)");
 }
 
 // ----------------------------------------------------------------------

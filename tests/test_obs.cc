@@ -195,6 +195,61 @@ TEST(Tracer, FingerprintIdenticalWithAndWithoutTracing)
     EXPECT_GT(tracer.spans().size(), 0u);
 }
 
+TEST(Tracer, ReadyTimesReachTheMessageRecordedUnderTheirId)
+{
+    // Sends that overlap record their messages out of id order, and a
+    // handed-out id may never be recorded.
+    SpanTracer t;
+    const std::uint64_t a = t.newMsgId();
+    const std::uint64_t b = t.newMsgId();
+    const std::uint64_t c = t.newMsgId();
+    ObsMessage m;
+    m.src = 0;
+    m.dst = 1;
+    m.id = c;
+    m.ready = 30;
+    t.message(m);
+    m.id = a;
+    m.ready = 10;
+    t.message(m);
+    // A second record under a: the first is the one refined.
+    m.ready = 50;
+    t.message(m);
+
+    t.updateMessageReady(a, 11);
+    t.updateMessageReady(c, 31);
+    // No message under b, and ids this tracer never handed out.
+    for (std::uint64_t id : {b, c + 1, std::uint64_t{0}, ~std::uint64_t{0}})
+        t.updateMessageReady(id, 99);
+    ASSERT_EQ(t.messages().size(), 3u);
+    EXPECT_EQ(t.messages()[0].id, c);
+    EXPECT_EQ(t.messages()[0].ready, 31);
+    EXPECT_EQ(t.messages()[1].id, a);
+    EXPECT_EQ(t.messages()[1].ready, 11);
+    EXPECT_EQ(t.messages()[2].id, a);
+    EXPECT_EQ(t.messages()[2].ready, 50);
+
+    // absorb() keeps every message, in order, including ids that
+    // repeat across the tracers; the stacked tracer handed none of
+    // them out, so it refines none.
+    SpanTracer other;
+    m.id = c;
+    m.ready = 70;
+    other.message(m);
+    SpanTracer stacked;
+    stacked.absorb(t);
+    stacked.absorb(other);
+    stacked.updateMessageReady(a, 99);
+    stacked.updateMessageReady(c, 99);
+    ASSERT_EQ(stacked.messages().size(), 4u);
+    const Tick ready[] = {31, 11, 50, 70};
+    const std::uint64_t ids[] = {c, a, a, c};
+    for (std::size_t i = 0; i < 4; i++) {
+        EXPECT_EQ(stacked.messages()[i].id, ids[i]) << i;
+        EXPECT_EQ(stacked.messages()[i].ready, ready[i]) << i;
+    }
+}
+
 // ----------------------------------------------------------------------
 // Exporters.
 // ----------------------------------------------------------------------

@@ -1085,9 +1085,10 @@ amRoundTrips(const LogGPParams &params, SpanTracer *tracer, int trips)
  * rounds -- verifying on the way that every round produces
  * byte-identical per-point results, (5) one
  * large run (radix on an oversubscribed fat-tree, 1024 procs by
- * default) on the single-heap engine, and (6) the analytic LP: one
- * traced run of the sweep's app and size lowered once, then re-timed
- * at the sweep's overhead values.
+ * default) on the single-heap engine, and (6) the analytic LP of the
+ * sweep's app and size: whole model builds through the backend, the
+ * lowering of one traced run, and its solves at the sweep's overhead
+ * values.
  */
 int
 cmdPerf(const Args &a)
@@ -1254,24 +1255,42 @@ cmdPerf(const Args &a)
                 sim_procs, large_s, large_eps / 1e6,
                 large.ok ? "" : " (FAILED)");
 
-    // --- (6) LP lower and solve ---------------------------------------
-    // AnalyticModel::build on one traced run, then runtime() -- the
-    // makespan-only solve a served point takes -- and predict() -- the
-    // solve with the dual, which slopes() takes once per knob --
-    // cycling through the sweep's overhead column, kLpReps times each.
+    // --- (6) LP build, lower and solve --------------------------------
+    // A whole model build through a fresh AnalyticBackend -- the traced
+    // run and the probe beside it, then the lowering -- kBuildReps
+    // times; AnalyticModel::build on one traced run kLowerReps times;
+    // then runtime() -- the makespan-only solve a served point takes --
+    // and predict() -- the solve with the dual, which slopes() takes
+    // once per knob -- cycling through the sweep's overhead column,
+    // kLpReps times each.
+    constexpr int kBuildReps = 5;
+    constexpr int kLowerReps = 11;
     constexpr int kLpReps = 31;
     RunConfig tcfg = base;
     tcfg.validate = false;
+    std::vector<double> build_ms;
+    for (int r = 0; r < kBuildReps; ++r) {
+        backend::AnalyticBackend be;
+        ts = Clock::now();
+        be.run({app, tcfg});
+        build_ms.push_back(seconds_since(ts) * 1e3);
+    }
     SpanTracer tracer;
     tcfg.obs = &tracer;
     const RunResult traced = runApp(app, tcfg);
     LogGPParams lp_base = tcfg.machine.params;
     tcfg.knobs.applyTo(lp_base);
     backend::AnalyticModel model;
-    ts = Clock::now();
-    const bool lowered =
-        traced.ok && model.build(tracer, lp_base, traced.runtime);
-    const double lower_ms = seconds_since(ts) * 1e3;
+    std::vector<double> lower_ms;
+    bool lowered = traced.ok;
+    for (int r = 0; lowered && r < kLowerReps; ++r) {
+        // Each lowering into a fresh model, the last one freed untimed.
+        backend::AnalyticModel fresh;
+        ts = Clock::now();
+        lowered = fresh.build(tracer, lp_base, traced.runtime);
+        lower_ms.push_back(seconds_since(ts) * 1e3);
+        model = std::move(fresh);
+    }
     std::vector<double> runtime_us, dual_us;
     for (int r = 0; lowered && r < kLpReps; ++r) {
         Knobs k = base.knobs;
@@ -1286,16 +1305,20 @@ cmdPerf(const Args &a)
         dual_us.push_back(seconds_since(ts) * 1e6);
         fatal_if(!solved || !dual, "perf: the lowered model did not solve");
     }
+    const Spread build = spreadOf(build_ms);
+    const Spread lower = spreadOf(lower_ms);
     const Spread makespan = spreadOf(runtime_us);
     const Spread dual = spreadOf(dual_us);
     const backend::ModelBuildStats &lp = model.stats();
-    std::printf("lp         : %s, %zu nodes, %zu edges: lowered in "
-                "%.2f ms, runtime() %.1f us per point (min %.1f, IQR "
-                "%.1f), predict() %.1f us (min %.1f, IQR %.1f), %d "
-                "reps%s\n",
-                app.c_str(), lp.lpNodes, lp.lpEdges, lower_ms,
-                makespan.median, makespan.min, makespan.iqr, dual.median,
-                dual.min, dual.iqr, kLpReps,
+    std::printf("lp         : %s, %zu nodes, %zu edges: built in %.2f ms "
+                "(min %.2f, IQR %.2f; traced run, probe and lowering, %d "
+                "reps), lowered in %.2f ms (min %.2f, IQR %.2f, %d reps), "
+                "runtime() %.1f us per point (min %.1f, IQR %.1f), "
+                "predict() %.1f us (min %.1f, IQR %.1f), %d reps%s\n",
+                app.c_str(), lp.lpNodes, lp.lpEdges, build.median,
+                build.min, build.iqr, kBuildReps, lower.median, lower.min,
+                lower.iqr, kLowerReps, makespan.median, makespan.min,
+                makespan.iqr, dual.median, dual.min, dual.iqr, kLpReps,
                 lowered ? "" : " (FAILED to lower)");
 
     if (out) {
@@ -1341,26 +1364,26 @@ cmdPerf(const Args &a)
             .field("events_per_sec", large_eps)
             .field("ok", large.ok)
             .endObject();
+        // `key: {reps, median, min, iqr}`.
+        auto timed = [&](std::string_view key, int reps, const Spread &s) {
+            w.beginObject(key)
+                .field("reps", reps)
+                .field("median", s.median)
+                .field("min", s.min)
+                .field("iqr", s.iqr)
+                .endObject();
+        };
         w.beginObject("lp")
             .field("app", app)
             .field("nprocs", base.nprocs)
             .field("scale", base.scale)
             .field("lpNodes", static_cast<std::uint64_t>(lp.lpNodes))
-            .field("lpEdges", static_cast<std::uint64_t>(lp.lpEdges))
-            .field("lower_ms", lower_ms)
-            .beginObject("runtime_us")
-            .field("reps", kLpReps)
-            .field("median", makespan.median)
-            .field("min", makespan.min)
-            .field("iqr", makespan.iqr)
-            .endObject()
-            .beginObject("solve_us")
-            .field("reps", kLpReps)
-            .field("median", dual.median)
-            .field("min", dual.min)
-            .field("iqr", dual.iqr)
-            .endObject()
-            .endObject();
+            .field("lpEdges", static_cast<std::uint64_t>(lp.lpEdges));
+        timed("build_ms", kBuildReps, build);
+        timed("lower_ms", kLowerReps, lower);
+        timed("runtime_us", kLpReps, makespan);
+        timed("solve_us", kLpReps, dual);
+        w.endObject();
         w.endObject();
         svc::writeJsonFile(w, *out);
     }
